@@ -45,7 +45,6 @@ class KernelSpec:
     c_cz: float                    # smallest admissible size/gradient constant
     component: int | None = None   # for kind == "riesz"
     func: object = None            # for kind == "custom": K(x, y) -> float
-    smooth_order: float = 1.0      # extra smoothness exponent beyond Lipschitz
 
     @property
     def vector_valued(self) -> bool:
@@ -80,108 +79,91 @@ class TestingReport:
 # kernel construction and evaluation
 
 
-def _riesz_rows(xs, ys, alpha, component):
-    """Kernel values K(x, y) for every x in xs against every y in ys.
+def _kernel_values(spec: KernelSpec, xs: np.ndarray, ys: np.ndarray):
+    """Truncated kernel values K(x, y); zero outside (delta, R).
 
-    Returns shape (len(xs), len(ys)) for a single component, or
-    (len(xs), len(ys), n) when component is None (full vector).
+    xs and ys are point arrays that broadcast against each other, with
+    the coordinates on the last axis.  The result has their broadcast
+    shape without that axis, plus a trailing dim axis for vector kernels.
+    Custom kernels call func once per pair kept, in row-major order.
     """
-    n = xs.shape[1]
-    diff = xs[:, None, :] - ys[None, :, :]
-    r = np.sqrt((diff * diff).sum(axis=2))
+    diff = xs - ys
+    r = np.sqrt((diff * diff).sum(axis=-1))
+    keep = (r > spec.delta_trunc) & (r < spec.radius)
+    if spec.kind == "custom":
+        out = np.zeros(r.shape)
+        xb, yb = np.broadcast_arrays(xs, ys)
+        for idx in zip(*np.nonzero(keep)):
+            out[idx] = spec.func(xb[idx], yb[idx])
+        return out
     with np.errstate(divide="ignore", invalid="ignore"):
-        scale = r ** (-(n - alpha + 1))
+        scale = r ** (-(diff.shape[-1] - spec.alpha + 1))
     scale[r == 0.0] = 0.0
-    if component is not None:
-        return diff[:, :, component] * scale
-    return diff * scale[:, :, None]
-
-
-def _pair_distances(xs, ys):
-    diff = xs[:, None, :] - ys[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=2))
-
-
-def _truncation_mask(r, spec):
-    return (r > spec.delta_trunc) & (r < spec.radius)
+    if spec.kind == "riesz":
+        return np.where(keep, diff[..., spec.component] * scale, 0.0)
+    return np.where(keep[..., None], diff * scale[..., None], 0.0)
 
 
 def _eval_matrix(spec: KernelSpec, xs: np.ndarray, ys: np.ndarray):
-    """Truncated kernel values; zero outside (delta, R).
+    """Truncated kernel values for every x in xs against every y in ys.
 
     Shape (len(xs), len(ys)), with a trailing dim axis for vector kernels.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
     ys = np.atleast_2d(np.asarray(ys, dtype=np.float64))
-    r = _pair_distances(xs, ys)
-    keep = _truncation_mask(r, spec)
-    if spec.kind == "riesz":
-        k = _riesz_rows(xs, ys, spec.alpha, spec.component)
-        return np.where(keep, k, 0.0)
-    if spec.kind == "riesz_vector":
-        k = _riesz_rows(xs, ys, spec.alpha, None)
-        return np.where(keep[:, :, None], k, 0.0)
-    out = np.zeros(r.shape)
-    fn = spec.func
-    for i in range(r.shape[0]):
-        for j in range(r.shape[1]):
-            if keep[i, j]:
-                out[i, j] = fn(xs[i], ys[j])
-    return out
+    return _kernel_values(spec, xs[:, None, :], ys[None, :, :])
 
 
 def _sample_pairs(dim, delta, radius, count, rng):
-    """Point pairs with separation strictly inside (delta, radius)."""
-    got = []
-    while len(got) < count:
+    """Point pairs (xs, ys) with separation strictly inside (delta, radius)."""
+    xs_ok, ys_ok = [np.zeros((0, dim))], [np.zeros((0, dim))]
+    got = 0
+    while got < count:
         xs = rng.uniform(-radius, radius, size=(4 * count, dim))
         ys = rng.uniform(-radius, radius, size=(4 * count, dim))
         r = np.sqrt(((xs - ys) ** 2).sum(axis=1))
         ok = (r > delta * 1.0001) & (r < radius * 0.9999)
-        got.extend(zip(xs[ok], ys[ok]))
-    return got[:count]
-
-
-def _point_value(spec, x, y):
-    v = _eval_matrix(spec, x[None, :], y[None, :])[0, 0]
-    if spec.vector_valued:
-        return float(np.sqrt((v * v).sum()))
-    return float(abs(v))
+        xs_ok.append(xs[ok])
+        ys_ok.append(ys[ok])
+        got += int(ok.sum())
+    return np.concatenate(xs_ok)[:count], np.concatenate(ys_ok)[:count]
 
 
 def _validation_sweep(spec: KernelSpec, samples: int, rng):
-    """Largest size and gradient quotients over sampled point pairs."""
+    """Largest size and gradient quotients over sampled point pairs.
+
+    The gradient is a central difference with step 1e-6 * |x - y| along
+    each axis of x.  Pairs are sampled 1e-4 inside the truncation range,
+    so every shifted point stays inside it.  Zero and NaN quotients
+    never count.
+    """
     n = spec.dim
-    worst_size = 0.0
-    worst_grad = 0.0
+    x, y = _sample_pairs(n, spec.delta_trunc, spec.radius, samples, rng)
+    r = np.sqrt(((x - y) ** 2).sum(axis=1))
+    v = _kernel_values(spec, x, y)
+    if spec.vector_valued:
+        v = np.sqrt((v * v).sum(axis=1))
+    size = np.abs(v) * r ** (n - spec.alpha)
+    size = np.where(size > 0.0, size, 0.0)
+    worst_size = float(size.max(initial=0.0))
     worst_pair = None
-    for x, y in _sample_pairs(n, spec.delta_trunc, spec.radius, samples, rng):
-        r = float(np.sqrt(((x - y) ** 2).sum()))
-        val = _point_value(spec, x, y)
-        q = val * r ** (n - spec.alpha)
-        if q > worst_size:
-            worst_size, worst_pair = q, (x.copy(), y.copy())
-        h = 1e-6 * r
-        grad2 = 0.0
-        for axis in range(n):
-            xp = x.copy()
-            xp[axis] += h
-            xm = x.copy()
-            xm[axis] -= h
-            rp = np.sqrt(((xp - y) ** 2).sum())
-            rm = np.sqrt(((xm - y) ** 2).sum())
-            if not (spec.delta_trunc < rp < spec.radius
-                    and spec.delta_trunc < rm < spec.radius):
-                grad2 = -1.0
-                break
-            vp = _eval_matrix(spec, xp[None, :], y[None, :])[0, 0]
-            vm = _eval_matrix(spec, xm[None, :], y[None, :])[0, 0]
-            d = (np.asarray(vp) - np.asarray(vm)) / (2 * h)
-            grad2 += float((d * d).sum())
-        if grad2 >= 0.0:
-            worst_grad = max(worst_grad,
-                             math.sqrt(grad2) * r ** (n - spec.alpha + 1))
-    return worst_size, worst_grad, worst_pair
+    if worst_size > 0.0:
+        i = int(np.argmax(size))
+        worst_pair = (x[i].copy(), y[i].copy())
+
+    h = 1e-6 * r
+    grad2 = np.zeros(len(r))
+    for axis in range(n):
+        xp = x.copy()
+        xp[:, axis] += h
+        xm = x.copy()
+        xm[:, axis] -= h
+        d = _kernel_values(spec, xp, y) - _kernel_values(spec, xm, y)
+        d = d.reshape(len(r), -1) / (2 * h)[:, None]
+        grad2 += (d * d).sum(axis=1)
+    grad = np.sqrt(grad2) * r ** (n - spec.alpha + 1)
+    grad = np.where(grad > 0.0, grad, 0.0)
+    return worst_size, float(grad.max(initial=0.0)), worst_pair
 
 
 def make_kernel(dim: int, alpha: float, kind: str = "riesz", *,
@@ -208,7 +190,7 @@ def make_kernel(dim: int, alpha: float, kind: str = "riesz", *,
         if func is None or c_cz is None:
             raise ValueError("custom kernel needs func and a claimed c_cz")
         spec = KernelSpec(dim, alpha, kind, delta_trunc, radius, float(c_cz),
-                          func=func, smooth_order=0.0)
+                          func=func)
     else:
         raise ValueError(f"unknown kernel kind {kind!r}")
     rng = np.random.default_rng(seed)
@@ -237,40 +219,47 @@ def apply(kernel: KernelSpec, sigma: Measure, f, omega: Measure,
     arguments are swapped, giving the dual operator.  Vector kernels
     return shape (omega.natoms, dim).
     """
-    f = np.asarray(f, dtype=np.float64)
-    if f.shape != (sigma.natoms,):
-        raise ValueError("f must be an array over the sigma atoms")
-    if omega.natoms == 0 or sigma.natoms == 0:
-        shape = (omega.natoms, kernel.dim) if kernel.vector_valued \
-            else (omega.natoms,)
-        return np.zeros(shape)
-    k = _eval_matrix(kernel, omega.coords_float(), sigma.coords_float())
+    f = _over_atoms(f, sigma)
     if transpose:
         kt = _eval_matrix(kernel, sigma.coords_float(), omega.coords_float())
         k = np.swapaxes(kt, 0, 1)
-    wf = sigma.masses * f
-    if kernel.vector_valued:
+    else:
+        k = _eval_matrix(kernel, omega.coords_float(), sigma.coords_float())
+    return _matvec(k, sigma.masses * f)
+
+
+def _over_atoms(f, mu: Measure) -> np.ndarray:
+    f = np.asarray(f, dtype=np.float64)
+    if f.shape != (mu.natoms,):
+        raise ValueError("f must be an array over the sigma atoms")
+    return f
+
+
+def _matvec(k: np.ndarray, wf: np.ndarray) -> np.ndarray:
+    """A kernel matrix, with or without a trailing dim axis, times wf."""
+    if k.ndim == 3:
         return np.einsum("ijd,j->id", k, wf)
     return k @ wf
 
 
-def _weighted_matrix(kernel: KernelSpec, sigma: Measure, omega: Measure):
-    k = _eval_matrix(kernel, omega.coords_float(), sigma.coords_float())
+def _kernel_matrix(kernel: KernelSpec, sigma: Measure, omega: Measure):
+    """The (omega x sigma) kernel matrix, within the atom-count cap."""
+    if sigma.natoms > 10_000 or omega.natoms > 10_000:
+        raise ValueError("atom counts must stay at or below 10^4")
+    return _eval_matrix(kernel, omega.coords_float(), sigma.coords_float())
+
+
+def _matrix_norm(kernel: KernelSpec, k: np.ndarray, sigma: Measure,
+                 omega: Measure) -> float:
+    """Norm of the operator whose (omega x sigma) kernel matrix is k."""
+    if sigma.natoms == 0 or omega.natoms == 0:
+        return 0.0
     if kernel.vector_valued:
         k = np.concatenate([k[:, :, d] for d in range(kernel.dim)], axis=0)
         wl = np.tile(np.sqrt(omega.masses), kernel.dim)
     else:
         wl = np.sqrt(omega.masses)
-    return wl[:, None] * k * np.sqrt(sigma.masses)[None, :]
-
-
-def operator_norm(kernel: KernelSpec, sigma: Measure, omega: Measure) -> float:
-    """Two-weight L2(sigma) -> L2(omega) norm of the truncated operator."""
-    if sigma.natoms > 10_000 or omega.natoms > 10_000:
-        raise ValueError("atom counts must stay at or below 10^4")
-    if sigma.natoms == 0 or omega.natoms == 0:
-        return 0.0
-    a = _weighted_matrix(kernel, sigma, omega)
+    a = wl[:, None] * k * np.sqrt(sigma.masses)[None, :]
     if max(a.shape) <= _SVD_CUTOFF:
         return float(np.linalg.svd(a, compute_uv=False)[0])
     # power iteration on the Gram matrix, relative tolerance on the value
@@ -293,6 +282,12 @@ def operator_norm(kernel: KernelSpec, sigma: Measure, omega: Measure) -> float:
     raise RuntimeError(f"power iteration did not converge, residual {resid}")
 
 
+def operator_norm(kernel: KernelSpec, sigma: Measure, omega: Measure) -> float:
+    """Two-weight L2(sigma) -> L2(omega) norm of the truncated operator."""
+    return _matrix_norm(kernel, _kernel_matrix(kernel, sigma, omega),
+                        sigma, omega)
+
+
 # ---------------------------------------------------------------------------
 # testing constants
 
@@ -303,6 +298,23 @@ def _atoms_in_cube(mu: Measure, q: Cube) -> np.ndarray:
     return mu.in_box(lo, lo + q.side * f)
 
 
+def _test_integrals(k: np.ndarray, src: Measure, b, dst: Measure):
+    """Callable q -> integral over q of |k (b dsrc)|^2 against dst.
+
+    k is the (dst x src) kernel matrix and b an array over the src atoms.
+    """
+    vals = _matvec(k, src.masses * _over_atoms(b, src))
+    sq = vals * vals
+    if sq.ndim == 2:
+        sq = sq.sum(axis=1)
+
+    def integral(q: Cube) -> float:
+        sel = _atoms_in_cube(dst, q)
+        return float(np.dot(dst.masses[sel], sq[sel]))
+
+    return integral
+
+
 def local_test_integrals(kernel: KernelSpec, sigma: Measure, omega: Measure,
                          b, transpose: bool = False):
     """Callable q -> integral over q of |T(b)|^2 against omega.
@@ -310,33 +322,20 @@ def local_test_integrals(kernel: KernelSpec, sigma: Measure, omega: Measure,
     With transpose=True the roles swap: b lives on the omega atoms and
     the result integrates against sigma.
     """
+    k = _eval_matrix(kernel, omega.coords_float(), sigma.coords_float())
     if transpose:
-        vals = apply(kernel, omega, b, sigma, transpose=True)
-        target = sigma
-    else:
-        vals = apply(kernel, sigma, b, omega)
-        target = omega
-    sq = vals * vals
-    if sq.ndim == 2:
-        sq = sq.sum(axis=1)
-
-    def integral(q: Cube) -> float:
-        sel = _atoms_in_cube(target, q)
-        return float(np.dot(target.masses[sel], sq[sel]))
-
-    return integral
+        return _test_integrals(np.swapaxes(k, 0, 1), omega, b, sigma)
+    return _test_integrals(k, sigma, b, omega)
 
 
-def _one_direction(kernel, src: Measure, dst: Measure, fam,
-                   transpose: bool) -> tuple:
+def _one_direction(k: np.ndarray, src: Measure, dst: Measure,
+                   fam) -> tuple:
     best, witness, rows = 0.0, None, []
     for q in fam.cubes():
         qs = fam.mass(q)
         if qs <= 0.0:
             continue
-        local = local_test_integrals(kernel, src, dst, fam.b(q),
-                                     transpose=transpose)
-        quot = local(q) / qs
+        quot = _test_integrals(k, src, fam.b(q), dst)(q) / qs
         rows.append((q, quot))
         if quot > best:
             best, witness = quot, q
@@ -349,11 +348,15 @@ def testing_constants(kernel: KernelSpec, sigma: Measure, omega: Measure,
 
     The forward constant squares to the largest value, over the cubes of
     the forward family, of int_Q |T(b_Q)|^2 domega / |Q|_sigma; the dual
-    swaps every role.  Cubes of zero source mass are skipped.
+    swaps every role.  Cubes of zero source mass are skipped.  All three
+    constants come from one evaluation of the kernel matrix: the dual
+    uses its transpose.
     """
-    fwd, fw, ft = _one_direction(kernel, sigma, omega, bfam, False)
-    dual, dw, dt = _one_direction(kernel, sigma, omega, bstar_fam, True)
-    nrm = operator_norm(kernel, sigma, omega)
+    k = _kernel_matrix(kernel, sigma, omega)
+    fwd, fw, ft = _one_direction(k, sigma, omega, bfam)
+    dual, dw, dt = _one_direction(np.swapaxes(k, 0, 1), omega, sigma,
+                                  bstar_fam)
+    nrm = _matrix_norm(kernel, k, sigma, omega)
     table = [{"direction": "forward", "cube": q, "quotient": v}
              for q, v in ft]
     table += [{"direction": "dual", "cube": q, "quotient": v}

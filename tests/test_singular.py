@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from twoweight.bfamily import make_family
+import twoweight.singular as sg
+from twoweight.bfamily import BFamily, make_family
 from twoweight.grid import make_grid
 from twoweight.measure import Measure
 from twoweight.poisson_a2 import A2Report, a2_constants
@@ -40,6 +41,58 @@ def test_riesz_1d_matches_reciprocal():
     omega = single_atom(1, 3, (4,))   # coordinate 1/2
     out = apply(k, sigma, np.ones(1), omega)
     assert out[0] == pytest.approx(1.0 / 0.5)
+
+
+def _loop_sweep(spec, samples, rng):
+    """The validation sweep one pair at a time, each kernel value from a
+    one-by-one kernel matrix."""
+    n = spec.dim
+
+    def value(x, y):
+        return sg._eval_matrix(spec, x[None, :], y[None, :])[0, 0]
+
+    worst_size, worst_grad, worst_pair = 0.0, 0.0, None
+    xs, ys = sg._sample_pairs(n, spec.delta_trunc, spec.radius, samples, rng)
+    for x, y in zip(xs, ys):
+        r = float(np.sqrt(((x - y) ** 2).sum()))
+        v = value(x, y)
+        val = float(np.sqrt((v * v).sum()) if spec.vector_valued else abs(v))
+        q = val * r ** (n - spec.alpha)
+        if q > worst_size:
+            worst_size, worst_pair = q, (x.copy(), y.copy())
+        h = 1e-6 * r
+        grad2 = 0.0
+        for axis in range(n):
+            xp = x.copy()
+            xp[axis] += h
+            xm = x.copy()
+            xm[axis] -= h
+            rp = np.sqrt(((xp - y) ** 2).sum())
+            rm = np.sqrt(((xm - y) ** 2).sum())
+            if not (spec.delta_trunc < rp < spec.radius
+                    and spec.delta_trunc < rm < spec.radius):
+                grad2 = -1.0
+                break
+            d = (value(xp, y) - value(xm, y)) / (2 * h)
+            grad2 += float((d * d).sum())
+        if grad2 >= 0.0:
+            worst_grad = max(worst_grad,
+                             math.sqrt(grad2) * r ** (n - spec.alpha + 1))
+    return worst_size, worst_grad, worst_pair
+
+
+@pytest.mark.parametrize("dim,alpha,kind", [
+    (1, 0.0, "riesz"), (2, 0.5, "riesz"), (2, 0.5, "riesz_vector"),
+    (1, 0.0, "riesz_vector")])
+def test_validation_sweep_matches_pairwise_loop(dim, alpha, kind):
+    spec = make_kernel(dim, alpha, kind, samples=10)
+    size, grad, pair = sg._validation_sweep(spec, 300,
+                                            np.random.default_rng(11))
+    want = _loop_sweep(spec, 300, np.random.default_rng(11))
+    assert size == pytest.approx(want[0], rel=1e-12)
+    assert grad == pytest.approx(want[1], rel=1e-12) and grad > 0.0
+    assert np.array_equal(pair[0], want[2][0])
+    assert np.array_equal(pair[1], want[2][1])
 
 
 def test_riesz_validation_constant_near_one():
@@ -209,6 +262,118 @@ def test_local_integrals_match_report():
     row = next(r for r in rep.table
                if r["direction"] == "forward" and r["cube"] == root)
     assert local(root) / bf.mass(root) == pytest.approx(row["quotient"])
+
+
+def _loop_testing_constants(kernel, sigma, omega, bfam, bstar_fam):
+    """Testing constants with one kernel application, hence one kernel
+    matrix, per cube, and the norm from operator_norm."""
+    def direction(fam, transpose, name):
+        best, witness, rows = 0.0, None, []
+        for q in fam.cubes():
+            qs = fam.mass(q)
+            if qs <= 0.0:
+                continue
+            if transpose:
+                vals = apply(kernel, omega, fam.b(q), sigma, transpose=True)
+                target = sigma
+            else:
+                vals = apply(kernel, sigma, fam.b(q), omega)
+                target = omega
+            sq = vals * vals
+            if sq.ndim == 2:
+                sq = sq.sum(axis=1)
+            sel = target.in_box(*_lattice_box(target, q))
+            quot = float(np.dot(target.masses[sel], sq[sel])) / qs
+            rows.append({"direction": name, "cube": q, "quotient": quot})
+            if quot > best:
+                best, witness = quot, q
+        return math.sqrt(best), witness, rows
+
+    fwd, fw, ft = direction(bfam, False, "forward")
+    dual, dw, dt = direction(bstar_fam, True, "dual")
+    return fwd, dual, operator_norm(kernel, sigma, omega), fw, dw, ft + dt
+
+
+def _lattice_box(mu, q):
+    f = 2 ** (mu.resolution - q.resolution)
+    lo = np.array(q.lo, dtype=np.int64) * f
+    return lo, lo + q.side * f
+
+
+def _sparse_measure(rng, dim, M, natoms):
+    pts = rng.choice(2 ** (dim * M), size=natoms, replace=False)
+    coords = [tuple(int(p) // 2 ** (M * a) % 2 ** M for a in range(dim))
+              for p in pts]
+    return Measure.from_atoms(dim, M, [(c, float(rng.random() + 0.2))
+                                       for c in coords])
+
+
+def _no_cubes(mu, g, root):
+    return BFamily(mu, g, root, {}, 4.0, 0.0, 0.0, kind="unit")
+
+
+def _assert_matches_loop(kernel, sigma, omega, bf, bs):
+    rep = testing_constants(kernel, sigma, omega, bf, bs)
+    fwd, dual, nrm, fw, dw, rows = _loop_testing_constants(
+        kernel, sigma, omega, bf, bs)
+    assert rep.forward == fwd and rep.dual == dual and rep.norm == nrm
+    assert rep.forward_witness == fw and rep.dual_witness == dw
+    assert rep.table == rows
+
+
+CUSTOM = dict(kind="custom", func=lambda x, y: 0.5 / float(x[0] - y[0]),
+              c_cz=1.0)
+
+
+@pytest.mark.parametrize("dim,M,kw", [
+    (1, 4, dict(kind="riesz")),
+    (1, 4, dict(kind="riesz", alpha=0.4)),
+    (2, 3, dict(kind="riesz", component=1, alpha=0.5)),
+    (2, 3, dict(kind="riesz_vector", alpha=0.5)),
+    (1, 4, CUSTOM),
+])
+@pytest.mark.parametrize("family", ["unit", "random"])
+def test_testing_constants_match_per_cube_loop(dim, M, kw, family):
+    kw = dict(kw)
+    kernel = make_kernel(dim, kw.pop("alpha", 0.0), kw.pop("kind"), **kw)
+    rng = np.random.default_rng(17 * dim + M)
+    n = 2 ** (dim * M) // 3
+    sigma = _sparse_measure(rng, dim, M, n)
+    omega = _sparse_measure(rng, dim, M, n + 1)
+    g = std_grid(dim=dim, M=M)
+    root = g.cube(0, (0,) * dim)
+    bf = make_family(family, sigma, g, root, seed=3)
+    bs = make_family(family, omega, g, root, seed=4)
+    _assert_matches_loop(kernel, sigma, omega, bf, bs)
+
+
+@pytest.mark.parametrize("kind", ["riesz", "riesz_vector"])
+def test_testing_constants_with_an_empty_measure_match_loop(kind):
+    kernel = make_kernel(1, 0.0, kind)
+    rng = np.random.default_rng(2)
+    full = lattice_measure(rng)
+    empty = Measure(1, 3, np.zeros((0, 1), dtype=np.int64), np.zeros(0), ())
+    g = std_grid()
+    root = g.cube(0, (0,))
+    fam = make_family("random", full, g, root, seed=5)
+    # empty omega: forward quotients integrate over no atoms
+    _assert_matches_loop(kernel, full, empty, fam, _no_cubes(empty, g, root))
+    rep = testing_constants(kernel, full, empty, fam,
+                            _no_cubes(empty, g, root))
+    assert rep.forward == 0.0 and rep.norm == 0.0 and len(rep.table) > 0
+    # empty sigma: dual quotients integrate over no atoms
+    _assert_matches_loop(kernel, empty, full, _no_cubes(empty, g, root), fam)
+
+
+def test_apply_transpose_is_the_swapped_forward_matrix():
+    k = make_kernel(2, 0.5, "riesz_vector")
+    rng = np.random.default_rng(8)
+    sigma = _sparse_measure(rng, 2, 3, 20)
+    omega = _sparse_measure(rng, 2, 3, 25)
+    g = rng.standard_normal(omega.natoms)
+    fwd = sg._eval_matrix(k, omega.coords_float(), sigma.coords_float())
+    want = np.einsum("ijd,j->id", np.swapaxes(fwd, 0, 1), omega.masses * g)
+    assert np.array_equal(apply(k, omega, g, sigma, transpose=True), want)
 
 
 # -------------------------------------------------------------------- ntv
