@@ -136,11 +136,6 @@ class Corona:
         return "\n".join(lines)
 
 
-def _attach(parents: dict, tops_done: list, f: Cube, top: Cube):
-    parents[f] = top
-    tops_done.append(f)
-
-
 # ---------------------------------------------------------------------------
 # Calderon-Zygmund stopping times
 
@@ -751,6 +746,9 @@ def shifted_corona(corona: Corona, f_cube: Cube, grid_g: Grid, eps: float,
     A cube J of grid_g belongs to the shifted corona of f_cube when its
     finest all-good ancestor exists and lies in the restricted corona of
     f_cube.  Cubes with no crossover belong to no shifted corona.
+
+    body_cache, when given, keeps the grid bodies and the crossovers
+    across the calls that share it, so each crossover is found once.
     """
     kids = corona.forest_children(f_cube)
 
@@ -760,10 +758,15 @@ def shifted_corona(corona: Corona, f_cube: Cube, grid_g: Grid, eps: float,
         return not any(g.contains_cube(q) for g in kids)
 
     grid_d = corona.root.grid
+    # crossovers of the grid_g cubes; a tuple key never equals the Cube
+    # keys under which sharp_cross keeps the bodies
+    crossings = {} if body_cache is None else \
+        body_cache.setdefault(("sharp_cross", grid_d, eps), {})
     out = []
     for j in grid_g.cubes():
-        q, _ = sharp_cross(j, grid_d, eps, body_cache)
-        if in_restricted(q):
+        if j not in crossings:
+            crossings[j] = sharp_cross(j, grid_d, eps, body_cache)[0]
+        if in_restricted(crossings[j]):
             out.append(j)
     return out
 

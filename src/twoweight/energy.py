@@ -17,10 +17,10 @@ import numpy as np
 
 from .bfamily import mart_apply, sharp_norm_sq, star_norm_sq
 from .corona import Corona, HalfSpaceMeasure, shifted_corona
-from .grid import Cube, scaled_box4, whitney
+from .grid import Cube, cube_dict, scaled_box4, whitney
 from .measure import Measure, mass
-from .poisson_a2 import _norm_moment, enumerate_cubes, halfspace_poisson, \
-    poisson
+from .poisson_a2 import _norm_moment, _poisson_row, enumerate_cubes, \
+    halfspace_poisson, poisson
 from .singular import apply as kernel_apply
 
 __all__ = [
@@ -100,18 +100,13 @@ class EnergyReport:
         return self.strong + self.strong_star
 
     def as_dict(self) -> dict:
-        def _cube(q):
-            if q is None:
-                return None
-            return {"lo": list(q.lo), "side": q.side,
-                    "resolution": q.resolution}
         return {
             "strong": self.strong,
             "strong_star": self.strong_star,
             "aggregate": self.aggregate,
             "depth": self.depth,
-            "strong_witness": _cube(self.strong_witness),
-            "strong_star_witness": _cube(self.strong_star_witness),
+            "strong_witness": cube_dict(self.strong_witness),
+            "strong_star_witness": cube_dict(self.strong_star_witness),
             "whitney": dict(self.whitney),
         }
 
@@ -135,18 +130,38 @@ def _best_partition(top: Cube, depth: int | None, term_fn):
     return solve(top, depth)
 
 
+def _moment_and_row(q: Cube, sigma: Measure, omega: Measure, alpha):
+    """(second omega-moment of Q, standard Poisson row of Q over sigma).
+
+    The row is None when the moment vanishes: every energy term of Q is
+    then (P/l)^2 * 0 = 0 whatever the sigma piece, so it is skipped.
+    """
+    moment = _norm_moment(q, omega)
+    if moment <= 0.0:
+        return moment, None
+    return moment, _poisson_row("standard", q, sigma, alpha)
+
+
 def _strong_one_direction(sigma: Measure, omega: Measure, cubes, alpha,
                           depth):
+    w = sigma.masses
+    rows: dict = {}  # piece J -> (moment, row), for this call only
     best, witness, partition = 0.0, None, []
     for i in cubes:
-        qs = float(sigma.masses[_atoms_in(sigma, i)].sum())
+        sel_i = _atoms_in(sigma, i)
+        w_i = w[sel_i]
+        qs = float(w_i.sum())
         if qs <= 0.0:
             continue
-        amb = sigma.subset(_atoms_in(sigma, i))
 
         def term(j: Cube) -> float:
-            p = poisson("standard", j, amb, alpha)
-            return (p / j.sidelength) ** 2 * _norm_moment(j, omega)
+            if j not in rows:
+                rows[j] = _moment_and_row(j, sigma, omega, alpha)
+            moment, row = rows[j]
+            if row is None:
+                return 0.0
+            p = float(np.dot(w_i, row[sel_i]))
+            return (p / j.sidelength) ** 2 * moment
 
         val, parts = _best_partition(i, depth, term)
         if val / qs > best:
@@ -166,6 +181,8 @@ def strong_energy(sigma: Measure, omega: Measure, grids, alpha: float,
     """
     if depth is not None and depth < 1:
         raise ValueError("depth must be at least 1 (or None)")
+    if not 0 <= alpha < sigma.dim:
+        raise ValueError("alpha must lie in [0, n)")
     cubes = list(enumerate_cubes(grids, sigma, omega, include_augmented))
     s, w, p = _strong_one_direction(sigma, omega, cubes, alpha, depth)
     s2, w2, _ = _strong_one_direction(omega, sigma, cubes, alpha, depth)
@@ -178,53 +195,84 @@ def strong_energy(sigma: Measure, omega: Measure, grids, alpha: float,
 # Whitney energies
 
 
+_WHITNEY_VARIANTS = ("hole", "partial", "plug")
+
+
 def whitney_energy(sigma: Measure, omega: Measure, grids, alpha: float,
-                   gamma: float, variant: str = "hole",
-                   depth: int | None = None) -> tuple:
+                   gamma: float, variant="hole",
+                   depth: int | None = None):
     """Whitney-decomposed energy with a hole, partial hole, or plug.
 
     For each enumerated cube I and each subpartition piece, the Whitney
     cubes M of the piece contribute Poisson quotients of sigma on I with
     gamma*M removed (hole), M removed (partial), or nothing removed
-    (plug), weighted by the omega-moments of M.  Returns (value,
-    witness cube).
+    (plug), weighted by the omega-moments of M.  For one variant name
+    returns (value, witness cube); for a tuple of names returns
+    {name: (value, witness cube)}, all from one pass over the cubes.
     """
     if not 1.0 < gamma <= 5.0:
         raise ValueError("gamma must lie in (1, 5]")
-    if variant not in ("hole", "partial", "plug"):
-        raise ValueError(f"unknown Whitney variant {variant!r}")
+    if not 0 <= alpha < sigma.dim:
+        raise ValueError("alpha must lie in [0, n)")
+    names = (variant,) if isinstance(variant, str) else tuple(variant)
+    for name in names:
+        if name not in _WHITNEY_VARIANTS:
+            raise ValueError(f"unknown Whitney variant {name!r}")
+    w = sigma.masses
+    # per-call memos: piece J -> its Whitney cubes M, and M -> (l(M),
+    # moment, Poisson row, the atoms each variant keeps)
     wh_cache: dict = {}
+    m_cache: dict = {}
+
+    def whitney_cube(m: Cube):
+        if m not in m_cache:
+            keep = {"plug": None}
+            if "partial" in names:
+                keep["partial"] = ~_atoms_in(sigma, m)
+            if "hole" in names:
+                keep["hole"] = ~_atoms_in_scaled(sigma, m, gamma)
+            m_cache[m] = (m.sidelength,
+                          *_moment_and_row(m, sigma, omega, alpha), keep)
+        return m_cache[m]
 
     def whitney_of(q: Cube):
         if q not in wh_cache:
             chosen, residual = whitney(q)
-            wh_cache[q] = chosen + residual
+            wh_cache[q] = [whitney_cube(m) for m in chosen + residual]
         return wh_cache[q]
 
-    best, witness = 0.0, None
+    best = dict.fromkeys(names, (0.0, None))
     for i in enumerate_cubes(grids, sigma, omega, True):
         sel_i = _atoms_in(sigma, i)
-        qs = float(sigma.masses[sel_i].sum())
+        w_i = w[sel_i]
+        qs = float(w_i.sum())
         if qs <= 0.0:
             continue
+        terms: dict = {}
 
-        def term(j: Cube) -> float:
-            out = 0.0
-            for m in whitney_of(j):
-                if variant == "hole":
-                    sel = sel_i & ~_atoms_in_scaled(sigma, m, gamma)
-                elif variant == "partial":
-                    sel = sel_i & ~_atoms_in(sigma, m)
-                else:
-                    sel = sel_i
-                p = poisson("standard", m, sigma.subset(sel), alpha)
-                out += (p / m.sidelength) ** 2 * _norm_moment(m, omega)
-            return out
+        def terms_of(j: Cube) -> dict:
+            if j not in terms:
+                out = dict.fromkeys(names, 0.0)
+                for ell, moment, row, keep in whitney_of(j):
+                    if row is None:
+                        continue
+                    for name in names:
+                        if keep[name] is None:
+                            p = float(np.dot(w_i, row[sel_i]))
+                        else:
+                            sel = sel_i & keep[name]
+                            p = float(np.dot(w[sel], row[sel]))
+                        out[name] += (p / ell) ** 2 * moment
+                terms[j] = out
+            return terms[j]
 
-        val, _ = _best_partition(i, depth, term)
-        if val / qs > best:
-            best, witness = val / qs, i
-    return math.sqrt(best), witness
+        for name in names:
+            val, _ = _best_partition(i, depth,
+                                     lambda j, name=name: terms_of(j)[name])
+            if val / qs > best[name][0]:
+                best[name] = (val / qs, i)
+    found = {name: (math.sqrt(b), wit) for name, (b, wit) in best.items()}
+    return found[variant] if isinstance(variant, str) else found
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ import numpy as np
 __all__ = [
     "Grid",
     "Cube",
+    "cube_dict",
     "Region",
     "make_grid",
     "relatives",
@@ -168,16 +169,9 @@ class Cube:
     def center(self) -> np.ndarray:
         return np.array(self.center4, dtype=np.float64) / 2.0 ** (self.resolution + 2)
 
-    def corner(self) -> np.ndarray:
-        return np.array(self.lo, dtype=np.float64) / 2.0 ** self.resolution
-
     def contains_cube(self, other: "Cube") -> bool:
         return all(self.lo[a] <= other.lo[a]
                    and other.lo[a] + other.side <= self.lo[a] + self.side
-                   for a in range(self.dim))
-
-    def contains_point_units(self, p) -> bool:
-        return all(self.lo[a] <= p[a] < self.lo[a] + self.side
                    for a in range(self.dim))
 
     def meets(self, other: "Cube") -> bool:
@@ -201,6 +195,13 @@ class Cube:
             lo = tuple(self.lo[a] + half * bits[a] for a in range(self.dim))
             out.append(Cube(self.resolution, lo, half, self.level + 1, self.grid))
         return out
+
+
+def cube_dict(q: Cube | None) -> dict | None:
+    """JSON-ready form of a cube: lattice corner, side and resolution."""
+    if q is None:
+        return None
+    return {"lo": list(q.lo), "side": q.side, "resolution": q.resolution}
 
 
 @dataclass(frozen=True)

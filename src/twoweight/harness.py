@@ -33,7 +33,7 @@ from .energy import (
     strong_energy,
     whitney_energy,
 )
-from .grid import bad_probability_mc, make_grid
+from .grid import bad_probability_mc, cube_dict, make_grid
 from .measure import Measure, common_points, dump_measure
 from .poisson_a2 import a2_constants
 from .singular import TestingReport, make_kernel, ntv, testing_constants
@@ -253,10 +253,9 @@ def verify_theorem(cfg: RunConfig, pair=None) -> dict:
 
     a2 = a2_constants(sigma, omega, grids, cfg.alpha)
     erep = strong_energy(sigma, omega, grids, cfg.alpha, depth=cfg.depth)
-    for variant in ("hole", "partial", "plug"):
-        val, _ = whitney_energy(sigma, omega, grids, cfg.alpha, cfg.gamma,
-                                variant, depth=1)
-        erep.whitney[variant] = val
+    wh = whitney_energy(sigma, omega, grids, cfg.alpha, cfg.gamma,
+                        ("hole", "partial", "plug"), depth=1)
+    erep.whitney = {variant: val for variant, (val, _) in wh.items()}
 
     kernel = make_kernel(cfg.dim, cfg.alpha, delta_trunc=cfg.delta_trunc,
                          radius=cfg.radius, seed=cfg.seed)
@@ -382,8 +381,7 @@ def _stable(obj):
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if hasattr(obj, "lo"):
-        return {"lo": list(obj.lo), "side": obj.side,
-                "resolution": obj.resolution}
+        return cube_dict(obj)
     return obj
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Cube, Grid
+from .grid import Cube, Grid, cube_dict
 from .measure import Measure, common_points, mass, puncture
 
 __all__ = [
@@ -39,6 +39,29 @@ def _center_distances(q: Cube, mu: Measure) -> np.ndarray:
     return np.sqrt((d * d).sum(axis=1))
 
 
+def _poisson_row(kind: str, q: Cube, mu: Measure, alpha: float,
+                 delta: float | None = None) -> np.ndarray:
+    """Poisson kernel of the cube Q at every atom of mu, in atom order.
+
+    poisson() sums this row against the masses; callers that pair one
+    cube with many sub-measures of mu keep the row and mask it.
+    """
+    n = mu.dim
+    if not 0 <= alpha < n:
+        raise ValueError("alpha must lie in [0, n)")
+    ell = q.sidelength
+    dist = _center_distances(q, mu)
+    if kind == "standard":
+        return ell / (ell + dist) ** (n + 1 - alpha)
+    if kind == "reproducing":
+        return (ell / (ell + dist) ** 2) ** (n - alpha)
+    if kind == "small":
+        if delta is None or delta <= 0:
+            raise ValueError("kind='small' needs delta > 0")
+        return ell ** (1 + delta) / (ell + dist) ** (n + 1 + delta - alpha)
+    raise ValueError(f"unknown Poisson kind {kind!r}")
+
+
 def poisson(kind: str, q: Cube, mu: Measure, alpha: float,
             delta: float | None = None) -> float:
     """Poisson integral of mu on the cube Q.
@@ -47,24 +70,7 @@ def poisson(kind: str, q: Cube, mu: Measure, alpha: float,
     reproducing  sum w * (l / (l + |x - c|)^2)^(n-alpha)
     small        sum w * l^(1+delta) / (l + |x - c|)^(n+1+delta-alpha)
     """
-    n = mu.dim
-    if not 0 <= alpha < n:
-        raise ValueError("alpha must lie in [0, n)")
-    if mu.natoms == 0:
-        return 0.0
-    ell = q.sidelength
-    dist = _center_distances(q, mu)
-    if kind == "standard":
-        ker = ell / (ell + dist) ** (n + 1 - alpha)
-    elif kind == "reproducing":
-        ker = (ell / (ell + dist) ** 2) ** (n - alpha)
-    elif kind == "small":
-        if delta is None or delta <= 0:
-            raise ValueError("kind='small' needs delta > 0")
-        ker = ell ** (1 + delta) / (ell + dist) ** (n + 1 + delta - alpha)
-    else:
-        raise ValueError(f"unknown Poisson kind {kind!r}")
-    return float(np.dot(mu.masses, ker))
+    return float(np.dot(mu.masses, _poisson_row(kind, q, mu, alpha, delta)))
 
 
 def halfspace_poisson(direction: str, *, alpha: float, n: int,
@@ -167,8 +173,7 @@ class A2Report:
             "energyA2": self.energyA2,
             "energyA2_star": self.energyA2_star,
             "aggregate": self.aggregate,
-            "witnesses": {k: {"lo": list(q.lo), "side": q.side,
-                              "resolution": q.resolution}
+            "witnesses": {k: cube_dict(q)
                           for k, q in self.witnesses.items()},
         }
 

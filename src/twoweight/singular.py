@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Cube
+from .grid import Cube, cube_dict
 from .measure import Measure
 from .poisson_a2 import A2Report
 
@@ -61,17 +61,12 @@ class TestingReport:
     table: list = field(default_factory=list)  # per-cube quotients
 
     def as_dict(self) -> dict:
-        def _cube(q):
-            if q is None:
-                return None
-            return {"lo": list(q.lo), "side": q.side,
-                    "resolution": q.resolution}
         return {
             "forward": self.forward,
             "dual": self.dual,
             "norm": self.norm,
-            "forward_witness": _cube(self.forward_witness),
-            "dual_witness": _cube(self.dual_witness),
+            "forward_witness": cube_dict(self.forward_witness),
+            "dual_witness": cube_dict(self.dual_witness),
         }
 
 

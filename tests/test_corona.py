@@ -520,6 +520,34 @@ def test_shifted_coronas_partition_crossed_cubes():
     assert expected > 0
 
 
+def test_shifted_corona_memo_finds_each_crossover_once(monkeypatch):
+    import twoweight.corona as corona_mod
+    eps = 0.9
+    g_d = std_grid(M=5)
+    g_g = make_grid(1, 5, 0, {"kind": "gamma", "g": (11,)})
+    rng = np.random.default_rng(15)
+    mu = lattice_measure(rng, M=5)
+    f = rng.standard_normal(mu.natoms) * rng.integers(1, 30, mu.natoms)
+    cor = cz_stopping(mu, f, g_d.cube(0, (0,)), 3.0)
+    assert len(cor.stopping) > 1
+    plain = [shifted_corona(cor, top, g_g, eps) for top in cor.stopping]
+    calls = []
+
+    def counted(j, grid, eps, body_cache=None):
+        calls.append(j)
+        return sharp_cross(j, grid, eps, body_cache)
+
+    monkeypatch.setattr(corona_mod, "sharp_cross", counted)
+    for _ in range(2):
+        cache = {}
+        memo = [shifted_corona(cor, top, g_g, eps, cache)
+                for top in cor.stopping]
+        assert memo == plain
+    n_cubes = len(list(g_g.cubes()))
+    assert len(calls) == 2 * n_cubes
+    assert len(set(calls)) == n_cubes
+
+
 # --------------------------------------------------------- carleson norm
 
 def test_carleson_singleton():

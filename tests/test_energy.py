@@ -6,6 +6,9 @@ import pytest
 from twoweight.bfamily import make_family, mart_apply
 from twoweight.corona import cz_stopping
 from twoweight.energy import (
+    _atoms_in,
+    _atoms_in_scaled,
+    _best_partition,
     functional_energy_context,
     functional_energy_estimate,
     functional_energy_lhs,
@@ -16,9 +19,11 @@ from twoweight.energy import (
     strong_energy,
     whitney_energy,
 )
-from twoweight.grid import make_grid
+from twoweight.grid import make_grid, whitney
+from twoweight.harness import generate_pair
 from twoweight.measure import Measure
-from twoweight.poisson_a2 import a2_constants, poisson
+from twoweight.poisson_a2 import _norm_moment, a2_constants, \
+    enumerate_cubes, poisson
 from twoweight.singular import make_kernel
 
 
@@ -139,8 +144,107 @@ def test_whitney_rejects_bad_gamma():
     for gamma in (1.0, 5.5, 0.0):
         with pytest.raises(ValueError, match="gamma"):
             whitney_energy(sigma, omega, [std_grid(M=4)], 0.0, gamma, "hole")
-    with pytest.raises(ValueError, match="variant"):
-        whitney_energy(sigma, omega, [std_grid(M=4)], 0.0, 2.0, "banana")
+    for variant in ("banana", ("hole", "banana")):
+        with pytest.raises(ValueError, match="variant"):
+            whitney_energy(sigma, omega, [std_grid(M=4)], 0.0, 2.0, variant)
+
+
+# ------------------------------------------------- one-pass energy oracles
+# The loops below are the earlier energy implementations, kept as
+# oracles: one pass per Whitney variant and per strong direction, each
+# quotient from poisson() on a fresh Measure.subset of sigma.  The
+# one-pass code masks memoised Poisson rows instead and must reproduce
+# them bit for bit.
+
+
+def oracle_whitney(sigma, omega, grids, alpha, gamma, variant, depth):
+    best, witness = 0.0, None
+    for i in enumerate_cubes(grids, sigma, omega, True):
+        sel_i = _atoms_in(sigma, i)
+        qs = float(sigma.masses[sel_i].sum())
+        if qs <= 0.0:
+            continue
+
+        def term(j):
+            out = 0.0
+            chosen, residual = whitney(j)
+            for m in chosen + residual:
+                if variant == "hole":
+                    sel = sel_i & ~_atoms_in_scaled(sigma, m, gamma)
+                elif variant == "partial":
+                    sel = sel_i & ~_atoms_in(sigma, m)
+                else:
+                    sel = sel_i
+                p = poisson("standard", m, sigma.subset(sel), alpha)
+                out += (p / m.sidelength) ** 2 * _norm_moment(m, omega)
+            return out
+
+        val, _ = _best_partition(i, depth, term)
+        if val / qs > best:
+            best, witness = val / qs, i
+    return math.sqrt(best), witness
+
+
+def oracle_strong(sigma, omega, cubes, alpha, depth):
+    best, witness, partition = 0.0, None, []
+    for i in cubes:
+        qs = float(sigma.masses[_atoms_in(sigma, i)].sum())
+        if qs <= 0.0:
+            continue
+        amb = sigma.subset(_atoms_in(sigma, i))
+
+        def term(j):
+            p = poisson("standard", j, amb, alpha)
+            return (p / j.sidelength) ** 2 * _norm_moment(j, omega)
+
+        val, parts = _best_partition(i, depth, term)
+        if val / qs > best:
+            best, witness, partition = val / qs, i, parts
+    return math.sqrt(best), witness, partition
+
+
+def oracle_pair(dim, kind, seed):
+    if kind == "common_atoms":
+        return generate_pair("common_atoms",
+                             {"dim": dim, "resolution": 4 if dim == 1 else 3,
+                              "natoms": 10}, seed)
+    return random_pair(seed, dim=dim, M=4 if dim == 1 else 3, natoms=10)
+
+
+ORACLE_CASES = [(1, 0.0, 2.0, "random"), (1, 0.5, 2.5, "common_atoms"),
+                (2, 0.0, 2.5, "random"), (2, 0.5, 2.0, "common_atoms")]
+
+
+@pytest.mark.parametrize("depth", [1, 2, None])
+@pytest.mark.parametrize("dim,alpha,gamma,kind", ORACLE_CASES)
+def test_whitney_one_pass_matches_per_variant_oracle(dim, alpha, gamma,
+                                                     kind, depth):
+    sigma, omega = oracle_pair(dim, kind, 7)
+    g = [std_grid(dim=dim, M=sigma.resolution)]
+    names = ("hole", "partial", "plug")
+    got = whitney_energy(sigma, omega, g, alpha, gamma, names, depth=depth)
+    assert list(got) == list(names)
+    for name in names:
+        want = oracle_whitney(sigma, omega, g, alpha, gamma, name, depth)
+        assert got[name] == want
+        assert whitney_energy(sigma, omega, g, alpha, gamma, name,
+                              depth=depth) == want
+    assert got["plug"][0] > 0.0
+
+
+@pytest.mark.parametrize("depth", [1, 2, None])
+@pytest.mark.parametrize("dim,alpha,gamma,kind", ORACLE_CASES)
+def test_strong_one_pass_matches_oracle(dim, alpha, gamma, kind, depth):
+    sigma, omega = oracle_pair(dim, kind, 8)
+    g = [std_grid(dim=dim, M=sigma.resolution)]
+    rep = strong_energy(sigma, omega, g, alpha, depth=depth)
+    cubes = list(enumerate_cubes(g, sigma, omega, True))
+    s, w, parts = oracle_strong(sigma, omega, cubes, alpha, depth)
+    s2, w2, _ = oracle_strong(omega, sigma, cubes, alpha, depth)
+    assert (rep.strong, rep.strong_witness, rep.strong_partition) \
+        == (s, w, parts)
+    assert (rep.strong_star, rep.strong_star_witness) == (s2, w2)
+    assert rep.strong > 0.0
 
 
 # ------------------------------------------------------------ pseudo energy
