@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize
 
-from .grid import Cube, Grid
+from .grid import Cube, Grid, subtree
 from .measure import Measure
 
 __all__ = [
@@ -49,11 +49,6 @@ class BFamily:
 
     # ---- plumbing
 
-    def atoms_in(self, q: Cube) -> np.ndarray:
-        f = 2 ** (self.mu.resolution - q.resolution)
-        lo = np.array(q.lo, dtype=np.int64) * f
-        return self.mu.in_box(lo, lo + q.side * f)
-
     def cubes(self):
         """Nonempty cubes of the family, coarse to fine."""
         return sorted(self.values, key=lambda q: (-q.side, q.lo))
@@ -72,21 +67,8 @@ class BFamily:
             return []
         return [c for c in q.children() if c in self.values]
 
-    def natural_children(self, q: Cube):
-        brok = self.broken_children.get(q, frozenset())
-        return [c for c in self.children_of(q) if c not in brok]
-
     def mass(self, q: Cube) -> float:
-        return float(self.mu.masses[self.atoms_in(q)].sum())
-
-
-def _walk_cubes(grid: Grid, root: Cube):
-    stack = [root]
-    while stack:
-        q = stack.pop()
-        yield q
-        if q.level < grid.M:
-            stack.extend(q.children())
+        return float(self.mu.masses[self.mu.in_cube(q)].sum())
 
 
 def _classify_broken(fam: BFamily):
@@ -95,7 +77,7 @@ def _classify_broken(fam: BFamily):
             continue
         brok = set()
         for c in fam.children_of(q):
-            same = np.array_equal(fam.values[c], fam.values[q] * fam.atoms_in(c))
+            same = np.array_equal(fam.values[c], fam.values[q] * fam.mu.in_cube(c))
             if not same or abs(fam.integral_b(c)) <= _ZERO:
                 brok.add(c)
         if brok:
@@ -144,8 +126,8 @@ def make_family(kind: str, mu: Measure, grid: Grid, root: Cube,
             raise ValueError("explicit family needs values")
     if kind == "global" and global_values is None:
         global_values = np.ones(mu.natoms)
-    for q in _walk_cubes(grid, root):
-        sel = fam.atoms_in(q)
+    for q in subtree(root):
+        sel = fam.mu.in_cube(q)
         if not sel.any():
             continue
         if kind == "unit":
@@ -239,7 +221,7 @@ def reverse_holder_adjust(fam: BFamily, q: Cube, stopping, delta: float,
     root_s = math.sqrt(cb * delta)
     adjusted = []
     for qi in stopping:
-        sel = fam.atoms_in(qi)
+        sel = fam.mu.in_cube(qi)
         tot = float(w[sel].sum())
         if tot <= 0:
             continue
@@ -278,7 +260,7 @@ def reverse_holder_adjust(fam: BFamily, q: Cube, stopping, delta: float,
 
 
 def _avg(fam: BFamily, q: Cube, f: np.ndarray) -> float:
-    sel = fam.atoms_in(q)
+    sel = fam.mu.in_cube(q)
     tot = float(fam.mu.masses[sel].sum())
     if tot <= 0:
         return 0.0
@@ -287,7 +269,7 @@ def _avg(fam: BFamily, q: Cube, f: np.ndarray) -> float:
 
 def _e_op(fam: BFamily, q: Cube, f: np.ndarray, b: np.ndarray) -> np.ndarray:
     """1_Q (int_Q f b dmu) / (int_Q b dmu), guarded on degenerate cubes."""
-    sel = fam.atoms_in(q)
+    sel = fam.mu.in_cube(q)
     w = fam.mu.masses
     den = float(np.dot(w[sel], b[sel]))
     if abs(den) <= _ZERO:
@@ -299,7 +281,7 @@ def _e_op(fam: BFamily, q: Cube, f: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _f_op(fam: BFamily, q: Cube, f: np.ndarray, b: np.ndarray,
           hat: bool = False) -> np.ndarray:
     """1_Q b (int_Q f dmu) / (int_Q b dmu); the hat variant drops the b."""
-    sel = fam.atoms_in(q)
+    sel = fam.mu.in_cube(q)
     w = fam.mu.masses
     den = float(np.dot(w[sel], b[sel]))
     if abs(den) <= _ZERO:
@@ -365,23 +347,23 @@ def mart_apply(fam: BFamily, op: str, q: Cube, f) -> np.ndarray:
     if op == "Nabla":
         out = np.zeros(fam.mu.natoms)
         for c in fam.broken_children.get(q, ()):
-            out += fam.atoms_in(c) * _avg(fam, c, np.abs(f))
+            out += fam.mu.in_cube(c) * _avg(fam, c, np.abs(f))
         return out
     if op == "NablaHat":
         top = _avg(fam, q, np.abs(f))
         out = np.zeros(fam.mu.natoms)
         for c in fam.broken_children.get(q, ()):
-            out += fam.atoms_in(c) * (_avg(fam, c, np.abs(f)) + top)
+            out += fam.mu.in_cube(c) * (_avg(fam, c, np.abs(f)) + top)
         return out
     if op in ("FlatBoxHat", "FlatBox"):
-        sel = fam.atoms_in(q)
+        sel = fam.mu.in_cube(q)
         den_q = float(np.dot(w[sel], bq[sel]))
         gq = 0.0 if abs(den_q) <= _ZERO \
             else float(np.dot(w[sel], f[sel])) / den_q
         out = np.zeros(fam.mu.natoms)
         brok = fam.broken_children.get(q, frozenset())
         for c in fam.children_of(q):
-            cs = fam.atoms_in(c)
+            cs = fam.mu.in_cube(c)
             if c in brok:
                 out -= cs * gq
             else:
@@ -485,7 +467,7 @@ def _broken_inf_term(fam: BFamily, q: Cube, coords: np.ndarray,
     if not brok:
         return 0.0
     w = fam.mu.masses
-    sels = [fam.atoms_in(c) for c in brok]
+    sels = [fam.mu.in_cube(c) for c in brok]
 
     def objective(z):
         tot = 0.0
@@ -496,7 +478,7 @@ def _broken_inf_term(fam: BFamily, q: Cube, coords: np.ndarray,
         return tot
 
     cands = [coords[sel].T @ w[sel] / w[sel].sum() for sel in sels]
-    qsel = fam.atoms_in(q)
+    qsel = fam.mu.in_cube(q)
     cands.append(coords[qsel].T @ w[qsel] / w[qsel].sum())
     cands.extend(np.asarray(c, dtype=np.float64) for c in extra_candidates)
     best = min(cands, key=objective)

@@ -9,14 +9,15 @@ depth-first scans of the dyadic tree.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Cube, Grid, scaled_box4, sharp_cross
+from .grid import Cube, Grid, kids, scaled_box4, sharp_cross, subtree
 from .measure import Measure, mass
-from .poisson_a2 import _norm_moment, poisson
+from .poisson_a2 import _norm_moment, _poisson_row, poisson
 
 __all__ = [
     "Corona",
@@ -24,7 +25,6 @@ __all__ = [
     "cz_stopping",
     "accretive_stopping",
     "energy_stopping",
-    "best_subpartition",
     "iterated_stopping",
     "stopping_data",
     "lacey_bottom_up",
@@ -37,31 +37,11 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# tree helpers
-
-
-def _kids(q: Cube):
-    if q.level >= q.resolution:
-        return []
-    return q.children()
-
-
-def _subtree(q: Cube):
-    stack = [q]
-    while stack:
-        c = stack.pop()
-        yield c
-        stack.extend(_kids(c))
-
-
-def _atoms_in(mu: Measure, q: Cube) -> np.ndarray:
-    f = 2 ** (mu.resolution - q.resolution)
-    lo = np.array(q.lo, dtype=np.int64) * f
-    return mu.in_box(lo, lo + q.side * f)
+# averages
 
 
 def _avg_abs(mu: Measure, f: np.ndarray, q: Cube) -> float:
-    sel = _atoms_in(mu, q)
+    sel = mu.in_cube(q)
     tot = float(mu.masses[sel].sum())
     if tot <= 0.0:
         return 0.0
@@ -69,7 +49,7 @@ def _avg_abs(mu: Measure, f: np.ndarray, q: Cube) -> float:
 
 
 def _avg(mu: Measure, f: np.ndarray, q: Cube) -> float:
-    sel = _atoms_in(mu, q)
+    sel = mu.in_cube(q)
     tot = float(mu.masses[sel].sum())
     if tot <= 0.0:
         return 0.0
@@ -95,24 +75,16 @@ class Corona:
     def forest_children(self, f: Cube) -> list:
         return [g for g in self.stopping if self.parent.get(g) == f]
 
-    def in_corona(self, q: Cube) -> Cube | None:
-        """Smallest stopping cube containing q (None if q is outside)."""
-        best = None
-        for f in self.stopping:
-            if f.contains_cube(q) and (best is None or best.contains_cube(f)):
-                best = f
-        return best
-
     def corona_of(self, f: Cube) -> list:
         """Cubes of the restricted corona below f, coarse to fine."""
-        kids = self.forest_children(f)
+        below = self.forest_children(f)
         out = []
         stack = [f]
         while stack:
             q = stack.pop()
             out.append(q)
-            for c in _kids(q):
-                if not any(g.contains_cube(c) for g in kids):
+            for c in kids(q):
+                if not any(g.contains_cube(c) for g in below):
                     stack.append(c)
         return sorted(out, key=lambda q: (-q.side, q.lo))
 
@@ -137,7 +109,52 @@ class Corona:
 
 
 # ---------------------------------------------------------------------------
+# the stopping-time driver
+
+
+def _stop(mu: Measure, root: Cube, criterion) -> tuple:
+    """One stopping-time construction below root.
+
+    criterion(top) returns test(q, qs) for the corona of top: the record
+    of the criteria that the cube q, of mu-mass qs > 0, fires, empty when
+    q stays in the corona.  Each corona is scanned depth first from the
+    children of its top; zero-mass cubes are skipped, and every stopping
+    cube becomes a new top.  Returns (stopping cubes coarse to fine,
+    forest parents, records of the non-root stopping cubes).
+    """
+    stopping, parents, crit = [root], {root: None}, {}
+    queue = [root]
+    while queue:
+        top = queue.pop()
+        test = criterion(top)
+        stack = kids(top)
+        while stack:
+            q = stack.pop()
+            qs = float(mu.masses[mu.in_cube(q)].sum())
+            if qs <= 0.0:
+                continue
+            rec = test(q, qs)
+            if rec:
+                stopping.append(q)
+                parents[q] = top
+                crit[q] = rec
+                queue.append(q)
+            else:
+                stack.extend(kids(q))
+    return sorted(stopping, key=lambda q: (-q.side, q.lo)), parents, crit
+
+
+# ---------------------------------------------------------------------------
 # Calderon-Zygmund stopping times
+
+
+def _cz_test(mu: Measure, f: np.ndarray, c0: float, a_top: float):
+    """Stop where the average of |f| exceeds c0 times the top's, a_top."""
+    def test(q: Cube, qs: float) -> dict:
+        a = _avg_abs(mu, f, q)
+        return {"cz": a} if a_top > 0.0 and a > c0 * a_top else {}
+
+    return test
 
 
 def cz_stopping(mu: Measure, f, root: Cube, c0: float) -> Corona:
@@ -149,32 +166,39 @@ def cz_stopping(mu: Measure, f, root: Cube, c0: float) -> Corona:
     if c0 <= 1.0:
         raise ValueError("c0 must exceed 1")
     f = np.asarray(f, dtype=np.float64)
-    stopping, parents, alphas, crit = [root], {root: None}, {}, {}
-    queue = [root]
-    while queue:
-        top = queue.pop()
-        a_top = _avg_abs(mu, f, top)
-        alphas[top] = a_top
-        stack = list(_kids(top))
-        while stack:
-            q = stack.pop()
-            if float(mu.masses[_atoms_in(mu, q)].sum()) <= 0.0:
-                continue
-            a = _avg_abs(mu, f, q)
-            if a_top > 0.0 and a > c0 * a_top:
-                stopping.append(q)
-                parents[q] = top
-                crit[q] = {"cz": a}
-                queue.append(q)
-            else:
-                stack.extend(_kids(q))
-    order = sorted(stopping, key=lambda q: (-q.side, q.lo))
+    alphas = {}
+
+    def criterion(top: Cube):
+        alphas[top] = _avg_abs(mu, f, top)
+        return _cz_test(mu, f, c0, alphas[top])
+
+    order, parents, crit = _stop(mu, root, criterion)
     return Corona("cz", mu, root, order, parents, alphas,
                   params={"c0": c0}, criteria=crit)
 
 
 # ---------------------------------------------------------------------------
 # accretive / weak-testing stopping times
+
+
+def _testing_test(mu: Measure, b_top: np.ndarray, t_int, gamma: float,
+                  thresh: float):
+    """Stop where |avg b_top| < gamma or t_int(q) exceeds thresh * |q|_mu.
+
+    b_top is the family's function on the corona top and t_int(q) the
+    integral over q of |T(b_top)|^2 against the target measure.
+    """
+    def test(q: Cube, qs: float) -> dict:
+        rec = {}
+        a = _avg(mu, b_top, q)
+        if abs(a) < gamma:
+            rec["accretive"] = a
+        ti = t_int(q)
+        if ti > thresh * qs:
+            rec["weak_testing"] = ti / qs
+        return rec
+
+    return test
 
 
 def accretive_stopping(fam, t_diag, root: Cube, gamma: float,
@@ -190,64 +214,106 @@ def accretive_stopping(fam, t_diag, root: Cube, gamma: float,
         raise ValueError("need 0 < gamma < 1 < big_gamma")
     mu = fam.mu
     thresh = big_gamma * t_const * t_const
-    stopping, parents, crit = [root], {root: None}, {}
-    queue = [root]
-    while queue:
-        top = queue.pop()
-        b_top = fam.b(top)
-        stack = list(_kids(top))
-        while stack:
-            q = stack.pop()
-            qs = float(mu.masses[_atoms_in(mu, q)].sum())
-            if qs <= 0.0:
-                continue
-            rec = {}
-            a = _avg(mu, b_top, q)
-            if abs(a) < gamma:
-                rec["accretive"] = a
-            ti = t_diag(q, top)
-            if ti > thresh * qs:
-                rec["weak_testing"] = ti / qs
-            if rec:
-                stopping.append(q)
-                parents[q] = top
-                crit[q] = rec
-                queue.append(q)
-            else:
-                stack.extend(_kids(q))
-    order = sorted(stopping, key=lambda q: (-q.side, q.lo))
+
+    def criterion(top: Cube):
+        return _testing_test(mu, fam.b(top), lambda q: t_diag(q, top),
+                             gamma, thresh)
+
+    order, parents, crit = _stop(mu, root, criterion)
     return Corona("accretive", mu, root, order, parents,
                   params={"gamma": gamma, "big_gamma": big_gamma,
                           "t_const": t_const}, criteria=crit)
 
 
 # ---------------------------------------------------------------------------
+# the best-subpartition energy
+
+
+def _best_partition(top: Cube, depth: int | None, term_fn):
+    """Largest subpartition sum of term_fn below top, with its partition.
+
+    The pieces are dyadic subcubes at most `depth` levels below top (None
+    for no limit); a cube keeps its own term when that is at least the
+    best sum over its children.  Returns (value, pieces).
+    """
+    def solve(q: Cube, d):
+        own = term_fn(q)
+        children = kids(q)
+        if not children or (d is not None and d <= 0):
+            return own, [q]
+        tot, parts = 0.0, []
+        for c in children:
+            v, p = solve(c, None if d is None else d - 1)
+            tot += v
+            parts.extend(p)
+        if own >= tot:
+            return own, [q]
+        return tot, parts
+
+    return solve(top, depth)
+
+
+def _moment_and_row(q: Cube, sigma: Measure, omega: Measure, alpha):
+    """(second omega-moment of Q, standard Poisson row of Q over sigma).
+
+    The row is None when the moment vanishes: every energy term of Q is
+    then (P/l)^2 * 0 = 0 whatever the sigma piece, so it is skipped.
+    """
+    moment = _norm_moment(q, omega)
+    if moment <= 0.0:
+        return moment, None
+    return moment, _poisson_row("standard", q, sigma, alpha)
+
+
+def _energy_term(sigma: Measure, omega: Measure, alpha, sel, rows: dict):
+    """term(J) = (P(J, sigma on the atoms sel)/l(J))^2 * omega-moment of J.
+
+    rows keeps J -> (moment, Poisson row over all sigma atoms) for every
+    term that shares it.
+    """
+    w = sigma.masses[sel]
+
+    def term(j: Cube) -> float:
+        if j not in rows:
+            rows[j] = _moment_and_row(j, sigma, omega, alpha)
+        moment, row = rows[j]
+        if row is None:
+            return 0.0
+        return (float(np.dot(w, row[sel])) / j.sidelength) ** 2 * moment
+
+    return term
+
+
+# ---------------------------------------------------------------------------
 # energy stopping times
 
 
-def best_subpartition(top: Cube, sigma_amb: Measure, omega: Measure,
-                      alpha: float, depth: int | None = None) -> dict:
-    """Best dyadic-subpartition energy below top against ambient sigma.
+def _energy_criterion(sigma: Measure, omega: Measure, alpha: float,
+                      depth: int | None, tau: float, energies: dict):
+    """Stop where the subpartition energy reaches tau |q|_sigma, tau > 0.
 
-    Returns a dict cube -> value, where value is the largest sum of
-    (P(J, sigma_amb)/l(J))^2 * second moment of omega on J over dyadic
-    subpartitions of the cube, at most `depth` levels deep (None for
-    unlimited).  The table covers the whole subtree of top.
+    The Poisson ambient is sigma on the current corona top.  energies[top]
+    records the largest quotient over the cubes that stay in its corona.
     """
-    term = {}
-    for q in _subtree(top):
-        p = poisson("standard", q, sigma_amb, alpha)
-        term[q] = (p / q.sidelength) ** 2 * _norm_moment(q, omega)
+    rows: dict = {}
 
-    def solve(q: Cube, d):
-        kids = _kids(q)
-        if not kids or (d is not None and d <= 0):
-            return term[q]
-        return max(term[q],
-                   sum(solve(c, None if d is None else d - 1)
-                       for c in kids))
+    def criterion(top: Cube):
+        # the scan solves the DP at every cube it visits, so each term is
+        # kept for the whole corona
+        term = functools.cache(
+            _energy_term(sigma, omega, alpha, sigma.in_cube(top), rows))
+        energies[top] = 0.0
 
-    return {q: solve(q, depth) for q in _subtree(top)}
+        def test(q: Cube, qs: float) -> dict:
+            val = _best_partition(q, depth, term)[0] / qs
+            if val >= tau and tau > 0.0:
+                return {"energy": val}
+            energies[top] = max(energies[top], val)
+            return {}
+
+        return test
+
+    return criterion
 
 
 def energy_stopping(sigma: Measure, omega: Measure, root: Cube,
@@ -262,30 +328,9 @@ def energy_stopping(sigma: Measure, omega: Measure, root: Cube,
     if c_en <= 1.0:
         raise ValueError("c_en must exceed 1")
     tau = c_en * (e2 * e2 + a2)
-    stopping, parents, crit, energies = [root], {root: None}, {}, {}
-    queue = [root]
-    while queue:
-        top = queue.pop()
-        amb = sigma.subset(_atoms_in(sigma, top))
-        best = best_subpartition(top, amb, omega, alpha, depth)
-        x_sq = 0.0
-        stack = list(_kids(top))
-        while stack:
-            q = stack.pop()
-            qs = float(sigma.masses[_atoms_in(sigma, q)].sum())
-            if qs <= 0.0:
-                continue
-            val = best[q] / qs
-            if val >= tau and tau > 0.0:
-                stopping.append(q)
-                parents[q] = top
-                crit[q] = {"energy": val}
-                queue.append(q)
-            else:
-                x_sq = max(x_sq, val)
-                stack.extend(_kids(q))
-        energies[top] = x_sq
-    order = sorted(stopping, key=lambda q: (-q.side, q.lo))
+    energies = {}
+    order, parents, crit = _stop(sigma, root, _energy_criterion(
+        sigma, omega, alpha, depth, tau, energies))
     return Corona("energy", sigma, root, order, parents,
                   params={"c_en": c_en, "e2": e2, "a2": a2, "alpha": alpha,
                           "depth": depth, "tau": tau},
@@ -294,51 +339,6 @@ def energy_stopping(sigma: Measure, omega: Measure, root: Cube,
 
 # ---------------------------------------------------------------------------
 # iterated (triple) stopping times
-
-
-def _shadow_pass(fam, omega, f, t_factory, root, params):
-    """Union of the size, accretivity/testing, and energy criteria."""
-    mu = fam.mu
-    c0 = params["c0"]
-    gamma, big_gamma = params["gamma"], params["big_gamma"]
-    thresh = big_gamma * params["t_const"] ** 2
-    tau = params["c_en"] * (params["e2"] ** 2 + params["a2"])
-    alpha = params["alpha"]
-    stopping, parents, crit = [root], {root: None}, {}
-    queue = [root]
-    while queue:
-        top = queue.pop()
-        a_top = _avg_abs(mu, f, top)
-        b_top = fam.b(top)
-        t_int = t_factory(b_top)
-        amb = mu.subset(_atoms_in(mu, top))
-        best = best_subpartition(top, amb, omega, alpha)
-        stack = list(_kids(top))
-        while stack:
-            q = stack.pop()
-            qs = float(mu.masses[_atoms_in(mu, q)].sum())
-            if qs <= 0.0:
-                continue
-            rec = {}
-            a = _avg_abs(mu, f, q)
-            if a_top > 0.0 and a > c0 * a_top:
-                rec["cz"] = a
-            ab = _avg(mu, b_top, q)
-            if abs(ab) < gamma:
-                rec["accretive"] = ab
-            ti = t_int(q)
-            if ti > thresh * qs:
-                rec["weak_testing"] = ti / qs
-            if tau > 0.0 and best[q] / qs >= tau:
-                rec["energy"] = best[q] / qs
-            if rec:
-                stopping.append(q)
-                parents[q] = top
-                crit[q] = rec
-                queue.append(q)
-            else:
-                stack.extend(_kids(q))
-    return stopping, parents, crit
 
 
 def iterated_stopping(fam, omega: Measure, f, t_factory, root: Cube,
@@ -353,19 +353,32 @@ def iterated_stopping(fam, omega: Measure, f, t_factory, root: Cube,
     from .bfamily import make_family, reverse_holder_adjust
 
     f = np.asarray(f, dtype=np.float64)
-    shadow, sh_parents, sh_crit = _shadow_pass(fam, omega, f, t_factory,
-                                               root, params)
+    mu = fam.mu
+    gamma, big_gamma = params["gamma"], params["big_gamma"]
+    thresh = big_gamma * params["t_const"] ** 2
+    tau = params["c_en"] * (params["e2"] ** 2 + params["a2"])
+    energy = _energy_criterion(mu, omega, params["alpha"], None, tau, {})
+
+    def shadow_criterion(top: Cube):
+        # the union of the size, accretivity/testing and energy criteria
+        b_top = fam.b(top)
+        cz = _cz_test(mu, f, params["c0"], _avg_abs(mu, f, top))
+        testing = _testing_test(mu, b_top, t_factory(b_top), gamma, thresh)
+        en = energy(top)
+        return lambda q, qs: {**cz(q, qs), **testing(q, qs), **en(q, qs)}
+
+    shadow, sh_parents, sh_crit = _stop(mu, root, shadow_criterion)
     shadow_set = set(shadow)
 
     # adjust b on every shadow corona top, coarse to fine
     work = fam
     adjusted_at = {}
-    for top in sorted(shadow_set, key=lambda q: (-q.side, q.lo)):
-        kids = [g for g in shadow_set if sh_parents.get(g) == top]
-        if not kids:
+    for top in shadow:
+        below = [g for g in shadow if sh_parents.get(g) == top]
+        if not below:
             adjusted_at[top] = []
             continue
-        new_top_value, adj = reverse_holder_adjust(work, top, kids,
+        new_top_value, adj = reverse_holder_adjust(work, top, below,
                                                    params["delta"],
                                                    mode="corona")
         values = dict(work.values)
@@ -376,38 +389,20 @@ def iterated_stopping(fam, omega: Measure, f, t_factory, root: Cube,
     adjusted = work
 
     # weak-testing re-run on the adjusted family, forced stops at shadow cubes
-    mu = fam.mu
-    gamma, big_gamma = params["gamma"], params["big_gamma"]
-    thresh = big_gamma * params["t_const"] ** 2
-    stopping, parents, crit = [root], {root: None}, {}
-    queue = [root]
-    while queue:
-        top = queue.pop()
+    def rerun_criterion(top: Cube):
         b_top = adjusted.b(top)
-        t_int = t_factory(b_top)
-        stack = list(_kids(top))
-        while stack:
-            q = stack.pop()
-            qs = float(mu.masses[_atoms_in(mu, q)].sum())
-            if qs <= 0.0:
-                continue
-            rec = dict(sh_crit.get(q, {})) if q in shadow_set else {}
-            if q in shadow_set:
-                rec["shadow"] = True
-            ab = _avg(mu, b_top, q)
-            if abs(ab) < gamma:
-                rec["accretive_adjusted"] = ab
-            ti = t_int(q)
-            if ti > thresh * qs:
-                rec["weak_testing_adjusted"] = ti / qs
-            if rec:
-                stopping.append(q)
-                parents[q] = top
-                crit[q] = rec
-                queue.append(q)
-            else:
-                stack.extend(_kids(q))
-    order = sorted(stopping, key=lambda q: (-q.side, q.lo))
+        testing = _testing_test(mu, b_top, t_factory(b_top), gamma, thresh)
+
+        def test(q: Cube, qs: float) -> dict:
+            rec = {**sh_crit.get(q, {}), "shadow": True} \
+                if q in shadow_set else {}
+            for name, val in testing(q, qs).items():
+                rec[name + "_adjusted"] = val
+            return rec
+
+        return test
+
+    order, parents, crit = _stop(mu, root, rerun_criterion)
     alphas = {}
     for q in order:
         base = _avg_abs(mu, f, q)
@@ -415,8 +410,7 @@ def iterated_stopping(fam, omega: Measure, f, t_factory, root: Cube,
         alphas[q] = base if p is None else max(base, alphas[p])
     corona = Corona("iterated", mu, root, order, parents, alphas,
                     params=dict(params), criteria=crit)
-    corona.params["shadow"] = sorted(shadow_set,
-                                     key=lambda q: (-q.side, q.lo))
+    corona.params["shadow"] = shadow
     corona.params["adjusted_at"] = adjusted_at
     return corona, adjusted
 
@@ -443,7 +437,7 @@ def stopping_data(corona: Corona, f) -> dict:
         if a <= 0.0:
             continue
         for q in corona.corona_of(top):
-            if float(mu.masses[_atoms_in(mu, q)].sum()) <= 0.0:
+            if float(mu.masses[mu.in_cube(q)].sum()) <= 0.0:
                 continue
             r = _avg_abs(mu, f, q) / a
             if r > prop1:
@@ -468,7 +462,7 @@ def stopping_data(corona: Corona, f) -> dict:
     # pointwise quasi-orthogonal sum against f
     g = np.zeros(mu.natoms)
     for top in corona.stopping:
-        sel = _atoms_in(mu, top)
+        sel = mu.in_cube(top)
         g[sel] += corona.alpha_bound.get(top, 0.0)
     qorth = float(np.dot(mu.masses, g * g)) / norm_sq if norm_sq > 0 else 0.0
 
@@ -570,8 +564,8 @@ class HalfSpaceMeasure:
 
 def _size_quotient(k: Cube, sigma: Measure, ambient: Cube,
                    omega_flat: HalfSpaceMeasure, alpha: float) -> float:
-    sel_a = _atoms_in(sigma, ambient)
-    sel_k = _atoms_in(sigma, k)
+    sel_a = sigma.in_cube(ambient)
+    sel_k = sigma.in_cube(k)
     qs = float(sigma.masses[sel_k].sum())
     if qs <= 0.0:
         return 0.0
@@ -591,7 +585,7 @@ def size_functionals(pairs, omega_flat: HalfSpaceMeasure, sigma: Measure,
     """
     p1 = [k for k, _ in pairs]
     init, init_w, aug, aug_w = 0.0, None, 0.0, None
-    for k in _subtree(a_cube):
+    for k in subtree(a_cube):
         val = _size_quotient(k, sigma, a_cube, omega_flat, alpha)
         if val > aug:
             aug, aug_w = val, k
@@ -600,7 +594,7 @@ def size_functionals(pairs, omega_flat: HalfSpaceMeasure, sigma: Measure,
 
     def localized(s_cube: Cube) -> float:
         best = 0.0
-        for k in _subtree(s_cube):
+        for k in subtree(s_cube):
             best = max(best, _size_quotient(k, sigma, s_cube,
                                             omega_flat, alpha))
         return best
@@ -619,7 +613,7 @@ def _minimal_with(root: Cube, pred) -> list:
 
     def scan(q: Cube) -> bool:
         found = False
-        for c in _kids(q):
+        for c in kids(q):
             found |= scan(c)
         if found:
             return True

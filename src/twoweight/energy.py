@@ -16,11 +16,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bfamily import mart_apply, sharp_norm_sq, star_norm_sq
-from .corona import Corona, HalfSpaceMeasure, shifted_corona
-from .grid import Cube, cube_dict, scaled_box4, whitney
+from .corona import Corona, HalfSpaceMeasure, _best_partition, \
+    _energy_term, _moment_and_row, shifted_corona
+from .grid import Cube, cube_dict, scaled_box4, subtree, whitney
 from .measure import Measure, mass
-from .poisson_a2 import _norm_moment, _poisson_row, enumerate_cubes, \
-    halfspace_poisson, poisson
+from .poisson_a2 import _norm_moment, enumerate_cubes, halfspace_poisson, \
+    poisson
 from .singular import apply as kernel_apply
 
 __all__ = [
@@ -38,30 +39,10 @@ __all__ = [
 ]
 
 
-def _atoms_in(mu: Measure, q: Cube) -> np.ndarray:
-    f = 2 ** (mu.resolution - q.resolution)
-    lo = np.array(q.lo, dtype=np.int64) * f
-    return mu.in_box(lo, lo + q.side * f)
-
-
 def _atoms_in_scaled(mu: Measure, q: Cube, factor: float) -> np.ndarray:
     lo4, hi4 = scaled_box4(q, factor)
     f = 2 ** (mu.resolution - q.resolution)
     return mu.in_box4(tuple(x * f for x in lo4), tuple(x * f for x in hi4))
-
-
-def _kids(q: Cube):
-    if q.level >= q.resolution:
-        return []
-    return q.children()
-
-
-def _subtree(q: Cube):
-    stack = [q]
-    while stack:
-        c = stack.pop()
-        yield c
-        stack.extend(_kids(c))
 
 
 def _contains(outer: Cube, inner: Cube) -> bool:
@@ -111,59 +92,17 @@ class EnergyReport:
         }
 
 
-def _best_partition(top: Cube, depth: int | None, term_fn):
-    """Largest subpartition sum of term_fn below top, with its partition."""
-    def solve(q: Cube, d):
-        own = term_fn(q)
-        kids = _kids(q)
-        if not kids or (d is not None and d <= 0):
-            return own, [q]
-        tot, parts = 0.0, []
-        for c in kids:
-            v, p = solve(c, None if d is None else d - 1)
-            tot += v
-            parts.extend(p)
-        if own >= tot:
-            return own, [q]
-        return tot, parts
-
-    return solve(top, depth)
-
-
-def _moment_and_row(q: Cube, sigma: Measure, omega: Measure, alpha):
-    """(second omega-moment of Q, standard Poisson row of Q over sigma).
-
-    The row is None when the moment vanishes: every energy term of Q is
-    then (P/l)^2 * 0 = 0 whatever the sigma piece, so it is skipped.
-    """
-    moment = _norm_moment(q, omega)
-    if moment <= 0.0:
-        return moment, None
-    return moment, _poisson_row("standard", q, sigma, alpha)
-
-
 def _strong_one_direction(sigma: Measure, omega: Measure, cubes, alpha,
                           depth):
-    w = sigma.masses
     rows: dict = {}  # piece J -> (moment, row), for this call only
     best, witness, partition = 0.0, None, []
     for i in cubes:
-        sel_i = _atoms_in(sigma, i)
-        w_i = w[sel_i]
-        qs = float(w_i.sum())
+        sel_i = sigma.in_cube(i)
+        qs = float(sigma.masses[sel_i].sum())
         if qs <= 0.0:
             continue
-
-        def term(j: Cube) -> float:
-            if j not in rows:
-                rows[j] = _moment_and_row(j, sigma, omega, alpha)
-            moment, row = rows[j]
-            if row is None:
-                return 0.0
-            p = float(np.dot(w_i, row[sel_i]))
-            return (p / j.sidelength) ** 2 * moment
-
-        val, parts = _best_partition(i, depth, term)
+        val, parts = _best_partition(
+            i, depth, _energy_term(sigma, omega, alpha, sel_i, rows))
         if val / qs > best:
             best, witness, partition = val / qs, i, parts
     return math.sqrt(best), witness, partition
@@ -228,7 +167,7 @@ def whitney_energy(sigma: Measure, omega: Measure, grids, alpha: float,
         if m not in m_cache:
             keep = {"plug": None}
             if "partial" in names:
-                keep["partial"] = ~_atoms_in(sigma, m)
+                keep["partial"] = ~sigma.in_cube(m)
             if "hole" in names:
                 keep["hole"] = ~_atoms_in_scaled(sigma, m, gamma)
             m_cache[m] = (m.sidelength,
@@ -243,7 +182,7 @@ def whitney_energy(sigma: Measure, omega: Measure, grids, alpha: float,
 
     best = dict.fromkeys(names, (0.0, None))
     for i in enumerate_cubes(grids, sigma, omega, True):
-        sel_i = _atoms_in(sigma, i)
+        sel_i = sigma.in_cube(i)
         w_i = w[sel_i]
         qs = float(w_i.sum())
         if qs <= 0.0:
@@ -335,7 +274,7 @@ def monotonicity_check(kernel, i_cube: Cube, j_cube: Cube,
                and hi4[a] * f <= i_cube.hi4[a] * fi
                for a in range(j_cube.dim)):
         raise ValueError("gamma*J must sit inside I")
-    if bool(_atoms_in(mu_meas, i_cube).any()):
+    if bool(mu_meas.in_cube(i_cube).any()):
         raise ValueError("mu must be supported outside I")
     psi = np.asarray(psi, dtype=np.float64)
     dens = np.asarray(mu_density, dtype=np.float64)
@@ -418,8 +357,8 @@ def functional_energy_estimate(context, sigma: Measure, alpha: float,
     """
     rng = np.random.default_rng(seed)
     dictionary = []
-    for q in _subtree(root):
-        sel = _atoms_in(sigma, q)
+    for q in subtree(root):
+        sel = sigma.in_cube(q)
         qm = float(sigma.masses[sel].sum())
         if qm > 0.0:
             dictionary.append(("indicator", sel.astype(np.float64)
@@ -462,7 +401,7 @@ def halfspace_testing(i_cube: Cube, mu_bar: HalfSpaceMeasure,
     right side vanishes).
     """
     n = sigma.dim
-    sel_i = _atoms_in(sigma, i_cube)
+    sel_i = sigma.in_cube(i_cube)
     sigma_i = sigma.subset(sel_i)
     qs = float(sigma.masses[sel_i].sum())
 

@@ -29,6 +29,8 @@ __all__ = [
     "Grid",
     "Cube",
     "cube_dict",
+    "kids",
+    "subtree",
     "Region",
     "make_grid",
     "relatives",
@@ -204,6 +206,22 @@ def cube_dict(q: Cube | None) -> dict | None:
     return {"lo": list(q.lo), "side": q.side, "resolution": q.resolution}
 
 
+def kids(q: Cube) -> list:
+    """Dyadic children of q, none at the finest level."""
+    if q.level >= q.resolution:
+        return []
+    return q.children()
+
+
+def subtree(q: Cube):
+    """q and every dyadic subcube of it, depth first."""
+    stack = [q]
+    while stack:
+        c = stack.pop()
+        yield c
+        stack.extend(kids(c))
+
+
 @dataclass(frozen=True)
 class Region:
     """Finite union of boxes in quarter units 2^-(resolution+2).
@@ -286,16 +304,15 @@ def relatives(q: Cube, k: int = 1):
     anc = q
     for _ in range(k):
         anc = anc.parent()
-    kids = q.children() if q.level < q.resolution else []
-    grand = [g for c in kids for g in c.children()] \
-        if q.level + 1 < q.resolution else []
+    children = kids(q)
+    grand = [g for c in children for g in kids(c)]
     inner, outer = [], []
     for g in grand:
         touches = any(g.lo[a] == q.lo[a]
                       or g.lo[a] + g.side == q.lo[a] + q.side
                       for a in range(q.dim))
         (outer if touches else inner).append(g)
-    return anc, kids, grand, inner, outer
+    return anc, children, grand, inner, outer
 
 
 # ---------------------------------------------------------------------------

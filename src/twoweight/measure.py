@@ -87,6 +87,12 @@ class Measure:
         hi = np.asarray(hi, dtype=np.int64)
         return np.all((self.points >= lo) & (self.points < hi), axis=1)
 
+    def in_cube(self, q) -> np.ndarray:
+        """Boolean mask of atoms in the cube q, given at any resolution."""
+        f = 2 ** (self.resolution - q.resolution)
+        lo = np.array(q.lo, dtype=np.int64) * f
+        return self.in_box(lo, lo + q.side * f)
+
     def in_box4(self, lo4, hi4) -> np.ndarray:
         """Membership against a box given in quarter-lattice units 2^-(M+2)."""
         p4 = self.points * 4
@@ -119,13 +125,12 @@ class Measure:
 PointSet = frozenset  # of integer coordinate tuples at a shared resolution
 
 
-def _box_of(q):
-    """(lo, hi) lattice-unit corners for a Cube or (lo, hi) pair."""
+def _atoms_of(q, mu: Measure) -> np.ndarray:
+    """Mask of mu's atoms in a Cube or an (lo, hi) box in mu's units."""
     if hasattr(q, "lo"):
-        lo = np.asarray(q.lo, dtype=np.int64)
-        return lo, lo + q.side
+        return mu.in_cube(q)
     lo, hi = q
-    return np.asarray(lo, dtype=np.int64), np.asarray(hi, dtype=np.int64)
+    return mu.in_box(lo, hi)
 
 
 def mass(q_or_region, mu: Measure) -> float:
@@ -136,8 +141,7 @@ def mass(q_or_region, mu: Measure) -> float:
         for lo4, hi4 in q_or_region.boxes4:
             seen |= mu.in_box4(lo4, hi4)
         return float(mu.masses[seen].sum())
-    lo, hi = _box_of(q_or_region)
-    return float(mu.masses[mu.in_box(lo, hi)].sum())
+    return float(mu.masses[_atoms_of(q_or_region, mu)].sum())
 
 
 def average_and_moment(q, mu: Measure, f=None):
@@ -145,8 +149,7 @@ def average_and_moment(q, mu: Measure, f=None):
 
     f is a vector of values over the atoms of mu (defaults to 1).
     """
-    lo, hi = _box_of(q)
-    sel = mu.in_box(lo, hi)
+    sel = _atoms_of(q, mu)
     w = mu.masses[sel]
     tot = float(w.sum())
     if tot <= 0.0:
@@ -171,8 +174,7 @@ def common_points(sigma: Measure, omega: Measure) -> PointSet:
 
 def puncture(q, mu: Measure, pts: PointSet) -> float:
     """|Q|_mu minus the largest single mu-atom located in Q intersect pts."""
-    lo, hi = _box_of(q)
-    sel = mu.in_box(lo, hi)
+    sel = _atoms_of(q, mu)
     total = float(mu.masses[sel].sum())
     best = 0.0
     for i in np.nonzero(sel)[0]:

@@ -180,9 +180,7 @@ class A2Report:
 
 def _norm_moment(q: Cube, mu: Measure) -> float:
     """Integral of |x - m_Q|^2 over Q against mu (0 on empty cubes)."""
-    lo = np.array(q.lo, dtype=np.int64) * 2 ** (mu.resolution - q.resolution)
-    hi = lo + q.side * 2 ** (mu.resolution - q.resolution)
-    sel = mu.in_box(lo, hi)
+    sel = mu.in_cube(q)
     w = mu.masses[sel]
     tot = float(w.sum())
     if tot <= 0:
@@ -211,16 +209,12 @@ def a2_constants(sigma: Measure, omega: Measure, grids, alpha: float,
     for q in enumerate_cubes(grids, sigma, omega, include_augmented):
         ell = q.sidelength
         size = ell ** (n - alpha)  # |Q|^(1 - alpha/n)
-        f = 2 ** (sigma.resolution - q.resolution)
-        lo = np.array(q.lo, dtype=np.int64) * f
-        hi = lo + q.side * f
-        s_in = sigma.in_box(lo, hi)
-        w_in = omega.in_box(lo, hi)
+        s_in = sigma.in_cube(q)
+        w_in = omega.in_cube(q)
         qs = float(sigma.masses[s_in].sum())
         qw = float(omega.masses[w_in].sum())
         if qs == 0.0 and qw == 0.0:
             continue
-        box = (tuple(lo), tuple(hi))
         cands = {}
         if qw > 0.0:
             hole = poisson("reproducing", q, sigma.subset(~s_in), alpha)
@@ -231,9 +225,9 @@ def a2_constants(sigma: Measure, omega: Measure, grids, alpha: float,
         if qs > 0.0 and qw > 0.0:
             cands["classicalA2"] = qs * qw / size ** 2
         if qs > 0.0:
-            cands["punct"] = puncture(box, omega, pts) * qs / size ** 2
+            cands["punct"] = puncture(q, omega, pts) * qs / size ** 2
         if qw > 0.0:
-            cands["punct_star"] = puncture(box, sigma, pts) * qw / size ** 2
+            cands["punct_star"] = puncture(q, sigma, pts) * qw / size ** 2
         if qs > 0.0:
             cands["energyA2"] = (_norm_moment(q, omega) / ell ** 2) \
                 * qs / size ** 2

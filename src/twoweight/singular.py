@@ -287,12 +287,6 @@ def operator_norm(kernel: KernelSpec, sigma: Measure, omega: Measure) -> float:
 # testing constants
 
 
-def _atoms_in_cube(mu: Measure, q: Cube) -> np.ndarray:
-    f = 2 ** (mu.resolution - q.resolution)
-    lo = np.array(q.lo, dtype=np.int64) * f
-    return mu.in_box(lo, lo + q.side * f)
-
-
 def _test_integrals(k: np.ndarray, src: Measure, b, dst: Measure):
     """Callable q -> integral over q of |k (b dsrc)|^2 against dst.
 
@@ -304,7 +298,7 @@ def _test_integrals(k: np.ndarray, src: Measure, b, dst: Measure):
         sq = sq.sum(axis=1)
 
     def integral(q: Cube) -> float:
-        sel = _atoms_in_cube(dst, q)
+        sel = dst.in_cube(q)
         return float(np.dot(dst.masses[sel], sq[sel]))
 
     return integral

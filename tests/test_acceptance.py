@@ -157,7 +157,7 @@ def test_truncation_bounds_on_random_p8_families():
         lam = hat.trunc_lambda
         w = mu.masses
         for q, v in fam.values.items():
-            sel = fam.atoms_in(q)
+            sel = fam.mu.in_cube(q)
             tot = float(w[sel].sum())
             hv = hat.values[q]
             avg = abs(float(np.dot(w, hv))) / tot
@@ -179,10 +179,10 @@ def test_reverse_holder_adjustment_constants():
         w = mu.masses
         vals = {}
         for q in fam0.values:
-            sel = fam0.atoms_in(q)
+            sel = fam0.mu.in_cube(q)
             vals[q] = np.where(sel, rng.uniform(1.0, 3.0, mu.natoms), 0.0)
         left, right = root.children()
-        lsel = fam0.atoms_in(left)
+        lsel = fam0.mu.in_cube(left)
         style = seed % 3
         if style == 0:
             # b_root vanishes on the left child
@@ -197,7 +197,7 @@ def test_reverse_holder_adjustment_constants():
             if style == 2:
                 bal = bal * 1e-4
             vals[root] = np.where(lsel, bal, vals[root])
-        rsel = fam0.atoms_in(root)
+        rsel = fam0.mu.in_cube(root)
         tot = float(w[rsel].sum())
         avg = float(np.dot(w, vals[root])) / tot
         if avg < 1.1:
@@ -213,7 +213,7 @@ def test_reverse_holder_adjustment_constants():
         assert avg_new >= 1.0 - 1e-12
         assert np.abs(v).max() <= 2 * (1 + math.sqrt(cb)) * cb + 1e-10
         for qi in adjusted:
-            sel = fam.atoms_in(qi)
+            sel = fam.mu.in_cube(qi)
             ai = abs(float(np.dot(w[sel], v[sel])) / float(w[sel].sum()))
             sup = float(np.abs(v[sel]).max())
             assert sup > 0

@@ -101,7 +101,7 @@ def test_truncation_tail_mass_and_caps():
     fam0 = make_family("unit", mu, g, root)
     vals = {}
     for q in fam0.values:
-        sel = fam0.atoms_in(q)
+        sel = fam0.mu.in_cube(q)
         base = np.ones(mu.natoms)
         if q.side >= 4:  # spike the tiny atom, only in coarse cubes
             base = np.where(mu.points[:, 0] == 2 ** M - 1, 19.0, base)
@@ -113,7 +113,7 @@ def test_truncation_tail_mass_and_caps():
     w = mu.masses
     bitten = False
     for q, v in fam.values.items():
-        sel = fam.atoms_in(q)
+        sel = fam.mu.in_cube(q)
         tot = float(w[sel].sum())
         tail = float(np.dot(w[sel], np.where(np.abs(v[sel]) > lam,
                                              v[sel] ** 2, 0.0)))
@@ -149,7 +149,7 @@ def test_zero_average_child_gets_delta():
     fam = make_family("unit", mu, g, root)
     kids = root.children()
     left = kids[0]
-    lsel = fam.atoms_in(left)
+    lsel = fam.mu.in_cube(left)
     # b_root vanishes identically on the left child (the child cubes keep
     # their own functions, so accretivity of the family is untouched)
     fam.values[root] = np.where(lsel, 0.0, fam.values[root])
@@ -158,7 +158,7 @@ def test_zero_average_child_gets_delta():
     assert left in adjusted
     assert np.allclose(v[lsel], delta)
     # the right child was untouched
-    rsel = fam.atoms_in(kids[1])
+    rsel = fam.mu.in_cube(kids[1])
     assert np.allclose(v[rsel], 1.0)
 
 
@@ -171,13 +171,13 @@ def test_children_conclusions_on_random_instances():
         w = mu.masses
         vals = {}
         for q in fam0.values:
-            sel = fam0.atoms_in(q)
+            sel = fam0.mu.in_cube(q)
             base = rng.uniform(1.0, 3.0, mu.natoms)
             vals[q] = np.where(sel, base, 0.0)
         # make b_root nearly cancel on the left child so the smallness
         # criterion fires there; the right child keeps it accretive
         left, right = root.children()
-        lsel = fam0.atoms_in(left)
+        lsel = fam0.mu.in_cube(left)
         signs = np.where(rng.random(mu.natoms) < 0.5, 1.0, -1.0)
         bal = signs * rng.uniform(0.5, 2.5, mu.natoms)
         pos = float(np.dot(w[lsel], np.maximum(bal, 0)[lsel]))
@@ -189,7 +189,7 @@ def test_children_conclusions_on_random_instances():
             if scale != 1.0:
                 bal = bal * scale
             vals[root] = np.where(lsel, bal, vals[root])
-        rsel = fam0.atoms_in(root)
+        rsel = fam0.mu.in_cube(root)
         tot = float(w[rsel].sum())
         avg = float(np.dot(w, vals[root])) / tot
         if avg < 1.0:
@@ -200,14 +200,14 @@ def test_children_conclusions_on_random_instances():
         kids = root.children()
         v, adjusted = reverse_holder_adjust(fam, root, kids, delta)
         w = mu.masses
-        rsel = fam.atoms_in(root)
+        rsel = fam.mu.in_cube(root)
         tot = float(w[rsel].sum())
         avg_new = float(np.dot(w, v)) / tot
         # the total perturbation per adjusted child is of size sqrt(C_b d)
         assert avg_new >= 1.0 - 4 * math.sqrt(cb * delta) - 1e-10
         assert np.abs(v).max() <= 2 * (1 + math.sqrt(cb)) * cb + 1e-10
         for qi in adjusted:
-            sel = fam.atoms_in(qi)
+            sel = fam.mu.in_cube(qi)
             ai = abs(float(np.dot(w[sel], v[sel])) / float(w[sel].sum()))
             sup = float(np.abs(v[sel]).max())
             assert sup > 0
@@ -222,7 +222,7 @@ def test_corona_mode_constants_and_ranges():
     fam0 = make_family("unit", mu, g, root)
     vals = {}
     for q in fam0.values:
-        sel = fam0.atoms_in(q)
+        sel = fam0.mu.in_cube(q)
         base = rng.uniform(1.0, 2.5, mu.natoms)
         base = np.where(rng.random(mu.natoms) < 0.25, -base, base)
         v = np.where(sel, base, 0.0)
@@ -242,12 +242,12 @@ def test_corona_mode_constants_and_ranges():
     assert set(adjusted) == set(stopping)
     w = mu.masses
     for qi in stopping:
-        sel = fam.atoms_in(qi)
+        sel = fam.mu.in_cube(qi)
         vi = v[sel]
         # constant on each adjusted cube, and nonzero
         assert np.allclose(vi, vi[0])
         assert abs(vi[0]) > 0
-    rsel = fam.atoms_in(root)
+    rsel = fam.mu.in_cube(root)
     tot = float(w[rsel].sum())
     assert float(np.dot(w, v)) / tot >= 1.0 - delta - 1e-10
     assert np.abs(v).max() <= 2 * (1 + math.sqrt(cb)) * cb + 1e-10
@@ -459,7 +459,7 @@ def test_telescope_broken_child_branch():
     stop = g.cube(2, (1,))  # [1/4, 1/2): new testing function below here
     for q in list(vals):
         if stop.contains_cube(q):
-            sel = fam0.atoms_in(q)
+            sel = fam0.mu.in_cube(q)
             vals[q] = np.where(sel, 1.7, 0.0)
     fam = make_family("explicit", mu, g, root, p=math.inf, values=vals)
     assert stop in fam.broken_children.get(stop.parent(), frozenset())

@@ -7,7 +7,6 @@ from twoweight.bfamily import make_family, mart_apply
 from twoweight.corona import (
     HalfSpaceMeasure,
     accretive_stopping,
-    best_subpartition,
     carleson_norm,
     cz_stopping,
     energy_stopping,
@@ -23,6 +22,8 @@ from twoweight.grid import make_grid, sharp_cross
 from twoweight.measure import Measure, mass
 from twoweight.singular import local_test_integrals, make_kernel, \
     testing_constants
+
+import oracles
 
 
 def std_grid(dim=1, M=3):
@@ -210,7 +211,8 @@ def full_depth_strong_energy_sq(sigma, omega, root, alpha):
         sel = sigma.in_box(lo, lo + q.side * 2 ** (sigma.resolution
                                                    - q.resolution))
         amb = sigma.subset(sel)
-        best = max(best, best_subpartition(q, amb, omega, alpha)[q] / qs)
+        best = max(best,
+                   oracles.best_subpartition(q, amb, omega, alpha)[q] / qs)
     return best
 
 
@@ -303,7 +305,7 @@ def test_iterated_reverse_holder_line():
         for top, cubes in cor.params["adjusted_at"].items():
             b_top = adj.b(top)
             for qi in cubes:
-                sel = adj.atoms_in(qi)
+                sel = adj.mu.in_cube(qi)
                 tot = float(sigma.masses[sel].sum())
                 avg = abs(float(np.dot(sigma.masses[sel], b_top[sel])) / tot)
                 sup = float(np.abs(b_top[sel]).max())
@@ -339,6 +341,100 @@ def test_stopping_data_on_random_cz_and_iterated():
     sigma, omega, fam, f, cor, adj = iterated_instance(99)
     rep = stopping_data(cor, f)
     assert rep["avg_control_ok"] and rep["alpha_monotone"]
+
+
+# ------------------------------------- stopping times against the oracle
+# tests/oracles.py keeps the five stopping loops as they were written
+# before the one driver; every recorded field must come out equal.
+
+
+def sparse_measure(rng, dim, M, natoms):
+    side = 2 ** M
+    flat = rng.choice(side ** dim, size=natoms, replace=False)
+    pts = [(int(k),) if dim == 1 else (int(k) % side, int(k) // side)
+           for k in flat]
+    return Measure.from_atoms(dim, M, [(p, float(m)) for p, m in
+                                       zip(pts, rng.random(natoms) + 0.1)])
+
+
+def oracle_instance(dim, seed):
+    rng = np.random.default_rng(seed)
+    M = 5 if dim == 1 else 3
+    sigma = sparse_measure(rng, dim, M, 20)
+    omega = sparse_measure(rng, dim, M, 20)
+    g = std_grid(dim=dim, M=M)
+    root = g.cube(0, (0,) * dim)
+    f = rng.standard_normal(sigma.natoms) * rng.integers(1, 30, sigma.natoms)
+    return sigma, omega, g, root, f
+
+
+def assert_same_corona(cor, want):
+    for key in ("stopping", "parent", "criteria", "alpha_bound", "energies"):
+        if key in want:
+            assert getattr(cor, key) == want[key], key
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_cz_and_accretive_match_oracle(dim):
+    sigma, omega, g, root, f = oracle_instance(dim, 60 + dim)
+    cor = cz_stopping(sigma, f, root, 2.0)
+    assert len(cor.stopping) > 1
+    assert_same_corona(cor, oracles.cz_stopping(sigma, f, root, 2.0))
+
+    fam = make_family("random", sigma, g, root, seed=dim)
+    k = make_kernel(dim, 0.0, "riesz")
+    t = testing_constants(k, sigma, omega, fam, fam).forward
+    cache = {}
+
+    def t_diag(q, top):
+        if top not in cache:
+            cache[top] = local_test_integrals(k, sigma, omega, fam.b(top))
+        return cache[top](q)
+
+    cor = accretive_stopping(fam, t_diag, root, 0.9, 1.5, 0.5 * t)
+    assert len(cor.stopping) > 1
+    assert_same_corona(cor, oracles.accretive_stopping(
+        fam, t_diag, root, 0.9, 1.5, 0.5 * t))
+
+
+@pytest.mark.parametrize("depth", [1, None])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_energy_stopping_matches_oracle(dim, depth):
+    sigma, omega, g, root, f = oracle_instance(dim, 70 + dim)
+    e2 = 0.3 * math.sqrt(full_depth_strong_energy_sq(sigma, omega, root,
+                                                     0.0))
+    cor = energy_stopping(sigma, omega, root, 2.0, e2, 0.0, 0.0, depth)
+    assert len(cor.stopping) > 1
+    assert_same_corona(cor, oracles.energy_stopping(
+        sigma, omega, root, 2.0, e2, 0.0, 0.0, depth))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_iterated_matches_oracle(dim):
+    sigma, omega, g, root, f = oracle_instance(dim, 83 + dim)
+    fam = make_family("random", sigma, g, root, seed=dim)
+    k = make_kernel(dim, 0.0, "riesz")
+    params = base_params(testing_constants(k, sigma, omega, fam,
+                                           fam).forward)
+    params.update(c0=2.0, gamma=0.9, big_gamma=1.5)
+    params["e2"] = 0.3 * math.sqrt(
+        full_depth_strong_energy_sq(sigma, omega, root, 0.0))
+    params["a2"] = 0.0
+    factory = make_t_factory(k, sigma, omega)
+    cor, adj = iterated_stopping(fam, omega, f, factory, root, params)
+    want = oracles.iterated_stopping(fam, omega, f, factory, root, params)
+    assert_same_corona(cor, want)
+    assert cor.params["shadow"] == want["shadow"]
+    assert len(want["shadow"]) > 1
+    fired = {name for rec in cor.criteria.values() for name in rec}
+    assert fired == {"cz", "accretive", "weak_testing", "energy", "shadow",
+                     "accretive_adjusted", "weak_testing_adjusted"}
+    assert {top: set(cubes) for top, cubes
+            in cor.params["adjusted_at"].items()} \
+        == {top: set(cubes) for top, cubes in want["adjusted_at"].items()}
+    assert all(np.array_equal(adj.values[q], want["adjusted"].values[q])
+               for q in want["adjusted"].values)
+    assert adj.values.keys() == want["adjusted"].values.keys()
 
 
 # ----------------------------------------------------- half-space measures

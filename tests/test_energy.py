@@ -6,9 +6,7 @@ import pytest
 from twoweight.bfamily import make_family, mart_apply
 from twoweight.corona import cz_stopping
 from twoweight.energy import (
-    _atoms_in,
     _atoms_in_scaled,
-    _best_partition,
     functional_energy_context,
     functional_energy_estimate,
     functional_energy_lhs,
@@ -25,6 +23,8 @@ from twoweight.measure import Measure
 from twoweight.poisson_a2 import _norm_moment, a2_constants, \
     enumerate_cubes, poisson
 from twoweight.singular import make_kernel
+
+from oracles import atoms_in, best_partition
 
 
 def std_grid(dim=1, M=3):
@@ -160,7 +160,7 @@ def test_whitney_rejects_bad_gamma():
 def oracle_whitney(sigma, omega, grids, alpha, gamma, variant, depth):
     best, witness = 0.0, None
     for i in enumerate_cubes(grids, sigma, omega, True):
-        sel_i = _atoms_in(sigma, i)
+        sel_i = atoms_in(sigma, i)
         qs = float(sigma.masses[sel_i].sum())
         if qs <= 0.0:
             continue
@@ -172,14 +172,14 @@ def oracle_whitney(sigma, omega, grids, alpha, gamma, variant, depth):
                 if variant == "hole":
                     sel = sel_i & ~_atoms_in_scaled(sigma, m, gamma)
                 elif variant == "partial":
-                    sel = sel_i & ~_atoms_in(sigma, m)
+                    sel = sel_i & ~atoms_in(sigma, m)
                 else:
                     sel = sel_i
                 p = poisson("standard", m, sigma.subset(sel), alpha)
                 out += (p / m.sidelength) ** 2 * _norm_moment(m, omega)
             return out
 
-        val, _ = _best_partition(i, depth, term)
+        val, _ = best_partition(i, depth, term)
         if val / qs > best:
             best, witness = val / qs, i
     return math.sqrt(best), witness
@@ -188,16 +188,16 @@ def oracle_whitney(sigma, omega, grids, alpha, gamma, variant, depth):
 def oracle_strong(sigma, omega, cubes, alpha, depth):
     best, witness, partition = 0.0, None, []
     for i in cubes:
-        qs = float(sigma.masses[_atoms_in(sigma, i)].sum())
+        qs = float(sigma.masses[atoms_in(sigma, i)].sum())
         if qs <= 0.0:
             continue
-        amb = sigma.subset(_atoms_in(sigma, i))
+        amb = sigma.subset(atoms_in(sigma, i))
 
         def term(j):
             p = poisson("standard", j, amb, alpha)
             return (p / j.sidelength) ** 2 * _norm_moment(j, omega)
 
-        val, parts = _best_partition(i, depth, term)
+        val, parts = best_partition(i, depth, term)
         if val / qs > best:
             best, witness, partition = val / qs, i, parts
     return math.sqrt(best), witness, partition

@@ -100,6 +100,20 @@ def test_puncture():
     assert puncture(q, solo, frozenset({(1,)})) == 0.0
 
 
+def test_cube_of_a_coarser_grid_is_rescaled_to_the_measure():
+    # 16 unit atoms at k/16 and the cube [1/2, 1) of a resolution-3 grid:
+    # the cube holds the atoms k = 8..15, whatever its own lattice
+    mu = Measure.from_atoms(1, 4, [((k,), 1.0) for k in range(16)])
+    q = std_grid(M=3).cube(1, (1,))
+    assert mass(q, mu) == 8.0
+    avg, m, nonempty = average_and_moment(q, mu, np.arange(16.0))
+    assert nonempty
+    assert avg == 11.5
+    assert m[0] == 0.71875
+    assert puncture(q, mu, frozenset({(9,)})) == 7.0
+    assert np.array_equal(mu.in_cube(q), np.arange(16) >= 8)
+
+
 def test_puncture_equals_mass_of_reduced_measure():
     g = std_grid(M=2)
     q = g.cube(0, (0,))
