@@ -68,7 +68,7 @@ class BFamily:
         return [c for c in q.children() if c in self.values]
 
     def mass(self, q: Cube) -> float:
-        return float(self.mu.masses[self.mu.in_cube(q)].sum())
+        return float(self.mu.masses[self.mu.atoms(q)].sum())
 
 
 def _classify_broken(fam: BFamily):
@@ -260,11 +260,11 @@ def reverse_holder_adjust(fam: BFamily, q: Cube, stopping, delta: float,
 
 
 def _avg(fam: BFamily, q: Cube, f: np.ndarray) -> float:
-    sel = fam.mu.in_cube(q)
-    tot = float(fam.mu.masses[sel].sum())
+    idx = fam.mu.atoms(q)
+    tot = float(fam.mu.masses[idx].sum())
     if tot <= 0:
         return 0.0
-    return float(np.dot(fam.mu.masses[sel], f[sel])) / tot
+    return float(np.dot(fam.mu.masses[idx], f[idx])) / tot
 
 
 def _e_op(fam: BFamily, q: Cube, f: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -41,19 +41,19 @@ __all__ = [
 
 
 def _avg_abs(mu: Measure, f: np.ndarray, q: Cube) -> float:
-    sel = mu.in_cube(q)
-    tot = float(mu.masses[sel].sum())
+    idx = mu.atoms(q)
+    tot = float(mu.masses[idx].sum())
     if tot <= 0.0:
         return 0.0
-    return float(np.dot(mu.masses[sel], np.abs(f[sel]))) / tot
+    return float(np.dot(mu.masses[idx], np.abs(f[idx]))) / tot
 
 
 def _avg(mu: Measure, f: np.ndarray, q: Cube) -> float:
-    sel = mu.in_cube(q)
-    tot = float(mu.masses[sel].sum())
+    idx = mu.atoms(q)
+    tot = float(mu.masses[idx].sum())
     if tot <= 0.0:
         return 0.0
-    return float(np.dot(mu.masses[sel], f[sel])) / tot
+    return float(np.dot(mu.masses[idx], f[idx])) / tot
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +130,7 @@ def _stop(mu: Measure, root: Cube, criterion) -> tuple:
         stack = kids(top)
         while stack:
             q = stack.pop()
-            qs = float(mu.masses[mu.in_cube(q)].sum())
+            qs = float(mu.masses[mu.atoms(q)].sum())
             if qs <= 0.0:
                 continue
             rec = test(q, qs)
@@ -236,21 +236,19 @@ def _best_partition(top: Cube, depth: int | None, term_fn):
     for no limit); a cube keeps its own term when that is at least the
     best sum over its children.  Returns (value, pieces).
     """
-    def solve(q: Cube, d):
-        own = term_fn(q)
-        children = kids(q)
-        if not children or (d is not None and d <= 0):
-            return own, [q]
-        tot, parts = 0.0, []
-        for c in children:
-            v, p = solve(c, None if d is None else d - 1)
-            tot += v
-            parts.extend(p)
-        if own >= tot:
-            return own, [q]
-        return tot, parts
-
-    return solve(top, depth)
+    own = term_fn(top)
+    children = [] if depth is not None and depth <= 0 else kids(top)
+    if not children:
+        return own, [top]
+    tot, parts = 0.0, []
+    for c in children:
+        v, p = _best_partition(c, None if depth is None else depth - 1,
+                               term_fn)
+        tot += v
+        parts.extend(p)
+    if own >= tot:
+        return own, [top]
+    return tot, parts
 
 
 def _moment_and_row(q: Cube, sigma: Measure, omega: Measure, alpha):
@@ -265,13 +263,13 @@ def _moment_and_row(q: Cube, sigma: Measure, omega: Measure, alpha):
     return moment, _poisson_row("standard", q, sigma, alpha)
 
 
-def _energy_term(sigma: Measure, omega: Measure, alpha, sel, rows: dict):
-    """term(J) = (P(J, sigma on the atoms sel)/l(J))^2 * omega-moment of J.
+def _energy_term(sigma: Measure, omega: Measure, alpha, idx, rows: dict):
+    """term(J) = (P(J, sigma on the atoms idx)/l(J))^2 * omega-moment of J.
 
     rows keeps J -> (moment, Poisson row over all sigma atoms) for every
     term that shares it.
     """
-    w = sigma.masses[sel]
+    w = sigma.masses[idx]
 
     def term(j: Cube) -> float:
         if j not in rows:
@@ -279,7 +277,7 @@ def _energy_term(sigma: Measure, omega: Measure, alpha, sel, rows: dict):
         moment, row = rows[j]
         if row is None:
             return 0.0
-        return (float(np.dot(w, row[sel])) / j.sidelength) ** 2 * moment
+        return (float(np.dot(w, row[idx])) / j.sidelength) ** 2 * moment
 
     return term
 
@@ -301,7 +299,7 @@ def _energy_criterion(sigma: Measure, omega: Measure, alpha: float,
         # the scan solves the DP at every cube it visits, so each term is
         # kept for the whole corona
         term = functools.cache(
-            _energy_term(sigma, omega, alpha, sigma.in_cube(top), rows))
+            _energy_term(sigma, omega, alpha, sigma.atoms(top), rows))
         energies[top] = 0.0
 
         def test(q: Cube, qs: float) -> dict:
@@ -437,7 +435,7 @@ def stopping_data(corona: Corona, f) -> dict:
         if a <= 0.0:
             continue
         for q in corona.corona_of(top):
-            if float(mu.masses[mu.in_cube(q)].sum()) <= 0.0:
+            if float(mu.masses[mu.atoms(q)].sum()) <= 0.0:
                 continue
             r = _avg_abs(mu, f, q) / a
             if r > prop1:
@@ -462,8 +460,7 @@ def stopping_data(corona: Corona, f) -> dict:
     # pointwise quasi-orthogonal sum against f
     g = np.zeros(mu.natoms)
     for top in corona.stopping:
-        sel = mu.in_cube(top)
-        g[sel] += corona.alpha_bound.get(top, 0.0)
+        g[mu.atoms(top)] += corona.alpha_bound.get(top, 0.0)
     qorth = float(np.dot(mu.masses, g * g)) / norm_sq if norm_sq > 0 else 0.0
 
     a0 = max(c0, carleson, math.sqrt(quasi_ratio) if quasi_ratio > 0 else 0.0)

@@ -97,12 +97,12 @@ def _strong_one_direction(sigma: Measure, omega: Measure, cubes, alpha,
     rows: dict = {}  # piece J -> (moment, row), for this call only
     best, witness, partition = 0.0, None, []
     for i in cubes:
-        sel_i = sigma.in_cube(i)
-        qs = float(sigma.masses[sel_i].sum())
+        idx_i = sigma.atoms(i)
+        qs = float(sigma.masses[idx_i].sum())
         if qs <= 0.0:
             continue
         val, parts = _best_partition(
-            i, depth, _energy_term(sigma, omega, alpha, sel_i, rows))
+            i, depth, _energy_term(sigma, omega, alpha, idx_i, rows))
         if val / qs > best:
             best, witness, partition = val / qs, i, parts
     return math.sqrt(best), witness, partition
@@ -182,8 +182,8 @@ def whitney_energy(sigma: Measure, omega: Measure, grids, alpha: float,
 
     best = dict.fromkeys(names, (0.0, None))
     for i in enumerate_cubes(grids, sigma, omega, True):
-        sel_i = sigma.in_cube(i)
-        w_i = w[sel_i]
+        idx_i = sigma.atoms(i)
+        w_i = w[idx_i]
         qs = float(w_i.sum())
         if qs <= 0.0:
             continue
@@ -197,10 +197,10 @@ def whitney_energy(sigma: Measure, omega: Measure, grids, alpha: float,
                         continue
                     for name in names:
                         if keep[name] is None:
-                            p = float(np.dot(w_i, row[sel_i]))
+                            p = float(np.dot(w_i, row[idx_i]))
                         else:
-                            sel = sel_i & keep[name]
-                            p = float(np.dot(w[sel], row[sel]))
+                            idx = idx_i[keep[name][idx_i]]
+                            p = float(np.dot(w[idx], row[idx]))
                         out[name] += (p / ell) ** 2 * moment
                 terms[j] = out
             return terms[j]

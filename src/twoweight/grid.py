@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -233,6 +233,19 @@ class Region:
     resolution: int
     boxes4: tuple
 
+    @cached_property
+    def _arrays4(self) -> tuple:
+        """(lo4, hi4) of the boxes as (boxes, dim) int64 arrays."""
+        return tuple(np.array([b[k] for b in self.boxes4], dtype=np.int64)
+                     for k in (0, 1))
+
+    def gap2(self, lo4, hi4) -> int:
+        """Squared distance from the box [lo4, hi4] to the nonempty region."""
+        blo, bhi = self._arrays4
+        gap = np.maximum(np.maximum(blo - np.asarray(hi4),
+                                    np.asarray(lo4) - bhi), 0)
+        return int((gap * gap).sum(axis=1).min())
+
     def volume(self) -> float:
         unit = (1.0 / 2 ** (self.resolution + 2)) ** len(self.boxes4[0][0]) \
             if self.boxes4 else 0.0
@@ -392,9 +405,7 @@ def dist_cube_to_region(q: Cube, reg: Region) -> float:
     """Euclidean distance (absolute units) from a cube to a region."""
     if not reg.boxes4:
         return math.inf
-    lo4, hi4 = q.lo4, q.hi4
-    best = min(dist2_boxes4(lo4, hi4, blo, bhi) for blo, bhi in reg.boxes4)
-    return math.sqrt(best) / 2 ** (q.resolution + 2)
+    return math.sqrt(reg.gap2(q.lo4, q.hi4)) / 2 ** (q.resolution + 2)
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +432,7 @@ def is_eps_good(j: Cube, k: Cube, eps: float, body_k: Region | None = None):
     f = 2 ** (k.resolution - j.resolution)
     lo4 = tuple(x * f for x in j.lo4)
     hi4 = tuple(x * f for x in j.hi4)
-    d2q = min(dist2_boxes4(lo4, hi4, blo, bhi) for blo, bhi in body_k.boxes4)
+    d2q = body_k.gap2(lo4, hi4)
     # threshold in quarter units: 8 * sideJ^eps * sideK^(1-eps)
     sj = j.side * f
     t2q = 64.0 * sj ** (2 * eps) * k.side ** (2 - 2 * eps)
@@ -431,15 +442,14 @@ def is_eps_good(j: Cube, k: Cube, eps: float, body_k: Region | None = None):
 
 def _ancestor_chain(j: Cube, grid: Grid):
     """Grid cubes containing J, coarsest first, finest last."""
+    f = 2 ** (grid.M - j.resolution)
+    jk = j if f == 1 else Cube(grid.M, tuple(x * f for x in j.lo),
+                               j.side * f, j.level, None)
     chain = []
     for level in range(grid.N, grid.M + 1):
-        if grid.side_units(level) < j.side * 2 ** (grid.M - j.resolution):
+        if grid.side_units(level) < jk.side:
             break
-        k = grid.cube_containing(level, tuple(
-            x * 2 ** (grid.M - j.resolution) for x in j.lo))
-        jk = j if j.resolution == grid.M else Cube(
-            grid.M, tuple(x * 2 ** (grid.M - j.resolution) for x in j.lo),
-            j.side * 2 ** (grid.M - j.resolution), j.level, None)
+        k = grid.cube_containing(level, jk.lo)
         if k.contains_cube(jk):
             chain.append(k)
         elif chain:

@@ -45,6 +45,9 @@ class Measure:
     points: np.ndarray
     masses: np.ndarray
     mass_strs: tuple = field(default=(), compare=False)
+    # (side, phase) -> {cell: ascending atom indices}, built by atoms()
+    _index: dict = field(default_factory=dict, init=False, compare=False,
+                         repr=False)
 
     @staticmethod
     def from_atoms(dim, resolution, atoms) -> "Measure":
@@ -60,7 +63,7 @@ class Measure:
                 raise ValueError(f"atom at {key} has nonpositive mass {m}")
             if key in merged:
                 merged[key] += fm
-                strs[key] = repr(merged[key])
+                strs[key] = _mass_str(merged[key])
             else:
                 merged[key] = fm
                 strs[key] = _mass_str(m)
@@ -87,11 +90,46 @@ class Measure:
         hi = np.asarray(hi, dtype=np.int64)
         return np.all((self.points >= lo) & (self.points < hi), axis=1)
 
+    def atoms(self, q) -> np.ndarray:
+        """Ascending indices of the atoms in the cube q, at any resolution.
+
+        The cube becomes the box of lattice points it holds, a cell of
+        the index of its (side, phase), which is built on first use.
+        """
+        shift = self.resolution - q.resolution
+        if shift >= 0:
+            side = q.side << shift
+            lo = [x << shift for x in q.lo]
+        else:  # finer than the lattice: the first lattice point >= each edge
+            lo = [-(-x >> -shift) for x in q.lo]
+            hi = [-(-(x + q.side) >> -shift) for x in q.lo]
+            side = min(b - a for a, b in zip(lo, hi))
+            if side <= 0:
+                return _NO_ATOMS
+        phase = tuple(x % side for x in lo)
+        cells = self._index.get((side, phase))
+        if cells is None:
+            cells = self._index[side, phase] = self._cells(side, phase)
+        return cells.get(tuple((x - p) // side for x, p in zip(lo, phase)),
+                         _NO_ATOMS)
+
+    def _cells(self, side: int, phase: tuple) -> dict:
+        """Cell -> its atoms, from one stable sort of the atoms by cell."""
+        if self.natoms == 0:
+            return {}
+        cell = (self.points - np.array(phase, dtype=np.int64)) // side
+        order = np.lexsort(cell.T[::-1])
+        order.flags.writeable = False  # the cells handed out are its views
+        cell = cell[order]
+        cuts = np.flatnonzero((cell[1:] != cell[:-1]).any(axis=1)) + 1
+        keys = map(tuple, cell[np.r_[0, cuts]].tolist())
+        return dict(zip(keys, np.split(order, cuts)))
+
     def in_cube(self, q) -> np.ndarray:
-        """Boolean mask of atoms in the cube q, given at any resolution."""
-        f = 2 ** (self.resolution - q.resolution)
-        lo = np.array(q.lo, dtype=np.int64) * f
-        return self.in_box(lo, lo + q.side * f)
+        """Boolean mask of atoms in the cube q: the view of atoms(q)."""
+        mask = np.zeros(self.natoms, dtype=bool)
+        mask[self.atoms(q)] = True
+        return mask
 
     def in_box4(self, lo4, hi4) -> np.ndarray:
         """Membership against a box given in quarter-lattice units 2^-(M+2)."""
@@ -111,26 +149,29 @@ class Measure:
     def subset(self, mask) -> "Measure":
         """Restriction of the measure to the atoms selected by the mask."""
         mask = np.asarray(mask, dtype=bool)
-        strs = self.mass_strs or tuple(repr(m) for m in self.masses)
+        strs = tuple(np.array(self.mass_strs, dtype=object)[mask]) \
+            if self.mass_strs else ()
         return Measure(self.dim, self.resolution, self.points[mask],
-                       self.masses[mask],
-                       tuple(s for s, keep in zip(strs, mask) if keep))
+                       self.masses[mask], strs)
 
     def scaled(self, lam: float) -> "Measure":
-        return Measure(self.dim, self.resolution, self.points,
-                       self.masses * lam,
-                       tuple(repr(m * lam) for m in self.masses))
+        masses = self.masses * lam
+        return Measure(self.dim, self.resolution, self.points, masses,
+                       tuple(map(_mass_str, masses)) if self.mass_strs
+                       else ())
 
+
+_NO_ATOMS = np.zeros(0, dtype=np.int64)
 
 PointSet = frozenset  # of integer coordinate tuples at a shared resolution
 
 
 def _atoms_of(q, mu: Measure) -> np.ndarray:
-    """Mask of mu's atoms in a Cube or an (lo, hi) box in mu's units."""
+    """Indices of mu's atoms in a Cube or an (lo, hi) box in mu's units."""
     if hasattr(q, "lo"):
-        return mu.in_cube(q)
+        return mu.atoms(q)
     lo, hi = q
-    return mu.in_box(lo, hi)
+    return np.flatnonzero(mu.in_box(lo, hi))
 
 
 def mass(q_or_region, mu: Measure) -> float:
@@ -177,7 +218,7 @@ def puncture(q, mu: Measure, pts: PointSet) -> float:
     sel = _atoms_of(q, mu)
     total = float(mu.masses[sel].sum())
     best = 0.0
-    for i in np.nonzero(sel)[0]:
+    for i in sel:
         if tuple(mu.points[i]) in pts:
             best = max(best, float(mu.masses[i]))
     return total - best
@@ -188,7 +229,7 @@ def puncture(q, mu: Measure, pts: PointSet) -> float:
 
 
 def dump_measure(mu: Measure) -> str:
-    strs = mu.mass_strs or tuple(repr(m) for m in mu.masses)
+    strs = mu.mass_strs or tuple(map(_mass_str, mu.masses))
     atoms = [
         {"num": [int(c) for c in mu.points[i]], "mass": strs[i]}
         for i in range(mu.natoms)

@@ -180,12 +180,12 @@ class A2Report:
 
 def _norm_moment(q: Cube, mu: Measure) -> float:
     """Integral of |x - m_Q|^2 over Q against mu (0 on empty cubes)."""
-    sel = mu.in_cube(q)
-    w = mu.masses[sel]
+    idx = mu.atoms(q)
+    w = mu.masses[idx]
     tot = float(w.sum())
     if tot <= 0:
         return 0.0
-    xs = mu.coords_float()[sel]
+    xs = mu.coords_float()[idx]
     m = (w[:, None] * xs).sum(axis=0) / tot
     d2 = ((xs - m) ** 2).sum(axis=1)
     return float(np.dot(w, d2))
@@ -206,22 +206,25 @@ def a2_constants(sigma: Measure, omega: Measure, grids, alpha: float,
         raise ValueError("alpha must lie in [0, n)")
     pts = common_points(sigma, omega)
     rep = A2Report(classicalA2_diverges=bool(pts))
+
+    def hole(q: Cube, mu: Measure) -> float:
+        # the reproducing Poisson integral of mu off Q: one row, masked
+        out = ~mu.in_cube(q)
+        row = _poisson_row("reproducing", q, mu, alpha)
+        return float(np.dot(mu.masses[out], row[out]))
+
     for q in enumerate_cubes(grids, sigma, omega, include_augmented):
         ell = q.sidelength
         size = ell ** (n - alpha)  # |Q|^(1 - alpha/n)
-        s_in = sigma.in_cube(q)
-        w_in = omega.in_cube(q)
-        qs = float(sigma.masses[s_in].sum())
-        qw = float(omega.masses[w_in].sum())
+        qs = float(sigma.masses[sigma.atoms(q)].sum())
+        qw = float(omega.masses[omega.atoms(q)].sum())
         if qs == 0.0 and qw == 0.0:
             continue
         cands = {}
         if qw > 0.0:
-            hole = poisson("reproducing", q, sigma.subset(~s_in), alpha)
-            cands["calA2"] = hole * qw / size
+            cands["calA2"] = hole(q, sigma) * qw / size
         if qs > 0.0:
-            hole = poisson("reproducing", q, omega.subset(~w_in), alpha)
-            cands["calA2_star"] = hole * qs / size
+            cands["calA2_star"] = hole(q, omega) * qs / size
         if qs > 0.0 and qw > 0.0:
             cands["classicalA2"] = qs * qw / size ** 2
         if qs > 0.0:

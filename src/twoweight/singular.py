@@ -298,8 +298,8 @@ def _test_integrals(k: np.ndarray, src: Measure, b, dst: Measure):
         sq = sq.sum(axis=1)
 
     def integral(q: Cube) -> float:
-        sel = dst.in_cube(q)
-        return float(np.dot(dst.masses[sel], sq[sel]))
+        idx = dst.atoms(q)
+        return float(np.dot(dst.masses[idx], sq[idx]))
 
     return integral
 

@@ -2,20 +2,35 @@
 
 These are earlier forms of code under test, kept apart from the package
 so that a refactor is checked against an implementation it does not
-share: the stopping-time constructions as five separate loops, and the
-best-subpartition recursion.  Tests compare the live code with them.
+share: the cube lookup as a scan of every atom, the A2 loop over
+restricted measures, the face-by-face goodness distance, the
+stopping-time constructions as five separate loops, the
+best-subpartition recursion, and one energy pass per Whitney variant
+and per strong direction.  Tests compare the live code with them.
 """
+
+import math
 
 import numpy as np
 
 from twoweight.bfamily import make_family, reverse_holder_adjust
-from twoweight.poisson_a2 import _norm_moment, poisson
+from twoweight.energy import _atoms_in_scaled
+from twoweight.grid import _ancestor_chain, body, whitney
+from twoweight.measure import common_points
+from twoweight.poisson_a2 import A2Report, enumerate_cubes, poisson
 
 
 def atoms_in(mu, q):
-    f = 2 ** (mu.resolution - q.resolution)
+    """Mask of mu's atoms in the cube q, comparing every atom.
+
+    Cube and atoms are compared on the finer of their two lattices, so a
+    cube finer than mu's lattice is exact too.
+    """
+    up = 2 ** max(0, q.resolution - mu.resolution)
+    f = 2 ** max(0, mu.resolution - q.resolution)
     lo = np.array(q.lo, dtype=np.int64) * f
-    return mu.in_box(lo, lo + q.side * f)
+    pts = mu.points * up
+    return np.all((pts >= lo) & (pts < lo + q.side * f), axis=1)
 
 
 def _kids(q):
@@ -80,7 +95,7 @@ def best_subpartition(top, sigma_amb, omega, alpha, depth=None):
     term = {}
     for q in _subtree(top):
         p = poisson("standard", q, sigma_amb, alpha)
-        term[q] = (p / q.sidelength) ** 2 * _norm_moment(q, omega)
+        term[q] = (p / q.sidelength) ** 2 * norm_moment(q, omega)
 
     def solve(q, d):
         kids = _kids(q)
@@ -289,3 +304,159 @@ def iterated_stopping(fam, omega, f, t_factory, root, params):
     return {"stopping": order, "parent": parents, "criteria": crit,
             "alpha_bound": alphas, "shadow": _coarse_to_fine(shadow_set),
             "adjusted_at": adjusted_at, "adjusted": adjusted}
+
+
+# ---------------------------------------------------------------------------
+# A2 constants over restricted measures
+
+
+def norm_moment(q, mu):
+    sel = atoms_in(mu, q)
+    w = mu.masses[sel]
+    tot = float(w.sum())
+    if tot <= 0:
+        return 0.0
+    xs = mu.coords_float()[sel]
+    m = (w[:, None] * xs).sum(axis=0) / tot
+    return float(np.dot(w, ((xs - m) ** 2).sum(axis=1)))
+
+
+def puncture(q, mu, pts):
+    sel = atoms_in(mu, q)
+    best = 0.0
+    for i in np.nonzero(sel)[0]:
+        if tuple(mu.points[i]) in pts:
+            best = max(best, float(mu.masses[i]))
+    return float(mu.masses[sel].sum()) - best
+
+
+def a2_constants(sigma, omega, grids, alpha, include_augmented=True):
+    n = sigma.dim
+    pts = common_points(sigma, omega)
+    rep = A2Report(classicalA2_diverges=bool(pts))
+    for q in enumerate_cubes(grids, sigma, omega, include_augmented):
+        ell = q.sidelength
+        size = ell ** (n - alpha)
+        s_in = atoms_in(sigma, q)
+        w_in = atoms_in(omega, q)
+        qs = float(sigma.masses[s_in].sum())
+        qw = float(omega.masses[w_in].sum())
+        if qs == 0.0 and qw == 0.0:
+            continue
+        cands = {}
+        if qw > 0.0:
+            hole = poisson("reproducing", q, sigma.subset(~s_in), alpha)
+            cands["calA2"] = hole * qw / size
+        if qs > 0.0:
+            hole = poisson("reproducing", q, omega.subset(~w_in), alpha)
+            cands["calA2_star"] = hole * qs / size
+        if qs > 0.0 and qw > 0.0:
+            cands["classicalA2"] = qs * qw / size ** 2
+        if qs > 0.0:
+            cands["punct"] = puncture(q, omega, pts) * qs / size ** 2
+        if qw > 0.0:
+            cands["punct_star"] = puncture(q, sigma, pts) * qw / size ** 2
+        if qs > 0.0:
+            cands["energyA2"] = (norm_moment(q, omega) / ell ** 2) \
+                * qs / size ** 2
+        if qw > 0.0:
+            cands["energyA2_star"] = (norm_moment(q, sigma) / ell ** 2) \
+                * qw / size ** 2
+        for key, val in cands.items():
+            if val > getattr(rep, key):
+                setattr(rep, key, val)
+                rep.witnesses[key] = q
+    return rep
+
+
+# ---------------------------------------------------------------------------
+# goodness, face by face
+
+
+def dist2_min(lo4, hi4, reg):
+    """Smallest squared gap from the box [lo4, hi4] to a face of reg."""
+    def gap2(blo, bhi):
+        return sum(max(0, blo[a] - hi4[a], lo4[a] - bhi[a]) ** 2
+                   for a in range(len(lo4)))
+
+    return min(gap2(blo, bhi) for blo, bhi in reg.boxes4)
+
+
+def dist_cube_to_region(q, reg):
+    if not reg.boxes4:
+        return math.inf
+    return math.sqrt(dist2_min(q.lo4, q.hi4, reg)) / 2 ** (q.resolution + 2)
+
+
+def is_eps_good(j, k, eps, body_k):
+    if not body_k.boxes4:
+        return True, math.inf
+    f = 2 ** (k.resolution - j.resolution)
+    d2q = dist2_min(tuple(x * f for x in j.lo4),
+                    tuple(x * f for x in j.hi4), body_k)
+    sj = j.side * f
+    t2q = 64.0 * sj ** (2 * eps) * k.side ** (2 - 2 * eps)
+    return float(d2q) > t2q, math.sqrt(d2q) / 2 ** (k.resolution + 2)
+
+
+def sharp_cross(j, grid, eps, bodies):
+    """The finest ancestor of J in grid with J good in it and above."""
+    q = None
+    for k in _ancestor_chain(j, grid):
+        if k not in bodies:
+            bodies[k] = body(k)
+        if not is_eps_good(j, k, eps, bodies[k])[0]:
+            break
+        q = k
+    return q
+
+
+# ---------------------------------------------------------------------------
+# energies, one pass per Whitney variant and per strong direction
+# (each quotient from poisson() on a fresh Measure.subset of sigma)
+
+
+def whitney_energy(sigma, omega, grids, alpha, gamma, variant, depth):
+    best, witness = 0.0, None
+    for i in enumerate_cubes(grids, sigma, omega, True):
+        sel_i = atoms_in(sigma, i)
+        qs = float(sigma.masses[sel_i].sum())
+        if qs <= 0.0:
+            continue
+
+        def term(j):
+            out = 0.0
+            chosen, residual = whitney(j)
+            for m in chosen + residual:
+                if variant == "hole":
+                    sel = sel_i & ~_atoms_in_scaled(sigma, m, gamma)
+                elif variant == "partial":
+                    sel = sel_i & ~atoms_in(sigma, m)
+                else:
+                    sel = sel_i
+                p = poisson("standard", m, sigma.subset(sel), alpha)
+                out += (p / m.sidelength) ** 2 * norm_moment(m, omega)
+            return out
+
+        val, _ = best_partition(i, depth, term)
+        if val / qs > best:
+            best, witness = val / qs, i
+    return math.sqrt(best), witness
+
+
+def strong_energy(sigma, omega, cubes, alpha, depth):
+    best, witness, partition = 0.0, None, []
+    for i in cubes:
+        qs = float(sigma.masses[atoms_in(sigma, i)].sum())
+        if qs <= 0.0:
+            continue
+        amb = sigma.subset(atoms_in(sigma, i))
+
+        def term(j):
+            p = poisson("standard", j, amb, alpha)
+            return (p / j.sidelength) ** 2 * norm_moment(j, omega)
+
+        val, parts = best_partition(i, depth, term)
+        if val / qs > best:
+            best, witness, partition = val / qs, i, parts
+    return math.sqrt(best), witness, partition

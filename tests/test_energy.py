@@ -6,7 +6,6 @@ import pytest
 from twoweight.bfamily import make_family, mart_apply
 from twoweight.corona import cz_stopping
 from twoweight.energy import (
-    _atoms_in_scaled,
     functional_energy_context,
     functional_energy_estimate,
     functional_energy_lhs,
@@ -17,14 +16,13 @@ from twoweight.energy import (
     strong_energy,
     whitney_energy,
 )
-from twoweight.grid import make_grid, whitney
+from twoweight.grid import make_grid
 from twoweight.harness import generate_pair
 from twoweight.measure import Measure
-from twoweight.poisson_a2 import _norm_moment, a2_constants, \
-    enumerate_cubes, poisson
+from twoweight.poisson_a2 import a2_constants, enumerate_cubes, poisson
 from twoweight.singular import make_kernel
 
-from oracles import atoms_in, best_partition
+import oracles
 
 
 def std_grid(dim=1, M=3):
@@ -150,57 +148,8 @@ def test_whitney_rejects_bad_gamma():
 
 
 # ------------------------------------------------- one-pass energy oracles
-# The loops below are the earlier energy implementations, kept as
-# oracles: one pass per Whitney variant and per strong direction, each
-# quotient from poisson() on a fresh Measure.subset of sigma.  The
-# one-pass code masks memoised Poisson rows instead and must reproduce
-# them bit for bit.
-
-
-def oracle_whitney(sigma, omega, grids, alpha, gamma, variant, depth):
-    best, witness = 0.0, None
-    for i in enumerate_cubes(grids, sigma, omega, True):
-        sel_i = atoms_in(sigma, i)
-        qs = float(sigma.masses[sel_i].sum())
-        if qs <= 0.0:
-            continue
-
-        def term(j):
-            out = 0.0
-            chosen, residual = whitney(j)
-            for m in chosen + residual:
-                if variant == "hole":
-                    sel = sel_i & ~_atoms_in_scaled(sigma, m, gamma)
-                elif variant == "partial":
-                    sel = sel_i & ~atoms_in(sigma, m)
-                else:
-                    sel = sel_i
-                p = poisson("standard", m, sigma.subset(sel), alpha)
-                out += (p / m.sidelength) ** 2 * _norm_moment(m, omega)
-            return out
-
-        val, _ = best_partition(i, depth, term)
-        if val / qs > best:
-            best, witness = val / qs, i
-    return math.sqrt(best), witness
-
-
-def oracle_strong(sigma, omega, cubes, alpha, depth):
-    best, witness, partition = 0.0, None, []
-    for i in cubes:
-        qs = float(sigma.masses[atoms_in(sigma, i)].sum())
-        if qs <= 0.0:
-            continue
-        amb = sigma.subset(atoms_in(sigma, i))
-
-        def term(j):
-            p = poisson("standard", j, amb, alpha)
-            return (p / j.sidelength) ** 2 * _norm_moment(j, omega)
-
-        val, parts = best_partition(i, depth, term)
-        if val / qs > best:
-            best, witness, partition = val / qs, i, parts
-    return math.sqrt(best), witness, partition
+# The one-pass code masks memoised Poisson rows and must reproduce, bit
+# for bit, the per-variant and per-direction loops of oracles.py.
 
 
 def oracle_pair(dim, kind, seed):
@@ -225,7 +174,8 @@ def test_whitney_one_pass_matches_per_variant_oracle(dim, alpha, gamma,
     got = whitney_energy(sigma, omega, g, alpha, gamma, names, depth=depth)
     assert list(got) == list(names)
     for name in names:
-        want = oracle_whitney(sigma, omega, g, alpha, gamma, name, depth)
+        want = oracles.whitney_energy(sigma, omega, g, alpha, gamma, name,
+                                      depth)
         assert got[name] == want
         assert whitney_energy(sigma, omega, g, alpha, gamma, name,
                               depth=depth) == want
@@ -239,8 +189,8 @@ def test_strong_one_pass_matches_oracle(dim, alpha, gamma, kind, depth):
     g = [std_grid(dim=dim, M=sigma.resolution)]
     rep = strong_energy(sigma, omega, g, alpha, depth=depth)
     cubes = list(enumerate_cubes(g, sigma, omega, True))
-    s, w, parts = oracle_strong(sigma, omega, cubes, alpha, depth)
-    s2, w2, _ = oracle_strong(omega, sigma, cubes, alpha, depth)
+    s, w, parts = oracles.strong_energy(sigma, omega, cubes, alpha, depth)
+    s2, w2, _ = oracles.strong_energy(omega, sigma, cubes, alpha, depth)
     assert (rep.strong, rep.strong_witness, rep.strong_partition) \
         == (s, w, parts)
     assert (rep.strong_star, rep.strong_star_witness) == (s2, w2)

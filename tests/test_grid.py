@@ -18,6 +18,8 @@ from twoweight.grid import (
     whitney,
 )
 
+import oracles
+
 
 def std_grid(dim=1, M=3, N=0):
     bits = [[0] * (M - N) for _ in range(dim)]
@@ -402,3 +404,25 @@ def test_bad_probability_dim2_combines_axes():
 def test_bad_probability_needs_trials():
     with pytest.raises(ValueError):
         bad_probability_mc(1, 4, 0.5, 10, 0)
+
+
+@pytest.mark.parametrize("dim,M", [(1, 6), (2, 4)])
+def test_goodness_matches_the_face_by_face_oracle(dim, M):
+    g = make_grid(dim, M, 0, {"kind": "random", "seed": 11})
+    shifted = make_grid(dim, M, 0, {"kind": "gamma", "g": [5] * dim})
+    root = g.cube(0, (0,) * dim)
+    for k in (root, root.children()[0], root.children()[-1]):
+        for reg in (body(k), skeleton(k)):
+            for j in g.cubes(k.lo, k.hi):
+                if j.side > k.side:
+                    continue
+                for eps in (0.5, 0.9):
+                    assert is_eps_good(j, k, eps, reg) \
+                        == oracles.is_eps_good(j, k, eps, reg)
+                assert dist_cube_to_region(j, reg) \
+                    == oracles.dist_cube_to_region(j, reg)
+    live, bodies = {}, {}
+    for eps in (0.5, 0.9):
+        for j in shifted.cubes():
+            assert sharp_cross(j, g, eps, live)[0] \
+                == oracles.sharp_cross(j, g, eps, bodies)

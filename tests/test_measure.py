@@ -2,10 +2,10 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from twoweight.grid import make_grid
+from twoweight.grid import Cube, make_grid, whitney
 from twoweight.measure import (
     Measure,
     average_and_moment,
@@ -15,6 +15,8 @@ from twoweight.measure import (
     mass,
     puncture,
 )
+
+from oracles import atoms_in
 
 
 def std_grid(dim=1, M=3):
@@ -157,3 +159,80 @@ def test_mass_matches_direct_filter(atoms):
     lo, hi = (3,), (11,)
     direct = sum(m for a, m in atoms if 3 <= a < 11)
     assert mass((lo, hi), mu) == pytest.approx(direct)
+
+
+def test_cube_finer_than_the_lattice_holds_only_its_own_points():
+    # atoms at 0 and 1/2 on the lattice 2^-1, cubes of the lattice 2^-2
+    # and 2^-3: each holds an atom only where that atom lies inside it
+    mu = Measure.from_atoms(1, 1, [((0,), 1.0), ((1,), 2.0)])
+    assert mass(Cube(2, (0,), 1, 2, None), mu) == 1.0   # [0, 1/4)
+    assert mass(Cube(2, (1,), 1, 2, None), mu) == 0.0   # [1/4, 1/2)
+    assert mass(Cube(2, (2,), 1, 2, None), mu) == 2.0   # [1/2, 3/4)
+    assert mass(Cube(2, (3,), 1, 2, None), mu) == 0.0   # [3/4, 1)
+    assert mass(Cube(3, (2,), 4, 1, None), mu) == 2.0   # [1/4, 3/4)
+    assert mass(Cube(3, (5,), 4, 1, None), mu) == 0.0   # [5/8, 9/8)
+    assert not mu.in_cube(Cube(2, (1,), 1, 2, None)).any()
+
+
+def _grid_cubes(g):
+    """Grid, augmented, child and Whitney cubes of a grid."""
+    cubes = list(g.cubes()) + list(g.augmented_cubes())
+    top = g.cube(g.N, (0,) * g.dim)
+    chosen, residual = whitney(top)
+    return cubes + top.children() + chosen + residual
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.sampled_from([1, 2]), mu_res=st.integers(0, 5),
+       grid_m=st.integers(1, 4), kind=st.sampled_from(["beta", "gamma",
+                                                        "random"]),
+       natoms=st.integers(0, 25), seed=st.integers(0, 2 ** 16))
+@example(dim=2, mu_res=3, grid_m=2, kind="beta", natoms=0, seed=0)
+@example(dim=1, mu_res=0, grid_m=4, kind="gamma", natoms=3, seed=1)
+@example(dim=2, mu_res=1, grid_m=3, kind="random", natoms=25, seed=2)
+def test_atoms_index_matches_the_scan(dim, mu_res, grid_m, kind, natoms,
+                                      seed):
+    rng = np.random.default_rng(seed)
+    side = 2 ** mu_res
+    pts = rng.integers(-side, 2 * side, size=(natoms, dim))
+    mu = Measure.from_atoms(dim, mu_res, [(p, 1.0 + k)
+                                          for k, p in enumerate(pts)])
+    if kind == "beta":
+        param = {"kind": "beta", "bits": rng.integers(
+            0, 2, size=(dim, grid_m + 1)).tolist()}
+    elif kind == "gamma":
+        param = {"kind": "gamma",
+                 "g": rng.integers(0, 2 ** (grid_m + 1), size=dim).tolist()}
+    else:
+        param = {"kind": "random", "seed": seed}
+    g = make_grid(dim, grid_m, -1, param)
+    for q in _grid_cubes(g):
+        want = atoms_in(mu, q)
+        got = mu.atoms(q)
+        assert np.array_equal(got, np.flatnonzero(want))
+        assert np.all(np.diff(got) > 0)
+        assert np.array_equal(mu.in_cube(q), want)
+
+
+def test_measure_built_directly_round_trips():
+    mu = Measure(2, 3, np.array([[1, 5], [0, 0]]), np.array([0.1, 2.75]))
+    again = load_measure(dump_measure(mu))
+    assert np.array_equal(again.masses, [2.75, 0.1])
+    assert again.mass_strs == ("2.75", "0.1")
+
+
+def test_scaled_and_subset_measures_round_trip():
+    mu = load_measure(json.dumps({
+        "dim": 1, "resolution": 2,
+        "atoms": [{"num": [1], "mass": "0.1"}, {"num": [3], "mass": "3"}]}))
+    big = mu.scaled(3.0)
+    assert big.mass_strs == (repr(0.1 * 3.0), "9.0")
+    assert np.array_equal(load_measure(dump_measure(big)).masses,
+                          big.masses)
+    assert mu.subset([False, True]).mass_strs == ("3",)
+    bare = Measure(1, 2, mu.points, mu.masses)
+    assert bare.subset([True, False]).mass_strs == ()
+    assert bare.scaled(3.0).mass_strs == ()
+    for m in (bare.subset([True, False]), bare.scaled(3.0)):
+        assert np.array_equal(load_measure(dump_measure(m)).masses,
+                              m.masses)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from twoweight.grid import make_grid
+from twoweight.harness import generate_pair
 from twoweight.measure import Measure, mass
 from twoweight.poisson_a2 import (
     a2_constants,
@@ -11,6 +12,8 @@ from twoweight.poisson_a2 import (
     halfspace_poisson,
     poisson,
 )
+
+import oracles
 
 
 def std_grid(dim=1, M=4, N=0):
@@ -234,3 +237,24 @@ def test_witnesses_recorded():
     d = rep.as_dict()
     assert "calA2" in d["witnesses"]
     assert d["aggregate"] >= d["calA2"]
+
+
+@pytest.mark.parametrize("augmented", [True, False])
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+@pytest.mark.parametrize("dim,generator", [(1, "random_atomic"),
+                                           (1, "common_atoms"),
+                                           (2, "random_atomic"),
+                                           (2, "common_atoms")])
+def test_a2_constants_match_the_restricted_measure_oracle(dim, generator,
+                                                          alpha, augmented):
+    # the holes are masked rows of one Poisson row per cube, the oracle
+    # restricts the measure for each; both sum the same terms in order
+    m = 4 if dim == 1 else 3
+    sigma, omega = generate_pair(generator, {"dim": dim, "resolution": m,
+                                             "natoms": 12}, 5)
+    grids = [make_grid(dim, m, -1, {"kind": "random", "seed": 3}),
+             make_grid(dim, m, 0, {"kind": "gamma", "g": [1] * dim})]
+    got = a2_constants(sigma, omega, grids, alpha, augmented)
+    want = oracles.a2_constants(sigma, omega, grids, alpha, augmented)
+    assert got.as_dict() == want.as_dict()
+    assert got.calA2 > 0.0 and got.calA2_star > 0.0

@@ -71,6 +71,13 @@ CORPUS = {
     "d2_doubling_like": (
         dict(dim=2, resolution=2, seed=1, generator="doubling_like"),
         "33a6c2112a580faeb24d52b5ff4df87aed1d813ec49698e563927f1406a09704"),
+    # the verify_2d benchmark size: deep bodies and 85-piece subpartitions
+    "d2_res4_hundred_atoms": (
+        dict(dim=2, resolution=4, natoms=100, seed=1),
+        "d972bb4d63ed13a6dcf82393e2f6b4a973cd801274c2799c226fdb1b32132208"),
+    "d1_global_family": (
+        dict(dim=1, resolution=5, seed=2, family_kind="global"),
+        "47cb4d84f1213b839e32de126a6c57ba6233dbddeb044f0ae0db9931a7fcd167"),
 }
 
 
