@@ -31,7 +31,7 @@ def _mass_str(m) -> str:
     return repr(float(m))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)       # equality is identity
 class Measure:
     """Finite atomic nonnegative measure at resolution 2^-M.
 
@@ -44,10 +44,9 @@ class Measure:
     resolution: int
     points: np.ndarray
     masses: np.ndarray
-    mass_strs: tuple = field(default=(), compare=False)
+    mass_strs: tuple = ()
     # (side, phase) -> {cell: ascending atom indices}, built by atoms()
-    _index: dict = field(default_factory=dict, init=False, compare=False,
-                         repr=False)
+    _index: dict = field(default_factory=dict, init=False, repr=False)
 
     @staticmethod
     def from_atoms(dim, resolution, atoms) -> "Measure":

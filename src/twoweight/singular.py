@@ -28,9 +28,11 @@ __all__ = [
     "ntv",
 ]
 
-_SVD_CUTOFF = 2000
-_POWER_MAX_ITER = 10_000
-_POWER_TOL = 1e-8
+_SVD_CUTOFF = 2000     # largest matrix side for the dense SVD
+_BLOCK = 1 << 15       # kernel entries evaluated per row block
+_LANCZOS_STEPS = 128   # bidiagonalisation steps before a restart
+_LANCZOS_CYCLES = 50   # restarts before the best estimate is returned
+_LANCZOS_TOL = 1e-13   # top Ritz residual, relative to the value
 
 
 @dataclass(frozen=True)
@@ -99,14 +101,29 @@ def _kernel_values(spec: KernelSpec, xs: np.ndarray, ys: np.ndarray):
     return np.where(keep[..., None], diff * scale[..., None], 0.0)
 
 
+def _row_blocks(spec: KernelSpec, xs: np.ndarray, ys: np.ndarray):
+    """(lo, vals), vals[i - lo, j] = K(xs[i], ys[j]), in row blocks of
+    about _BLOCK entries; custom kernels are called in row-major order."""
+    step = max(1, _BLOCK // max(len(ys), 1))
+    for lo in range(0, len(xs), step):
+        yield lo, _kernel_values(spec, xs[lo:lo + step, None, :],
+                                 ys[None, :, :])
+
+
 def _eval_matrix(spec: KernelSpec, xs: np.ndarray, ys: np.ndarray):
     """Truncated kernel values for every x in xs against every y in ys.
 
-    Shape (len(xs), len(ys)), with a trailing dim axis for vector kernels.
+    Shape (len(xs), len(ys)), with a trailing dim axis for vector kernels;
+    at most 10^4 points a side.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
     ys = np.atleast_2d(np.asarray(ys, dtype=np.float64))
-    return _kernel_values(spec, xs[:, None, :], ys[None, :, :])
+    if max(len(xs), len(ys)) > 10_000:
+        raise ValueError("atom counts must stay at or below 10^4")
+    out = np.empty((len(xs), len(ys)) + xs.shape[1:] * spec.vector_valued)
+    for lo, vals in _row_blocks(spec, xs, ys):
+        out[lo:lo + len(vals)] = vals
+    return out
 
 
 def _sample_pairs(dim, delta, radius, count, rng):
@@ -212,15 +229,19 @@ def apply(kernel: KernelSpec, sigma: Measure, f, omega: Measure,
 
     f is an array over the sigma atoms.  With transpose=True the kernel
     arguments are swapped, giving the dual operator.  Vector kernels
-    return shape (omega.natoms, dim).
+    return shape (omega.natoms, dim).  The kernel is streamed in row
+    blocks of omega atoms, or of sigma atoms summed with transpose=True.
     """
-    f = _over_atoms(f, sigma)
+    wf = sigma.masses * _over_atoms(f, sigma)
+    xs, ys = omega.coords_float(), sigma.coords_float()
+    out = np.zeros((len(xs),) + xs.shape[1:] * kernel.vector_valued)
     if transpose:
-        kt = _eval_matrix(kernel, sigma.coords_float(), omega.coords_float())
-        k = np.swapaxes(kt, 0, 1)
+        for lo, vals in _row_blocks(kernel, ys, xs):
+            out += _matvec(np.swapaxes(vals, 0, 1), wf[lo:lo + len(vals)])
     else:
-        k = _eval_matrix(kernel, omega.coords_float(), sigma.coords_float())
-    return _matvec(k, sigma.masses * f)
+        for lo, vals in _row_blocks(kernel, xs, ys):
+            out[lo:lo + len(vals)] = _matvec(vals, wf)
+    return out
 
 
 def _over_atoms(f, mu: Measure) -> np.ndarray:
@@ -237,62 +258,80 @@ def _matvec(k: np.ndarray, wf: np.ndarray) -> np.ndarray:
     return k @ wf
 
 
-def _kernel_matrix(kernel: KernelSpec, sigma: Measure, omega: Measure):
-    """The (omega x sigma) kernel matrix, within the atom-count cap."""
-    if sigma.natoms > 10_000 or omega.natoms > 10_000:
-        raise ValueError("atom counts must stay at or below 10^4")
-    return _eval_matrix(kernel, omega.coords_float(), sigma.coords_float())
-
-
 def _matrix_norm(kernel: KernelSpec, k: np.ndarray, sigma: Measure,
                  omega: Measure) -> float:
-    """Norm of the operator whose (omega x sigma) kernel matrix is k."""
+    """Norm of the operator whose (omega x sigma) kernel matrix is k: dense
+    SVD up to _SVD_CUTOFF stacked rows and columns, Lanczos above."""
     if sigma.natoms == 0 or omega.natoms == 0:
         return 0.0
+    d = kernel.dim if kernel.vector_valued else 1
+    if max(d * omega.natoms, sigma.natoms) > _SVD_CUTOFF:
+        return _lanczos_norm(k.reshape(omega.natoms, -1), d,
+                             np.sqrt(omega.masses), np.sqrt(sigma.masses))
     if kernel.vector_valued:
-        k = np.concatenate([k[:, :, d] for d in range(kernel.dim)], axis=0)
-        wl = np.tile(np.sqrt(omega.masses), kernel.dim)
-    else:
-        wl = np.sqrt(omega.masses)
+        k = np.concatenate([k[:, :, c] for c in range(d)], axis=0)
+    wl = np.tile(np.sqrt(omega.masses), d)
     a = wl[:, None] * k * np.sqrt(sigma.masses)[None, :]
-    if max(a.shape) <= _SVD_CUTOFF:
-        return float(np.linalg.svd(a, compute_uv=False)[0])
-    # power iteration on the Gram matrix, relative tolerance on the value
-    g = a.T @ a if a.shape[0] >= a.shape[1] else a @ a.T
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(g.shape[0])
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(_POWER_MAX_ITER):
-        w = g @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v_new = w / nw
-        lam_new = float(v_new @ (g @ v_new))
-        if abs(lam_new - lam) <= _POWER_TOL * max(lam_new, 1e-300):
-            return math.sqrt(lam_new)
-        v, lam = v_new, lam_new
-    resid = float(np.linalg.norm(g @ v - lam * v))
-    raise RuntimeError(f"power iteration did not converge, residual {resid}")
+    return float(np.linalg.svd(a, compute_uv=False)[0])
+
+
+def _orthogonalise(r: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """r minus its projection on the orthonormal rows of basis, twice."""
+    for _ in range(2):
+        r = r - basis.T @ (basis @ r)
+    return r
+
+
+def _lanczos_norm(k2: np.ndarray, d: int, wl: np.ndarray,
+                  wr: np.ndarray) -> float:
+    """Largest singular value of A = diag(wl) K diag(wr), K x = k2 (x kron
+    I_d), by Golub-Kahan-Lanczos bidiagonalisation A V = U B (Golub &
+    Kahan 1965) with full reorthogonalisation from a seeded random start.
+    It stops once the top Ritz residual beta_j |y_j| is at most
+    _LANCZOS_TOL theta, or once the Krylov space closes (theta is then
+    exact).  It restarts from the top Ritz vector every _LANCZOS_STEPS
+    steps, at most _LANCZOS_CYCLES times."""
+    eye, wl = np.eye(d), np.repeat(wl, d)
+    m, n = len(wl), len(wr)
+    steps = min(_LANCZOS_STEPS, min(m, n) + 1)
+    v, theta = np.random.default_rng(0).standard_normal(n), 0.0
+    for _ in range(_LANCZOS_CYCLES):
+        us, vs = np.zeros((steps, m)), np.zeros((steps + 1, n))
+        alpha, beta = np.zeros(steps), np.zeros(steps)
+        vs[0] = v / np.linalg.norm(v)
+        for j in range(steps):
+            # A v_j - beta_{j-1} u_{j-1}; beta[-1] is still 0 at j = 0
+            x = np.kron((wr * vs[j])[:, None], eye)
+            r = wl * (x.T @ k2.T).T.ravel() - beta[j - 1] * us[j - 1]
+            alpha[j] = np.linalg.norm(r := _orthogonalise(r, us[:j]))
+            if alpha[j] > 0.0:      # else the space closed: beta_j = 0
+                us[j] = r / alpha[j]
+                p = ((wl * us[j]).reshape(-1, d).T @ k2).reshape(d, n, d)
+                s = wr * np.trace(p, axis1=0, axis2=2) - alpha[j] * vs[j]
+                beta[j] = np.linalg.norm(s := _orthogonalise(s, vs[:j + 1]))
+            y, sv, xt = np.linalg.svd(np.diag(alpha[:j + 1])
+                                      + np.diag(beta[:j], 1))
+            theta = float(sv[0])
+            if beta[j] * abs(y[j, 0]) <= _LANCZOS_TOL * theta:
+                return theta
+            vs[j + 1] = s / beta[j]
+        v = xt[0] @ vs[:steps]
+    return theta
 
 
 def operator_norm(kernel: KernelSpec, sigma: Measure, omega: Measure) -> float:
     """Two-weight L2(sigma) -> L2(omega) norm of the truncated operator."""
-    return _matrix_norm(kernel, _kernel_matrix(kernel, sigma, omega),
-                        sigma, omega)
+    k = _eval_matrix(kernel, omega.coords_float(), sigma.coords_float())
+    return _matrix_norm(kernel, k, sigma, omega)
 
 
 # ---------------------------------------------------------------------------
 # testing constants
 
 
-def _test_integrals(k: np.ndarray, src: Measure, b, dst: Measure):
-    """Callable q -> integral over q of |k (b dsrc)|^2 against dst.
-
-    k is the (dst x src) kernel matrix and b an array over the src atoms.
-    """
-    vals = _matvec(k, src.masses * _over_atoms(b, src))
+def _test_integrals(vals: np.ndarray, dst: Measure):
+    """Callable q -> integral over q of |vals|^2 against dst, for vals
+    an operator's values at the dst atoms."""
     sq = vals * vals
     if sq.ndim == 2:
         sq = sq.sum(axis=1)
@@ -311,10 +350,9 @@ def local_test_integrals(kernel: KernelSpec, sigma: Measure, omega: Measure,
     With transpose=True the roles swap: b lives on the omega atoms and
     the result integrates against sigma.
     """
-    k = _eval_matrix(kernel, omega.coords_float(), sigma.coords_float())
     if transpose:
-        return _test_integrals(np.swapaxes(k, 0, 1), omega, b, sigma)
-    return _test_integrals(k, sigma, b, omega)
+        return _test_integrals(apply(kernel, omega, b, sigma, True), sigma)
+    return _test_integrals(apply(kernel, sigma, b, omega), omega)
 
 
 def _one_direction(k: np.ndarray, src: Measure, dst: Measure,
@@ -324,7 +362,8 @@ def _one_direction(k: np.ndarray, src: Measure, dst: Measure,
         qs = fam.mass(q)
         if qs <= 0.0:
             continue
-        quot = _test_integrals(k, src, fam.b(q), dst)(q) / qs
+        vals = _matvec(k, src.masses * _over_atoms(fam.b(q), src))
+        quot = _test_integrals(vals, dst)(q) / qs
         rows.append((q, quot))
         if quot > best:
             best, witness = quot, q
@@ -341,7 +380,7 @@ def testing_constants(kernel: KernelSpec, sigma: Measure, omega: Measure,
     constants come from one evaluation of the kernel matrix: the dual
     uses its transpose.
     """
-    k = _kernel_matrix(kernel, sigma, omega)
+    k = _eval_matrix(kernel, omega.coords_float(), sigma.coords_float())
     fwd, fw, ft = _one_direction(k, sigma, omega, bfam)
     dual, dw, dt = _one_direction(np.swapaxes(k, 0, 1), omega, sigma,
                                   bstar_fam)

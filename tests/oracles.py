@@ -5,8 +5,9 @@ so that a refactor is checked against an implementation it does not
 share: the cube lookup as a scan of every atom, the A2 loop over
 restricted measures, the face-by-face goodness distance, the
 stopping-time constructions as five separate loops, the
-best-subpartition recursion, and one energy pass per Whitney variant
-and per strong direction.  Tests compare the live code with them.
+best-subpartition recursion, one energy pass per Whitney variant
+and per strong direction, and the kernel matrix and operator applied
+in one shot.  Tests compare the live code with them.
 """
 
 import math
@@ -18,6 +19,7 @@ from twoweight.energy import _atoms_in_scaled
 from twoweight.grid import _ancestor_chain, body, whitney
 from twoweight.measure import common_points
 from twoweight.poisson_a2 import A2Report, enumerate_cubes, poisson
+from twoweight.singular import _kernel_values
 
 
 def atoms_in(mu, q):
@@ -460,3 +462,21 @@ def strong_energy(sigma, omega, cubes, alpha, depth):
         if val / qs > best:
             best, witness, partition = val / qs, i, parts
     return math.sqrt(best), witness, partition
+
+
+def eval_matrix(spec, xs, ys):
+    """The kernel matrix over xs x ys from one broadcast evaluation."""
+    xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
+    ys = np.atleast_2d(np.asarray(ys, dtype=np.float64))
+    return _kernel_values(spec, xs[:, None, :], ys[None, :, :])
+
+
+def apply(kernel, sigma, f, omega, transpose=False):
+    """The operator at the omega atoms from the whole kernel matrix."""
+    if transpose:
+        kt = eval_matrix(kernel, sigma.coords_float(), omega.coords_float())
+        k = np.swapaxes(kt, 0, 1)
+    else:
+        k = eval_matrix(kernel, omega.coords_float(), sigma.coords_float())
+    wf = sigma.masses * np.asarray(f, dtype=np.float64)
+    return np.einsum("ijd,j->id", k, wf) if k.ndim == 3 else k @ wf

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -236,3 +237,10 @@ def test_scaled_and_subset_measures_round_trip():
     for m in (bare.subset([True, False]), bare.scaled(3.0)):
         assert np.array_equal(load_measure(dump_measure(m)).masses,
                               m.masses)
+
+
+def test_measures_compare_by_identity():
+    mu = Measure.from_atoms(1, 3, [((1,), 0.5), ((4,), 1.5)])
+    doubled = dataclasses.replace(mu, masses=2 * mu.masses)
+    assert (doubled == mu) is False
+    assert mu == mu and len({mu, doubled, mu}) == 2

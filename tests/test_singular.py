@@ -17,6 +17,8 @@ from twoweight.singular import (
     testing_constants,
 )
 
+import oracles
+
 
 def std_grid(dim=1, M=3):
     return make_grid(dim, M, 0, {"kind": "beta", "bits": [[0] * M] * dim})
@@ -27,6 +29,15 @@ def lattice_measure(rng, dim=1, M=3):
            for k in range(2 ** (dim * M))]
     return Measure.from_atoms(dim, M, [(p, float(m)) for p, m in
                                        zip(pts, rng.random(len(pts)) + 0.2)])
+
+
+CUSTOM = dict(kind="custom", func=lambda x, y: 0.5 / float(x[0] - y[0]),
+              c_cz=1.0)
+
+
+def _kernel(dim, kw):
+    kw = dict(kw)
+    return make_kernel(dim, kw.pop("alpha", 0.0), kw.pop("kind"), **kw)
 
 
 def single_atom(dim, M, point, w=1.0):
@@ -171,6 +182,83 @@ def test_vector_kernel_shape_and_magnitude():
     assert np.linalg.norm(out[0]) == pytest.approx(r ** (0.5 - 2))
 
 
+def _counting_custom():
+    """A custom kernel and the list of pairs its func was called with
+    after validation."""
+    calls = []
+
+    def func(x, y):
+        calls.append((tuple(x), tuple(y)))
+        return 0.5 / float(x[0] - y[0])
+    kernel = make_kernel(1, 0.0, "custom", func=func, c_cz=1.0)
+    calls.clear()
+    return kernel, calls
+
+
+BLOCK_KERNELS = [
+    (1, dict(kind="riesz")),
+    (2, dict(kind="riesz", component=1, alpha=0.5)),
+    (2, dict(kind="riesz_vector", alpha=0.5)),
+    (1, CUSTOM),
+]
+
+
+@pytest.mark.parametrize("block", [16, None])
+@pytest.mark.parametrize("dim,kw", BLOCK_KERNELS)
+def test_blocked_eval_matrix_equals_the_one_shot_matrix(monkeypatch, block,
+                                                        dim, kw):
+    kernel = _kernel(dim, kw)
+    rng = np.random.default_rng(12)
+    # with the default block, 700 rows of 100 entries make blocks of
+    # 327, 327 and 46 rows; a 16-entry block takes 3 rows of 5 at a time
+    rows, cols = (10, 5) if block else (700, 100)
+    if block:
+        monkeypatch.setattr(sg, "_BLOCK", block)
+    xs = rng.integers(0, 64, (rows, dim)) / 64.0
+    ys = rng.integers(0, 64, (cols, dim)) / 64.0
+    got = sg._eval_matrix(kernel, xs, ys)
+    assert np.array_equal(got, oracles.eval_matrix(kernel, xs, ys))
+    assert got.shape == (rows, cols) + ((dim,) if kernel.vector_valued
+                                        else ())
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+@pytest.mark.parametrize("dim,kw", BLOCK_KERNELS)
+def test_streamed_apply_matches_the_whole_matrix(monkeypatch, transpose,
+                                                 dim, kw):
+    kernel = _kernel(dim, kw)
+    rng = np.random.default_rng(13)
+    sigma = _sparse_measure(rng, dim, 6 // dim, 23)
+    omega = _sparse_measure(rng, dim, 6 // dim, 17)
+    f = rng.standard_normal(sigma.natoms)
+    want = oracles.apply(kernel, sigma, f, omega, transpose)
+    monkeypatch.setattr(sg, "_BLOCK", 40)     # blocks of 1 or 2 rows
+    got = apply(kernel, sigma, f, omega, transpose=transpose)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+def test_custom_kernel_called_once_per_kept_pair(monkeypatch, transpose):
+    rng = np.random.default_rng(14)
+    sigma = _sparse_measure(rng, 1, 6, 23)
+    omega = _sparse_measure(rng, 1, 6, 17)
+    f = np.ones(sigma.natoms)
+    (k1, whole), (k2, streamed), (k3, blocked) = (_counting_custom()
+                                                  for _ in range(3))
+    oracles.apply(k1, sigma, f, omega, transpose)
+    monkeypatch.setattr(sg, "_BLOCK", 40)
+    apply(k2, sigma, f, omega, transpose=transpose)
+    xs, ys = omega.coords_float(), sigma.coords_float()
+    if transpose:
+        xs, ys = ys, xs
+    sg._eval_matrix(k3, xs, ys)
+    # atoms closer than the radius: only common atoms are cut off
+    common = len(set(sigma.points[:, 0]) & set(omega.points[:, 0]))
+    assert len(whole) == sigma.natoms * omega.natoms - common > 0
+    assert streamed == whole and blocked == whole
+
+
 # ---------------------------------------------------------- operator_norm
 
 def test_norm_empty_sigma():
@@ -211,6 +299,98 @@ def test_power_iteration_matches_svd(monkeypatch):
     dense = operator_norm(k, sigma, omega)
     monkeypatch.setattr(sg, "_SVD_CUTOFF", 1)
     assert operator_norm(k, sigma, omega) == pytest.approx(dense, rel=1e-6)
+
+
+def _lanczos_calls(monkeypatch, cutoff=0):
+    """Set the dense-SVD cutoff and count the Lanczos norm's calls."""
+    calls = []
+    real = sg._lanczos_norm
+    monkeypatch.setattr(sg, "_SVD_CUTOFF", cutoff)
+    monkeypatch.setattr(sg, "_lanczos_norm",
+                        lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+@pytest.mark.parametrize("dim,kw,n_sigma,n_omega", [
+    (1, dict(kind="riesz"), 16, 16),
+    (1, dict(kind="riesz", alpha=0.4), 5, 30),
+    (2, dict(kind="riesz", component=1, alpha=0.5), 21, 21),
+    (2, dict(kind="riesz_vector", alpha=0.5), 21, 22),
+    (2, dict(kind="riesz_vector"), 40, 7),
+    (1, CUSTOM, 12, 9),
+    (1, dict(kind="riesz"), 1, 20),
+    (2, dict(kind="riesz_vector"), 1, 20),
+    (1, dict(kind="riesz"), 20, 1),
+])
+def test_lanczos_norm_matches_dense_svd(monkeypatch, dim, kw, n_sigma,
+                                        n_omega):
+    kernel = _kernel(dim, kw)
+    rng = np.random.default_rng(3 * n_sigma + n_omega)
+    sigma = _sparse_measure(rng, dim, 6 // dim, n_sigma)
+    omega = _sparse_measure(rng, dim, 6 // dim, n_omega)
+    dense = operator_norm(kernel, sigma, omega)
+    calls = _lanczos_calls(monkeypatch)
+    got = operator_norm(kernel, sigma, omega)
+    assert len(calls) == 1 and dense > 0.0
+    assert abs(got - dense) <= 1e-12 * dense
+
+
+def test_lanczos_norm_of_the_all_truncated_matrix_is_zero(monkeypatch):
+    kernel = make_kernel(2, 0.0, "riesz_vector", delta_trunc=5.0,
+                         radius=10.0)
+    rng = np.random.default_rng(4)
+    sigma = _sparse_measure(rng, 2, 3, 30)
+    omega = _sparse_measure(rng, 2, 3, 25)
+    calls = _lanczos_calls(monkeypatch)
+    assert operator_norm(kernel, sigma, omega) == 0.0 and len(calls) == 1
+
+
+@pytest.mark.parametrize("steps,cycles", [(3, 50), (2, 1)])
+def test_lanczos_restarts_instead_of_raising(monkeypatch, steps, cycles):
+    kernel = make_kernel(1, 0.0, "riesz")
+    rng = np.random.default_rng(9)
+    sigma = _sparse_measure(rng, 1, 6, 40)
+    omega = _sparse_measure(rng, 1, 6, 35)
+    dense = operator_norm(kernel, sigma, omega)
+    _lanczos_calls(monkeypatch)
+    monkeypatch.setattr(sg, "_LANCZOS_STEPS", steps)
+    monkeypatch.setattr(sg, "_LANCZOS_CYCLES", cycles)
+    got = operator_norm(kernel, sigma, omega)
+    # a Ritz value never exceeds the norm; enough restarts reach it
+    assert 0.0 < got <= dense * (1 + 1e-12)
+    if cycles > 1:
+        assert abs(got - dense) <= 1e-12 * dense
+
+
+def test_reorthogonalisation_holds_for_a_vector_near_the_span():
+    # one Gram-Schmidt pass leaves about 1e-16 / 1e-10 of the span in r
+    rng = np.random.default_rng(10)
+    basis = np.linalg.qr(rng.standard_normal((100, 5)))[0].T
+    r = basis.T @ rng.standard_normal(5) + 1e-10 * rng.standard_normal(100)
+    out = sg._orthogonalise(r, basis)
+    assert np.abs(basis @ out).max() <= 1e-14 * np.linalg.norm(out)
+
+
+def test_atom_cap_refuses_before_evaluating():
+    k = make_kernel(1, 0.0, "riesz")
+    big = Measure(1, 14, np.arange(10_001, dtype=np.int64)[:, None],
+                  np.ones(10_001))
+    with pytest.raises(ValueError, match="10\\^4"):
+        operator_norm(k, big, single_atom(1, 14, (3,)))
+
+
+def test_lanczos_norm_just_above_the_cutoff(monkeypatch):
+    kernel = make_kernel(2, 0.0, "riesz")
+    rng = np.random.default_rng(11)
+    sigma = _sparse_measure(rng, 2, 6, sg._SVD_CUTOFF + 1)
+    omega = _sparse_measure(rng, 2, 6, 40)
+    calls = _lanczos_calls(monkeypatch, cutoff=sg._SVD_CUTOFF)
+    got = operator_norm(kernel, sigma, omega)
+    k = oracles.eval_matrix(kernel, omega.coords_float(),
+                            sigma.coords_float())
+    a = np.sqrt(omega.masses)[:, None] * k * np.sqrt(sigma.masses)[None, :]
+    dense = float(np.linalg.svd(a, compute_uv=False)[0])
+    assert len(calls) == 1 and abs(got - dense) <= 1e-12 * dense
 
 
 # ------------------------------------------------------- testing constants
@@ -319,10 +499,6 @@ def _assert_matches_loop(kernel, sigma, omega, bf, bs):
     assert rep.forward == fwd and rep.dual == dual and rep.norm == nrm
     assert rep.forward_witness == fw and rep.dual_witness == dw
     assert rep.table == rows
-
-
-CUSTOM = dict(kind="custom", func=lambda x, y: 0.5 / float(x[0] - y[0]),
-              c_cz=1.0)
 
 
 @pytest.mark.parametrize("dim,M,kw", [
