@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .grid import Cube, Grid, subtree
 from .measure import Measure
@@ -33,6 +32,8 @@ __all__ = [
 ]
 
 _ZERO = 1e-14
+_INF_TOL = 1e-13    # certified gap of the broken-child infimum, relative
+_INF_STEPS = 100    # descent steps before the best value is returned
 
 
 @dataclass
@@ -456,35 +457,103 @@ def _coordwise(fam: BFamily, op: str, q: Cube, coords) -> list:
 
 
 def _broken_inf_term(fam: BFamily, q: Cube, coords: np.ndarray,
-                     extra_candidates=()) -> float:
-    """inf over z of sum_{J' broken} |J'| (E_{J'} |x - z|)^2.
+                     extra_candidates=()) -> tuple:
+    """(value, gap): inf over z of sum_{J' broken} |J'| (E_{J'} |x - z|)^2.
 
-    The objective is convex in z, so a local search from the best of a
-    few natural candidates finds the infimum.
+    The infimum lies in [value - gap, value].  The search starts from the
+    best of the broken children's barycentres, the parent's barycentre
+    and the extra candidates, and only descends from there.
     """
     brok = fam.broken_children.get(q, frozenset())
     brok = [c for c in brok if fam.mass(c) > 0]
     if not brok:
-        return 0.0
+        return 0.0, 0.0
     w = fam.mu.masses
-    sels = [fam.mu.in_cube(c) for c in brok]
-
-    def objective(z):
-        tot = 0.0
-        for c, sel in zip(brok, sels):
-            d = np.sqrt(((coords[sel] - z) ** 2).sum(axis=1))
-            m = float(w[sel].sum())
-            tot += m * (float(np.dot(w[sel], d)) / m) ** 2
-        return tot
-
+    sels = [fam.mu.in_cube(c) for c in brok + [q]]
     cands = [coords[sel].T @ w[sel] / w[sel].sum() for sel in sels]
-    qsel = fam.mu.in_cube(q)
-    cands.append(coords[qsel].T @ w[qsel] / w[qsel].sum())
     cands.extend(np.asarray(c, dtype=np.float64) for c in extra_candidates)
-    best = min(cands, key=objective)
-    res = minimize(objective, best, method="Nelder-Mead",
-                   options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 400})
-    return min(objective(best), float(res.fun))
+    inside = np.any(sels[:-1], axis=0)
+    member = (np.array(sels[:-1]) * w)[:, inside]
+    return _certified_min(coords[inside], member, cands)
+
+
+def _certified_min(pts: np.ndarray, member: np.ndarray, cands) -> tuple:
+    """(value, gap) for f(z) = sum_J (sum_i member[J, i] |pts_i - z|)^2 / m_J,
+    m_J the row sums of member, searched from the best candidate.
+
+    f is convex, and its minimiser z* lies in the convex hull of pts
+    (projecting z onto the hull shortens every distance), so for any
+    subgradient s at z, f(z*) >= f(z) - |s| max_i |pts_i - z|.  With the
+    minimal-norm subgradient at every point visited, the largest such
+    bound is the lower end of the gap and the smallest value its upper
+    end.
+
+    Each step tries a Newton step on the smooth part, then a steepest-
+    descent step (the other order on an atom), each halved until f falls
+    by a fixed share of its slope; a whole step may also leave f level up
+    to rounding, which lets Newton polish where f no longer resolves.  It
+    then moves to the nearest atom if that lowers f.  The search stops
+    once the gap is at most _INF_TOL of the value, when no step moves,
+    or after _INF_STEPS steps, and never raises.
+    """
+    mass = member.sum(axis=1)
+    eye = np.eye(pts.shape[1])
+
+    def value(z):
+        g = member @ np.sqrt(((pts - z) ** 2).sum(axis=1))
+        return float((g * g / mass).sum())
+
+    z = min(cands, key=value)
+    f = best = value(z)
+    low = 0.0
+    for step in range(_INF_STEPS + 1):
+        diff = z - pts
+        dist = np.sqrt((diff * diff).sum(axis=1))
+        off = dist > 0.0
+        u = np.zeros_like(diff)
+        u[off] = diff[off] / dist[off, None]
+        coef = 2 * (member @ dist) / mass        # d f / d g_J
+        big_g = member @ u                       # gradients of the g_J
+        s = coef @ big_g
+        # an atom at z adds a ball of radius coef @ member[:, i]; the
+        # shortest subgradient is s shrunk by that radius
+        norm_s = float(np.linalg.norm(s))
+        if norm_s > 0.0:
+            ball = float(coef @ member[:, ~off].sum(axis=1))
+            s *= max(0.0, 1.0 - ball / norm_s)
+            norm_s = float(np.linalg.norm(s))
+        low = max(low, f - norm_s * float(dist.max()))
+        if best - low <= _INF_TOL * best or step == _INF_STEPS:
+            break
+        a = np.zeros(len(dist))                  # curvature across u_i
+        a[off] = (coef @ member)[off] / dist[off]
+        hess = 2 * (big_g.T / mass) @ big_g \
+            + a.sum() * eye - (u * a[:, None]).T @ u
+        slack = f * (1.0 + 4 * np.finfo(float).eps)
+        steps = [-np.linalg.lstsq(hess, s, rcond=None)[0],
+                 -s * (dist.max() / norm_s)]
+        if not off.all():           # on an atom -s is the steepest descent
+            steps.reverse()
+        moved = False
+        for p in steps:
+            t, slope = 1.0, min(float(s @ p), 0.0)
+            for _ in range(64):
+                if np.array_equal(zt := z + t * p, z):
+                    break
+                ft = value(zt)
+                if ft < f + 1e-4 * t * slope or (t == 1.0 and ft <= slack):
+                    z, f, moved = zt, ft, True
+                    break
+                t /= 2
+            if moved:
+                break
+        near = pts[np.argmin(((pts - z) ** 2).sum(axis=1))]
+        if (fn := value(near)) < f:
+            z, f, moved = near, fn, True
+        if not moved:
+            break
+        best = min(best, f)
+    return best, max(best - low, 0.0)
 
 
 def sharp_norm_sq(fam: BFamily, cubes, coords=None, extra_candidates=()) -> float:
@@ -497,7 +566,7 @@ def sharp_norm_sq(fam: BFamily, cubes, coords=None, extra_candidates=()) -> floa
         if q not in fam.values:
             continue
         total += sum(_l2(fam, g) for g in _coordwise(fam, "Delta", q, coords))
-        total += _broken_inf_term(fam, q, coords, extra_candidates)
+        total += _broken_inf_term(fam, q, coords, extra_candidates)[0]
     return total
 
 

@@ -67,6 +67,14 @@ class Grid:
     def off(self, level: int) -> tuple:
         return tuple(self.offsets[a][level - self.N] for a in range(self.dim))
 
+    @cached_property
+    def level_arrays(self) -> tuple:
+        """(offsets, sides) as int64 arrays of shapes (levels, dim) and
+        (levels, 1), row level - N."""
+        levels = np.arange(self.N, self.M + 1, dtype=np.int64)
+        return (np.array(self.offsets, dtype=np.int64).T,
+                (np.int64(1) << (self.M - levels))[:, None])
+
     def side_units(self, level: int) -> int:
         return 2 ** (self.M - level)
 
@@ -441,20 +449,27 @@ def is_eps_good(j: Cube, k: Cube, eps: float, body_k: Region | None = None):
 
 
 def _ancestor_chain(j: Cube, grid: Grid):
-    """Grid cubes containing J, coarsest first, finest last."""
+    """Grid cubes containing J, coarsest first, finest last.
+
+    Every level's cube holding J's corner comes from one integer array
+    operation; the chain is the first run of levels whose cube holds J.
+    """
     f = 2 ** (grid.M - j.resolution)
-    jk = j if f == 1 else Cube(grid.M, tuple(x * f for x in j.lo),
-                               j.side * f, j.level, None)
-    chain = []
-    for level in range(grid.N, grid.M + 1):
-        if grid.side_units(level) < jk.side:
-            break
-        k = grid.cube_containing(level, jk.lo)
-        if k.contains_cube(jk):
-            chain.append(k)
-        elif chain:
-            break
-    return chain
+    side = j.side * f
+    count = grid.M - grid.N + 1 - (side - 1).bit_length()  # sides >= side
+    if count <= 0:
+        return []
+    off, sides = (a[:count] for a in grid.level_arrays)
+    lo = np.array(j.lo, dtype=np.int64) * f
+    corners = off + (lo - off) // sides * sides
+    holds = np.all(lo + side <= corners + sides, axis=1).tolist() + [False]
+    if True not in holds:
+        return []
+    first = holds.index(True)
+    stop = holds.index(False, first)
+    return [Cube(grid.M, tuple(c), s, grid.N + i, grid) for i, c, s in
+            zip(range(first, stop), corners[first:stop].tolist(),
+                sides[first:stop, 0].tolist())]
 
 
 def sharp_cross(j: Cube, grid: Grid, eps: float, body_cache: dict | None = None):

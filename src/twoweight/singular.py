@@ -81,11 +81,14 @@ def _kernel_values(spec: KernelSpec, xs: np.ndarray, ys: np.ndarray):
 
     xs and ys are point arrays that broadcast against each other, with
     the coordinates on the last axis.  The result has their broadcast
-    shape without that axis, plus a trailing dim axis for vector kernels.
-    Custom kernels call func once per pair kept, in row-major order.
+    shape without that axis, plus a trailing dim axis for vector kernels,
+    which is outermost in memory: a matrix of vector values is a view of
+    its components stacked as row blocks.  Custom kernels call func once
+    per pair kept, in row-major order.
     """
-    diff = xs - ys
-    r = np.sqrt((diff * diff).sum(axis=-1))
+    diff = np.subtract(np.moveaxis(xs, -1, 0), np.moveaxis(ys, -1, 0),
+                       order="C")          # coordinates first
+    r = np.sqrt((diff * diff).sum(axis=0))
     keep = (r > spec.delta_trunc) & (r < spec.radius)
     if spec.kind == "custom":
         out = np.zeros(r.shape)
@@ -94,11 +97,11 @@ def _kernel_values(spec: KernelSpec, xs: np.ndarray, ys: np.ndarray):
             out[idx] = spec.func(xb[idx], yb[idx])
         return out
     with np.errstate(divide="ignore", invalid="ignore"):
-        scale = r ** (-(diff.shape[-1] - spec.alpha + 1))
+        scale = r ** (-(len(diff) - spec.alpha + 1))
     scale[r == 0.0] = 0.0
     if spec.kind == "riesz":
-        return np.where(keep, diff[..., spec.component] * scale, 0.0)
-    return np.where(keep[..., None], diff * scale[..., None], 0.0)
+        return np.where(keep, diff[spec.component] * scale, 0.0)
+    return np.moveaxis(np.where(keep, diff * scale, 0.0), 0, -1)
 
 
 def _row_blocks(spec: KernelSpec, xs: np.ndarray, ys: np.ndarray):
@@ -114,13 +117,17 @@ def _eval_matrix(spec: KernelSpec, xs: np.ndarray, ys: np.ndarray):
     """Truncated kernel values for every x in xs against every y in ys.
 
     Shape (len(xs), len(ys)), with a trailing dim axis for vector kernels;
-    at most 10^4 points a side.
+    at most 10^4 points a side.  A vector kernel's matrix is a view of a
+    (dim, len(xs), len(ys)) array, as _kernel_values lays it out.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
     ys = np.atleast_2d(np.asarray(ys, dtype=np.float64))
     if max(len(xs), len(ys)) > 10_000:
         raise ValueError("atom counts must stay at or below 10^4")
-    out = np.empty((len(xs), len(ys)) + xs.shape[1:] * spec.vector_valued)
+    if spec.vector_valued:
+        out = np.moveaxis(np.empty((xs.shape[1], len(xs), len(ys))), 0, -1)
+    else:
+        out = np.empty((len(xs), len(ys)))
     for lo, vals in _row_blocks(spec, xs, ys):
         out[lo:lo + len(vals)] = vals
     return out
@@ -265,12 +272,11 @@ def _matrix_norm(kernel: KernelSpec, k: np.ndarray, sigma: Measure,
     if sigma.natoms == 0 or omega.natoms == 0:
         return 0.0
     d = kernel.dim if kernel.vector_valued else 1
-    if max(d * omega.natoms, sigma.natoms) > _SVD_CUTOFF:
-        return _lanczos_norm(k.reshape(omega.natoms, -1), d,
-                             np.sqrt(omega.masses), np.sqrt(sigma.masses))
-    if kernel.vector_valued:
-        k = np.concatenate([k[:, :, c] for c in range(d)], axis=0)
+    if kernel.vector_valued:    # components stacked as row blocks: a view
+        k = np.moveaxis(k, -1, 0).reshape(d * omega.natoms, sigma.natoms)
     wl = np.tile(np.sqrt(omega.masses), d)
+    if max(len(k), sigma.natoms) > _SVD_CUTOFF:
+        return _lanczos_norm(k, wl, np.sqrt(sigma.masses))
     a = wl[:, None] * k * np.sqrt(sigma.masses)[None, :]
     return float(np.linalg.svd(a, compute_uv=False)[0])
 
@@ -282,17 +288,16 @@ def _orthogonalise(r: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return r
 
 
-def _lanczos_norm(k2: np.ndarray, d: int, wl: np.ndarray,
-                  wr: np.ndarray) -> float:
-    """Largest singular value of A = diag(wl) K diag(wr), K x = k2 (x kron
-    I_d), by Golub-Kahan-Lanczos bidiagonalisation A V = U B (Golub &
-    Kahan 1965) with full reorthogonalisation from a seeded random start.
-    It stops once the top Ritz residual beta_j |y_j| is at most
-    _LANCZOS_TOL theta, or once the Krylov space closes (theta is then
-    exact).  It restarts from the top Ritz vector every _LANCZOS_STEPS
-    steps, at most _LANCZOS_CYCLES times."""
-    eye, wl = np.eye(d), np.repeat(wl, d)
-    m, n = len(wl), len(wr)
+def _lanczos_norm(k: np.ndarray, wl: np.ndarray, wr: np.ndarray) -> float:
+    """Largest singular value of A = diag(wl) k diag(wr), by Golub-Kahan-
+    Lanczos bidiagonalisation A V = U B (Golub & Kahan 1965) with full
+    reorthogonalisation from a seeded random start; each product with A
+    or its transpose is one matrix-vector product with k.  It stops once
+    the top Ritz residual beta_j |y_j| is at most _LANCZOS_TOL theta, or
+    once the Krylov space closes (theta is then exact).  It restarts from
+    the top Ritz vector every _LANCZOS_STEPS steps, at most
+    _LANCZOS_CYCLES times."""
+    m, n = k.shape
     steps = min(_LANCZOS_STEPS, min(m, n) + 1)
     v, theta = np.random.default_rng(0).standard_normal(n), 0.0
     for _ in range(_LANCZOS_CYCLES):
@@ -301,13 +306,11 @@ def _lanczos_norm(k2: np.ndarray, d: int, wl: np.ndarray,
         vs[0] = v / np.linalg.norm(v)
         for j in range(steps):
             # A v_j - beta_{j-1} u_{j-1}; beta[-1] is still 0 at j = 0
-            x = np.kron((wr * vs[j])[:, None], eye)
-            r = wl * (x.T @ k2.T).T.ravel() - beta[j - 1] * us[j - 1]
+            r = wl * (k @ (wr * vs[j])) - beta[j - 1] * us[j - 1]
             alpha[j] = np.linalg.norm(r := _orthogonalise(r, us[:j]))
             if alpha[j] > 0.0:      # else the space closed: beta_j = 0
                 us[j] = r / alpha[j]
-                p = ((wl * us[j]).reshape(-1, d).T @ k2).reshape(d, n, d)
-                s = wr * np.trace(p, axis1=0, axis2=2) - alpha[j] * vs[j]
+                s = wr * ((wl * us[j]) @ k) - alpha[j] * vs[j]
                 beta[j] = np.linalg.norm(s := _orthogonalise(s, vs[:j + 1]))
             y, sv, xt = np.linalg.svd(np.diag(alpha[:j + 1])
                                       + np.diag(beta[:j], 1))

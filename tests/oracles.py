@@ -6,20 +6,22 @@ share: the cube lookup as a scan of every atom, the A2 loop over
 restricted measures, the face-by-face goodness distance, the
 stopping-time constructions as five separate loops, the
 best-subpartition recursion, one energy pass per Whitney variant
-and per strong direction, and the kernel matrix and operator applied
-in one shot.  Tests compare the live code with them.
+and per strong direction, the kernel matrix and operator applied
+in one shot with the coordinates last, the ancestor chain walked level
+by level, and the broken-child infimum by scipy's Nelder-Mead.  Tests
+compare the live code with them.
 """
 
 import math
 
 import numpy as np
+from scipy.optimize import minimize
 
 from twoweight.bfamily import make_family, reverse_holder_adjust
 from twoweight.energy import _atoms_in_scaled
-from twoweight.grid import _ancestor_chain, body, whitney
+from twoweight.grid import Cube, body, whitney
 from twoweight.measure import common_points
 from twoweight.poisson_a2 import A2Report, enumerate_cubes, poisson
-from twoweight.singular import _kernel_values
 
 
 def atoms_in(mu, q):
@@ -401,10 +403,27 @@ def is_eps_good(j, k, eps, body_k):
     return float(d2q) > t2q, math.sqrt(d2q) / 2 ** (k.resolution + 2)
 
 
+def ancestor_chain(j, grid):
+    """Grid cubes containing J, coarsest first, one level at a time."""
+    f = 2 ** (grid.M - j.resolution)
+    jk = j if f == 1 else Cube(grid.M, tuple(x * f for x in j.lo),
+                               j.side * f, j.level, None)
+    chain = []
+    for level in range(grid.N, grid.M + 1):
+        if grid.side_units(level) < jk.side:
+            break
+        k = grid.cube_containing(level, jk.lo)
+        if k.contains_cube(jk):
+            chain.append(k)
+        elif chain:
+            break
+    return chain
+
+
 def sharp_cross(j, grid, eps, bodies):
     """The finest ancestor of J in grid with J good in it and above."""
     q = None
-    for k in _ancestor_chain(j, grid):
+    for k in ancestor_chain(j, grid):
         if k not in bodies:
             bodies[k] = body(k)
         if not is_eps_good(j, k, eps, bodies[k])[0]:
@@ -464,11 +483,31 @@ def strong_energy(sigma, omega, cubes, alpha, depth):
     return math.sqrt(best), witness, partition
 
 
+def kernel_values(spec, xs, ys):
+    """Truncated kernel values with the coordinates on the last axis
+    throughout, vector values included."""
+    diff = xs - ys
+    r = np.sqrt((diff * diff).sum(axis=-1))
+    keep = (r > spec.delta_trunc) & (r < spec.radius)
+    if spec.kind == "custom":
+        out = np.zeros(r.shape)
+        xb, yb = np.broadcast_arrays(xs, ys)
+        for idx in zip(*np.nonzero(keep)):
+            out[idx] = spec.func(xb[idx], yb[idx])
+        return out
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = r ** (-(diff.shape[-1] - spec.alpha + 1))
+    scale[r == 0.0] = 0.0
+    if spec.kind == "riesz":
+        return np.where(keep, diff[..., spec.component] * scale, 0.0)
+    return np.where(keep[..., None], diff * scale[..., None], 0.0)
+
+
 def eval_matrix(spec, xs, ys):
     """The kernel matrix over xs x ys from one broadcast evaluation."""
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
     ys = np.atleast_2d(np.asarray(ys, dtype=np.float64))
-    return _kernel_values(spec, xs[:, None, :], ys[None, :, :])
+    return kernel_values(spec, xs[:, None, :], ys[None, :, :])
 
 
 def apply(kernel, sigma, f, omega, transpose=False):
@@ -480,3 +519,35 @@ def apply(kernel, sigma, f, omega, transpose=False):
         k = eval_matrix(kernel, omega.coords_float(), sigma.coords_float())
     wf = sigma.masses * np.asarray(f, dtype=np.float64)
     return np.einsum("ijd,j->id", k, wf) if k.ndim == 3 else k @ wf
+
+
+# ---------------------------------------------------------------------------
+# the broken-child infimum by Nelder-Mead
+
+
+def broken_inf_term(fam, q, coords, extra_candidates=()):
+    """inf over z of sum_{J' broken} |J'| (E_{J'} |x - z|)^2, by a
+    Nelder-Mead search from the best of the natural candidates."""
+    brok = fam.broken_children.get(q, frozenset())
+    brok = [c for c in brok if fam.mass(c) > 0]
+    if not brok:
+        return 0.0
+    w = fam.mu.masses
+    sels = [atoms_in(fam.mu, c) for c in brok]
+
+    def objective(z):
+        tot = 0.0
+        for sel in sels:
+            d = np.sqrt(((coords[sel] - z) ** 2).sum(axis=1))
+            m = float(w[sel].sum())
+            tot += m * (float(np.dot(w[sel], d)) / m) ** 2
+        return tot
+
+    cands = [coords[sel].T @ w[sel] / w[sel].sum() for sel in sels]
+    qsel = atoms_in(fam.mu, q)
+    cands.append(coords[qsel].T @ w[qsel] / w[qsel].sum())
+    cands.extend(np.asarray(c, dtype=np.float64) for c in extra_candidates)
+    best = min(cands, key=objective)
+    res = minimize(objective, best, method="Nelder-Mead",
+                   options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 400})
+    return min(objective(best), float(res.fun))

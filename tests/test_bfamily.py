@@ -3,7 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import oracles
+from twoweight import bfamily
 from twoweight.bfamily import (
+    _broken_inf_term,
+    _certified_min,
     expand,
     frame_and_riesz,
     make_family,
@@ -424,6 +428,126 @@ def test_sharp_norm_broken_term_nonnegative():
     fam = make_family("random", mu, g, root, p=4, seed=48)
     v = sharp_norm_sq(fam, list(fam.values))
     assert v >= 0
+
+
+@pytest.mark.parametrize("a, b, start", [
+    ((0.125,), (0.75,), (0.9,)),
+    ((0.1, 0.2), (0.7, 0.5), (0.9, 0.9)),
+    ((0.25, 0.25), (0.25, 0.75), (0.6, 0.1)),
+])
+def test_broken_inf_two_equal_atoms(a, b, start):
+    # m (E|x - z|)^2 with x = a or b, each of mass m/2: the mean distance
+    # is at least |a - b|/2, with equality on the whole segment [a, b].
+    m = 1.5
+    pts = np.array([a, b], dtype=np.float64)
+    want = m * (np.linalg.norm(pts[0] - pts[1]) / 2) ** 2
+    value, gap = _certified_min(pts, np.array([[m / 2, m / 2]]),
+                                [np.array(start, dtype=np.float64)])
+    assert value == pytest.approx(want, rel=1e-13)
+    assert 0.0 <= gap <= 1e-13 * value
+
+
+@pytest.mark.parametrize("start", [(0.5,), (0.0625,), (0.9,)])
+def test_broken_inf_one_atom_child_is_zero(start):
+    # One broken child holding one atom: |J'| |x - z|^2 vanishes exactly
+    # at z = x, where |x - z| is not differentiable.
+    mu = Measure.from_atoms(1, 3, [((5,), 0.7)])
+    g = std_grid()
+    fam = make_family("random", mu, g, g.cube(0, (0,)), seed=3)
+    parent = g.cube(2, (2,))
+    assert fam.broken_children[parent] == {g.cube(3, (5,))}
+    assert _broken_inf_term(fam, parent, mu.coords_float()) == (0.0, 0.0)
+    value, gap = _certified_min(mu.coords_float(), np.array([[0.7]]),
+                                [np.array(start)])
+    assert value == 0.0 and gap == 0.0
+
+
+def _point_cloud(seed):
+    """Broken children as random atom groups in dims 1-2, every third
+    cloud with one atom 50 times heavier (its minimiser often sits on or
+    next to an atom)."""
+    rng = np.random.default_rng(seed)
+    dim = 1 + seed % 2
+    sizes = rng.integers(1, 5, size=rng.integers(1, 4))
+    pts = rng.random((sizes.sum(), dim))
+    w = rng.random(sizes.sum()) + 0.05
+    if seed % 3 == 0:
+        w[rng.integers(len(w))] *= 50
+    member = np.zeros((len(sizes), len(pts)))
+    ends = np.cumsum(sizes)
+    for row, lo, hi in zip(member, ends - sizes, ends):
+        row[lo:hi] = w[lo:hi]
+    cands = [row @ pts / row.sum() for row in member] + [w @ pts / w.sum()]
+    return pts, member, cands
+
+
+def _objective(pts, member, z):
+    g = member @ np.sqrt(((pts - z) ** 2).sum(axis=1))
+    return float((g * g / member.sum(axis=1)).sum())
+
+
+@pytest.mark.parametrize("dim, M", [(1, 3), (1, 4), (2, 2), (2, 3)])
+def test_broken_inf_certified_against_nelder_mead(dim, M):
+    eps = np.finfo(float).eps
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        pts = [(k,) if dim == 1 else (k % 2 ** M, k // 2 ** M)
+               for k in range(2 ** (dim * M))]
+        keep = rng.random(len(pts)) < 0.7
+        mu = Measure.from_atoms(dim, M, [
+            (p, float(m)) for p, m, k in
+            zip(pts, rng.random(len(pts)) + 0.2, keep) if k])
+        g = std_grid(dim=dim, M=M)
+        fam = make_family("random", mu, g, g.cube(0, (0,) * dim), seed=seed)
+        coords, w = mu.coords_float(), mu.masses
+        extra = [rng.random(dim)]
+        for q in fam.values:
+            value, gap = _broken_inf_term(fam, q, coords, extra)
+            brok = [c for c in fam.broken_children.get(q, ())
+                    if fam.mass(c) > 0]
+            if not brok:
+                assert (value, gap) == (0.0, 0.0)
+                continue
+            sels = [mu.in_cube(c) for c in brok + [q]]
+            member = np.array([np.where(s, w, 0.0) for s in sels[:-1]])
+            cands = [coords[s].T @ w[s] / w[s].sum() for s in sels] + extra
+            start = min(_objective(coords, member, z) for z in cands)
+            assert value <= start * (1 + 4 * eps)
+            assert 0.0 <= gap <= 1e-12 * value
+            # the oracle attains its value, so it is at least the infimum
+            nm = oracles.broken_inf_term(fam, q, coords, extra)
+            assert value - gap <= nm * (1 + 4 * eps)
+
+
+def test_broken_inf_certified_on_heavy_atom_clouds():
+    eps = np.finfo(float).eps
+    for seed in range(300):
+        pts, member, cands = _point_cloud(seed)
+        value, gap = _certified_min(pts, member, cands)
+        start = min(_objective(pts, member, z) for z in cands)
+        atoms = min(_objective(pts, member, z) for z in pts)
+        assert value <= start and 0.0 <= gap <= 1e-12 * value, seed
+        assert value - gap <= atoms * (1 + 4 * eps), seed
+
+
+@pytest.mark.parametrize("steps", [0, 1])
+def test_broken_inf_cut_short_keeps_a_valid_gap(monkeypatch, steps):
+    # stopped before it converges, the search still returns without
+    # raising, and its gap still bounds the distance to the infimum
+    monkeypatch.setattr(bfamily, "_INF_STEPS", steps)
+    eps = np.finfo(float).eps
+    loose = 0
+    for seed in range(60):
+        pts, member, cands = _point_cloud(seed)
+        value, gap = _certified_min(pts, member, cands)
+        monkeypatch.setattr(bfamily, "_INF_STEPS", 100)
+        inf = _certified_min(pts, member, cands)[0]
+        monkeypatch.setattr(bfamily, "_INF_STEPS", steps)
+        assert inf <= value <= min(_objective(pts, member, z)
+                                   for z in cands)
+        assert value - gap <= inf * (1 + 4 * eps), seed
+        loose += gap > 1e-9 * value
+    assert loose > 0
 
 
 # ---------------------------------------------------------------- identities

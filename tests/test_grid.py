@@ -5,6 +5,7 @@ import pytest
 
 from twoweight.grid import (
     Cube,
+    _ancestor_chain,
     bad_probability_mc,
     body,
     dist_cube_to_region,
@@ -426,3 +427,26 @@ def test_goodness_matches_the_face_by_face_oracle(dim, M):
         for j in shifted.cubes():
             assert sharp_cross(j, g, eps, live)[0] \
                 == oracles.sharp_cross(j, g, eps, bodies)
+
+
+@pytest.mark.parametrize("dim,M,N", [(1, 6, 0), (1, 5, -2), (2, 4, 0),
+                                     (2, 3, -1)])
+def test_ancestor_chain_matches_the_level_by_level_oracle(dim, M, N):
+    # J from the grid itself, from a shifted grid, from a coarser lattice,
+    # and augmented cubes (no grid handle); level and handle are compared
+    # too, since cube equality ignores them.
+    g = make_grid(dim, M, N, {"kind": "random", "seed": 3})
+    others = [make_grid(dim, M, N, {"kind": "gamma", "g": [3] * dim}),
+              make_grid(dim, M - 1, 0, {"kind": "random", "seed": 4})]
+    js = list(g.cubes()) + list(g.augmented_cubes())
+    for h in others:
+        js += list(h.cubes()) + list(h.augmented_cubes())
+    seen = 0
+    for j in js:
+        live = _ancestor_chain(j, g)
+        want = oracles.ancestor_chain(j, g)
+        assert [(k.lo, k.side, k.level, k.grid) for k in live] \
+            == [(k.lo, k.side, k.level, k.grid) for k in want]
+        assert all(type(x) is int for k in live for x in k.lo)
+        seen += bool(want)
+    assert 0 < seen < len(js)

@@ -1,8 +1,14 @@
+import ast
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import twoweight
 from twoweight import harness
 from twoweight.grid import scaled_box4
 from twoweight.harness import (
@@ -246,3 +252,33 @@ def test_cli_deterministic_report_files(tmp_path):
                          "--out", str(path)]) == 0
         outs.append(path.read_bytes())
     assert outs[0] == outs[1]
+
+
+# ------------------------------------------------------------ dependencies
+
+def test_fresh_import_loads_no_scipy():
+    # scipy is a test-only dependency: importing the package must not
+    # pull it in (scipy.optimize alone used to cost most of the import).
+    src = str(Path(twoweight.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, twoweight.harness; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "[]"
+
+
+def test_no_module_imports_scipy():
+    for path in Path(twoweight.__file__).parent.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(n == "scipy" or n.startswith("scipy.")
+                           for n in names), f"{path.name} imports {names}"

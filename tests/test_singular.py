@@ -220,6 +220,9 @@ def test_blocked_eval_matrix_equals_the_one_shot_matrix(monkeypatch, block,
     assert np.array_equal(got, oracles.eval_matrix(kernel, xs, ys))
     assert got.shape == (rows, cols) + ((dim,) if kernel.vector_valued
                                         else ())
+    # the norm stacks a vector kernel's components by a reshape, no copy
+    assert np.moveaxis(got, -1, 0).flags.c_contiguous \
+        or not kernel.vector_valued
 
 
 @pytest.mark.parametrize("transpose", [False, True])
@@ -380,15 +383,29 @@ def test_atom_cap_refuses_before_evaluating():
 
 
 def test_lanczos_norm_just_above_the_cutoff(monkeypatch):
-    kernel = make_kernel(2, 0.0, "riesz")
+    _assert_lanczos_above_the_cutoff(monkeypatch, "riesz",
+                                     sg._SVD_CUTOFF + 1, 40)
+
+
+def test_lanczos_vector_norm_just_above_the_cutoff(monkeypatch):
+    # 2 x 1001 stacked rows: one row block per component
+    _assert_lanczos_above_the_cutoff(monkeypatch, "riesz_vector",
+                                     40, sg._SVD_CUTOFF // 2 + 1)
+
+
+def _assert_lanczos_above_the_cutoff(monkeypatch, kind, n_sigma, n_omega):
+    kernel = make_kernel(2, 0.0, kind)
     rng = np.random.default_rng(11)
-    sigma = _sparse_measure(rng, 2, 6, sg._SVD_CUTOFF + 1)
-    omega = _sparse_measure(rng, 2, 6, 40)
+    sigma = _sparse_measure(rng, 2, 6, n_sigma)
+    omega = _sparse_measure(rng, 2, 6, n_omega)
     calls = _lanczos_calls(monkeypatch, cutoff=sg._SVD_CUTOFF)
     got = operator_norm(kernel, sigma, omega)
     k = oracles.eval_matrix(kernel, omega.coords_float(),
                             sigma.coords_float())
-    a = np.sqrt(omega.masses)[:, None] * k * np.sqrt(sigma.masses)[None, :]
+    if k.ndim == 3:
+        k = np.concatenate([k[:, :, c] for c in range(k.shape[2])])
+    wl = np.tile(np.sqrt(omega.masses), len(k) // omega.natoms)
+    a = wl[:, None] * k * np.sqrt(sigma.masses)[None, :]
     dense = float(np.linalg.svd(a, compute_uv=False)[0])
     assert len(calls) == 1 and abs(got - dense) <= 1e-12 * dense
 
