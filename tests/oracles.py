@@ -8,7 +8,8 @@ stopping-time constructions as five separate loops, the
 best-subpartition recursion, one energy pass per Whitney variant
 and per strong direction, the kernel matrix and operator applied
 in one shot with the coordinates last, the ancestor chain walked level
-by level, and the broken-child infimum by scipy's Nelder-Mead.  Tests
+by level, the broken-child infimum by scipy's Nelder-Mead, and the
+kernel validation sweep one pair at a time.  Tests
 compare the live code with them.
 """
 
@@ -17,6 +18,7 @@ import math
 import numpy as np
 from scipy.optimize import minimize
 
+from twoweight import singular
 from twoweight.bfamily import make_family, reverse_holder_adjust
 from twoweight.energy import _atoms_in_scaled
 from twoweight.grid import Cube, body, whitney
@@ -551,3 +553,45 @@ def broken_inf_term(fam, q, coords, extra_candidates=()):
     res = minimize(objective, best, method="Nelder-Mead",
                    options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 400})
     return min(objective(best), float(res.fun))
+
+
+# ---------------------------------------------------------------------------
+# the kernel validation sweep, one pair at a time
+
+
+def loop_sweep(spec, samples, rng):
+    """The validation sweep one pair at a time, each kernel value from a
+    one-by-one kernel matrix."""
+    n = spec.dim
+
+    def value(x, y):
+        return singular._eval_matrix(spec, x[None, :], y[None, :])[0, 0]
+
+    worst_size, worst_grad, worst_pair = 0.0, 0.0, None
+    xs, ys = singular._sample_pairs(n, spec.delta_trunc, spec.radius, samples, rng)
+    for x, y in zip(xs, ys):
+        r = float(np.sqrt(((x - y) ** 2).sum()))
+        v = value(x, y)
+        val = float(np.sqrt((v * v).sum()) if spec.vector_valued else abs(v))
+        q = val * r ** (n - spec.alpha)
+        if q > worst_size:
+            worst_size, worst_pair = q, (x.copy(), y.copy())
+        h = 1e-6 * r
+        grad2 = 0.0
+        for axis in range(n):
+            xp = x.copy()
+            xp[axis] += h
+            xm = x.copy()
+            xm[axis] -= h
+            rp = np.sqrt(((xp - y) ** 2).sum())
+            rm = np.sqrt(((xm - y) ** 2).sum())
+            if not (spec.delta_trunc < rp < spec.radius
+                    and spec.delta_trunc < rm < spec.radius):
+                grad2 = -1.0
+                break
+            d = (value(xp, y) - value(xm, y)) / (2 * h)
+            grad2 += float((d * d).sum())
+        if grad2 >= 0.0:
+            worst_grad = max(worst_grad,
+                             math.sqrt(grad2) * r ** (n - spec.alpha + 1))
+    return worst_size, worst_grad, worst_pair

@@ -1,16 +1,21 @@
 """Frozen report corpus: SHA-256 pins of `format_report` for fixed configs.
 
 A pin changes only together with a CHANGES.md entry that names the report
-keys that moved, by how much, and why.  Every config stays far below the
+keys that moved, by how much, and why.  A second table holds the key
+scalars of every pin, compared at 1e-12 relative, so that a change of
+summation order (which moves a digest) can be told apart from a change
+of value (which moves a scalar too).  Every config stays far below the
 kernel's SVD cutoff, so the digests do not depend on the BLAS thread
 count (checked with OPENBLAS_NUM_THREADS=1 and 2).
 """
 
 import hashlib
+import math
 
 import pytest
 
-from twoweight.harness import RunConfig, format_report, verify_theorem
+from twoweight.harness import RunConfig, _scalar_rows, format_report, \
+    verify_theorem
 
 # pair.json has sigma at resolution 3 and omega at resolution 4, masses
 # as decimal strings: the file generator, the rescaling to a common
@@ -102,3 +107,109 @@ def test_corpus_holds_a_failing_check():
     kwargs, _ = CORPUS["d1_failing_halfspace_budget"]
     _, failed = report_digest(kwargs)
     assert failed == ["halfspace_backward_ratio", "halfspace_forward_ratio"]
+
+
+# The scalars of SCALARS, in this order, as `_scalar_rows` names them.
+SCALAR_KEYS = (
+    "a2.calA2", "a2.calA2_star", "a2.classicalA2", "a2.punct",
+    "a2.punct_star", "a2.energyA2", "a2.energyA2_star", "energy.strong",
+    "energy.strong_star", "energy.whitney.hole", "energy.whitney.partial",
+    "energy.whitney.plug", "testing.forward", "testing.dual", "testing.norm",
+    "functional_energy.value", "halfspace.forward_lhs",
+    "halfspace.backward_lhs", "coronas.cz.carleson",
+    "coronas.energy.carleson",
+)
+
+SCALARS = {
+    'd1_cantor_like': (
+        5.317082867861422, 9.352481733434114, 16.0, 4.0, 4.0, 0.5, 0.5625,
+        0.3472222222222222, 0.4775107628622582, 0.125, 0.125,
+        0.3472222222222222, 4.0, 4.47213595499958, 4.932151527890254, 0.0, 0.0,
+        0.0, 1.0, 1.0,),
+    'd1_common_atoms_random_family': (
+        292.5002232407124, 208.06589925570424, 394.81367752898825,
+        143.6131349820697, 107.81872236817117, 18.612946736737072,
+        17.20919473986965, 3.604837475960635, 3.597311186805964,
+        0.8483905415444807, 1.5708164148823376, 3.2828577866091906,
+        30.649481510371736, 26.922409155547342, 33.547405387764584, 0.0, 0.0,
+        0.0, 1.076525160751515, 1.0,),
+    'd1_doubling_like_alpha': (
+        3.3520083661226567, 3.5184683394729794, 9.800396907472669,
+        8.522251418224608, 8.453819323482124, 0.8073729553259561,
+        0.7803099726248282, 0.6848616958899995, 0.6812468343882297,
+        0.13731351992981877, 0.25931325450202347, 0.478799774221434,
+        2.8754426440930914, 2.752052536614851, 3.581580944154507, 0.0, 0.0,
+        0.0, 1.0, 1.0,),
+    'd1_failing_halfspace_budget': (
+        15433.2263366054, 15471.808880929371, 18835.690798706943,
+        8048.150006208623, 8580.80488483814, 1079.2360007972181,
+        1084.8416398731235, 30.73816400357446, 27.22733469507681,
+        9.91286658122145, 15.71577906809991, 26.622456050613202,
+        152.3468418218648, 164.3186751993377, 264.66228477779197,
+        0.4284670675105404, 21.682350867359453, 1.3555149488095266e-05,
+        1.1824956503610042, 1.0,),
+    'd1_file_empty_sigma': (
+        0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+        0.0, 0.0, 0.0, 0.0, 0.0, 0.0,),
+    'd1_file_pair': (
+        97.49526890203813, 258.4006746500253, 128.0, 120.0, 120.0,
+        2.128961267605634, 1.1437499999999998, 0.9338214685962557,
+        0.6622299943230263, 0.3706499244025652, 0.3706499244025652,
+        0.542247111625975, 21.908902300206645, 21.908902300206645,
+        24.218444766509283, 0.0, 0.0, 0.0, 1.0, 1.0,),
+    'd1_global_family': (
+        541.8690802623404, 374.3627699992176, 866.2654432444795,
+        186.23871205416356, 128.53493526706586, 24.232773574164586,
+        21.82688250431943, 4.237344123517963, 4.023326546453654,
+        1.3978971900302548, 1.715311909634153, 3.494902800025213,
+        28.29552502632216, 24.559385896481377, 38.74402955859747, 0.0, 0.0,
+        0.0, 1.0, 1.0,),
+    'd1_random_atomic_unit': (
+        180.60215645510175, 200.02075068587556, 147.46362918698318,
+        60.677945574679825, 42.34064953092558, 6.260259423974514,
+        5.108811716513759, 2.327636384173025, 2.2357359714059593,
+        0.490052549266797, 1.0139238191699038, 2.0812855759702984,
+        16.050951618498456, 18.761465896835176, 26.024091891436697, 0.0, 0.0,
+        0.0, 1.1312976032563868, 1.0,),
+    'd2_common_atoms_alpha': (
+        245.76567190425064, 203.3002228192039, 908.4823376156784,
+        258.52902132524764, 324.82051225788064, 52.82380021178547,
+        65.35746997556856, 3.5610597200397933, 3.520821449464489,
+        0.645823702945827, 1.1695496981970794, 1.9397828109237765,
+        25.502033292814296, 16.668401208600077, 28.231318423505993, 0.0, 0.0,
+        0.0, 1.0536888762071601, 1.0,),
+    'd2_doubling_like': (
+        0.7177912614204163, 0.727041023270837, 1.4873833439089,
+        1.1783877381707577, 1.1795311689035717, 0.1948260081402382,
+        0.19828858406186084, 0.31831547464895554, 0.32119366031961366, 0.0,
+        0.0, 0.0, 2.149193189102926, 2.148593206148305, 3.257505909335387, 0.0,
+        0.0, 0.0, 1.0629520173697269, 1.0,),
+    'd2_random_atomic_random_family': (
+        488.61593436592767, 424.75132107402317, 949.6886119923872,
+        491.8654466587377, 491.8654466587377, 30.619841749111067,
+        35.72921642904301, 5.504923342041594, 3.6368976583841777,
+        0.8558882429050381, 1.142496395970482, 2.7740557999233553,
+        68.17602521962309, 78.27461029814246, 64.87907095453303, 0.0, 0.0, 0.0,
+        1.1197873938776992, 1.0,),
+    'd2_res4_hundred_atoms': (
+        23125.008334264967, 24609.602334445168, 75342.76319482777,
+        18428.46338444287, 18142.01216834798, 3293.235445067713,
+        3105.4860306685973, 31.06088198027053, 30.359886090472344,
+        10.6198867165952, 16.416799029557616, 22.25711048187819,
+        299.94912652831044, 254.5754426740741, 405.9949459799658, 0.0, 0.0,
+        0.0, 1.1531726831480729, 1.0,),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_report_scalars_match_the_table(name, tmp_path, monkeypatch):
+    kwargs, _ = CORPUS[name]
+    monkeypatch.chdir(tmp_path)
+    for file_name, text in PAIR_FILES.items():
+        (tmp_path / file_name).write_text(text)
+    rows = dict(_scalar_rows(verify_theorem(RunConfig(**kwargs))))
+    got = [float(rows.get(key, "0")) for key in SCALAR_KEYS]
+    moved = [(key, g, w) for key, g, w in zip(SCALAR_KEYS, got,
+                                               SCALARS[name])
+             if not math.isclose(g, w, rel_tol=1e-12, abs_tol=0.0)]
+    assert moved == []

@@ -54,44 +54,6 @@ def test_riesz_1d_matches_reciprocal():
     assert out[0] == pytest.approx(1.0 / 0.5)
 
 
-def _loop_sweep(spec, samples, rng):
-    """The validation sweep one pair at a time, each kernel value from a
-    one-by-one kernel matrix."""
-    n = spec.dim
-
-    def value(x, y):
-        return sg._eval_matrix(spec, x[None, :], y[None, :])[0, 0]
-
-    worst_size, worst_grad, worst_pair = 0.0, 0.0, None
-    xs, ys = sg._sample_pairs(n, spec.delta_trunc, spec.radius, samples, rng)
-    for x, y in zip(xs, ys):
-        r = float(np.sqrt(((x - y) ** 2).sum()))
-        v = value(x, y)
-        val = float(np.sqrt((v * v).sum()) if spec.vector_valued else abs(v))
-        q = val * r ** (n - spec.alpha)
-        if q > worst_size:
-            worst_size, worst_pair = q, (x.copy(), y.copy())
-        h = 1e-6 * r
-        grad2 = 0.0
-        for axis in range(n):
-            xp = x.copy()
-            xp[axis] += h
-            xm = x.copy()
-            xm[axis] -= h
-            rp = np.sqrt(((xp - y) ** 2).sum())
-            rm = np.sqrt(((xm - y) ** 2).sum())
-            if not (spec.delta_trunc < rp < spec.radius
-                    and spec.delta_trunc < rm < spec.radius):
-                grad2 = -1.0
-                break
-            d = (value(xp, y) - value(xm, y)) / (2 * h)
-            grad2 += float((d * d).sum())
-        if grad2 >= 0.0:
-            worst_grad = max(worst_grad,
-                             math.sqrt(grad2) * r ** (n - spec.alpha + 1))
-    return worst_size, worst_grad, worst_pair
-
-
 @pytest.mark.parametrize("dim,alpha,kind", [
     (1, 0.0, "riesz"), (2, 0.5, "riesz"), (2, 0.5, "riesz_vector"),
     (1, 0.0, "riesz_vector")])
@@ -99,7 +61,7 @@ def test_validation_sweep_matches_pairwise_loop(dim, alpha, kind):
     spec = make_kernel(dim, alpha, kind, samples=10)
     size, grad, pair = sg._validation_sweep(spec, 300,
                                             np.random.default_rng(11))
-    want = _loop_sweep(spec, 300, np.random.default_rng(11))
+    want = oracles.loop_sweep(spec, 300, np.random.default_rng(11))
     assert size == pytest.approx(want[0], rel=1e-12)
     assert grad == pytest.approx(want[1], rel=1e-12) and grad > 0.0
     assert np.array_equal(pair[0], want[2][0])
