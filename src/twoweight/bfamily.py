@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Cube, Grid, subtree
+from .grid import Cube, Grid, kids
 from .measure import Measure
 
 __all__ = [
@@ -47,6 +47,7 @@ class BFamily:
     C_b: float
     broken_children: dict = field(default_factory=dict)  # Cube -> frozenset
     kind: str = "explicit"
+    _children: dict = field(default_factory=dict, repr=False)  # children_of
 
     # ---- plumbing
 
@@ -66,7 +67,9 @@ class BFamily:
     def children_of(self, q: Cube):
         if q.level >= self.grid.M:
             return []
-        return [c for c in q.children() if c in self.values]
+        if q not in self._children:
+            self._children[q] = [c for c in q.children() if c in self.values]
+        return self._children[q]
 
     def mass(self, q: Cube) -> float:
         return float(self.mu.masses[self.mu.atoms(q)].sum())
@@ -108,42 +111,51 @@ def _accretivity(fam: BFamily):
     return c_lo, c_hi
 
 
-def make_family(kind: str, mu: Measure, grid: Grid, root: Cube,
+def make_family(kind: str, mu: Measure, grid: Grid, root,
                 p: float = 4.0, seed: int | None = None,
                 values: dict | None = None,
                 global_values=None) -> BFamily:
     """Build a testing family on all nonempty subcubes of the root.
 
-    kinds: "unit" (b_Q = 1_Q), "random" (fresh values in [1/2, 2] per
-    cube, every child broken), "global" (one function restricted
-    everywhere, nothing broken), "explicit" (caller-supplied dict).
+    root is a cube or a list of disjoint cubes, walked in that order
+    (the first is the family's root).  kinds: "unit" (b_Q = 1_Q),
+    "random" (fresh values in [1/2, 2] per cube, every child broken),
+    "global" (one function restricted everywhere, nothing broken),
+    "explicit" (caller-supplied dict).
     """
     if not (p > 2):
         raise ValueError("accretivity exponent must exceed 2")
-    fam = BFamily(mu, grid, root, {}, p, 0.0, 0.0, kind=kind)
+    roots = [root] if isinstance(root, Cube) else list(root)
+    fam = BFamily(mu, grid, roots[0], {}, p, 0.0, 0.0, kind=kind)
     rng = np.random.default_rng(seed)
     if kind == "explicit":
         if values is None:
             raise ValueError("explicit family needs values")
     if kind == "global" and global_values is None:
         global_values = np.ones(mu.natoms)
-    for q in subtree(root):
-        sel = fam.mu.in_cube(q)
-        if not sel.any():
-            continue
+    stack, walked = roots[::-1], []
+    while stack:
+        q = stack.pop()
+        idx = mu.atoms(q)
+        if not len(idx):
+            continue        # and so is every subcube of q
+        walked.append((q, kids(q)))
+        stack.extend(walked[-1][1])
+        v = np.zeros(mu.natoms)
         if kind == "unit":
-            v = sel.astype(np.float64)
+            v[idx] = 1.0
         elif kind == "random":
-            v = np.where(sel, rng.uniform(0.5, 2.0, mu.natoms), 0.0)
+            v[idx] = rng.uniform(0.5, 2.0, mu.natoms)[idx]
         elif kind == "global":
-            v = np.where(sel, np.asarray(global_values, dtype=np.float64), 0.0)
+            v[idx] = np.asarray(global_values, dtype=np.float64)[idx]
         elif kind == "explicit":
             if q not in values:
                 continue
-            v = np.where(sel, np.asarray(values[q], dtype=np.float64), 0.0)
+            v[idx] = np.asarray(values[q], dtype=np.float64)[idx]
         else:
             raise ValueError(f"unknown family kind {kind!r}")
         fam.values[q] = v
+    fam._children = {q: [c for c in ch if c in fam.values] for q, ch in walked}
     fam.c_b, fam.C_b = _accretivity(fam)
     _classify_broken(fam)
     return fam

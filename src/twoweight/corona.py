@@ -9,7 +9,6 @@ depth-first scans of the dyadic tree.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -17,7 +16,7 @@ import numpy as np
 
 from .grid import Cube, Grid, kids, scaled_box4, sharp_cross, subtree
 from .measure import Measure, mass
-from .poisson_a2 import _norm_moment, _poisson_row, poisson
+from .poisson_a2 import poisson
 
 __all__ = [
     "Corona",
@@ -226,84 +225,33 @@ def accretive_stopping(fam, t_diag, root: Cube, gamma: float,
 
 
 # ---------------------------------------------------------------------------
-# the best-subpartition energy
-
-
-def _best_partition(top: Cube, depth: int | None, term_fn):
-    """Largest subpartition sum of term_fn below top, with its partition.
-
-    The pieces are dyadic subcubes at most `depth` levels below top (None
-    for no limit); a cube keeps its own term when that is at least the
-    best sum over its children.  Returns (value, pieces).
-    """
-    own = term_fn(top)
-    children = [] if depth is not None and depth <= 0 else kids(top)
-    if not children:
-        return own, [top]
-    tot, parts = 0.0, []
-    for c in children:
-        v, p = _best_partition(c, None if depth is None else depth - 1,
-                               term_fn)
-        tot += v
-        parts.extend(p)
-    if own >= tot:
-        return own, [top]
-    return tot, parts
-
-
-def _moment_and_row(q: Cube, sigma: Measure, omega: Measure, alpha):
-    """(second omega-moment of Q, standard Poisson row of Q over sigma).
-
-    The row is None when the moment vanishes: every energy term of Q is
-    then (P/l)^2 * 0 = 0 whatever the sigma piece, so it is skipped.
-    """
-    moment = _norm_moment(q, omega)
-    if moment <= 0.0:
-        return moment, None
-    return moment, _poisson_row("standard", q, sigma, alpha)
-
-
-def _energy_term(sigma: Measure, omega: Measure, alpha, idx, rows: dict):
-    """term(J) = (P(J, sigma on the atoms idx)/l(J))^2 * omega-moment of J.
-
-    rows keeps J -> (moment, Poisson row over all sigma atoms) for every
-    term that shares it.
-    """
-    w = sigma.masses[idx]
-
-    def term(j: Cube) -> float:
-        if j not in rows:
-            rows[j] = _moment_and_row(j, sigma, omega, alpha)
-        moment, row = rows[j]
-        if row is None:
-            return 0.0
-        return (float(np.dot(w, row[idx])) / j.sidelength) ** 2 * moment
-
-    return term
-
-
-# ---------------------------------------------------------------------------
 # energy stopping times
 
 
 def _energy_criterion(sigma: Measure, omega: Measure, alpha: float,
-                      depth: int | None, tau: float, energies: dict):
+                      depth: int | None, tau: float, energies: dict,
+                      grid: Grid):
     """Stop where the subpartition energy reaches tau |q|_sigma, tau > 0.
 
-    The Poisson ambient is sigma on the current corona top.  energies[top]
-    records the largest quotient over the cubes that stay in its corona.
+    The Poisson ambient is sigma on the current corona top, whose whole
+    subtree is solved at once.  energies[top] records the largest
+    quotient over the cubes that stay in its corona.
     """
-    rows: dict = {}
+    from .levels import Levels, morton_index, strong_terms, subpartition
+    amb, mom = Levels(sigma, grid), Levels(omega, grid)
 
     def criterion(top: Cube):
-        # the scan solves the DP at every cube it visits, so each term is
-        # kept for the whole corona
-        term = functools.cache(
-            _energy_term(sigma, omega, alpha, sigma.atoms(top), rows))
+        lo, d = np.array([top.lo]), grid.M - top.level
+        terms = strong_terms(amb, mom, top.level, lo, np.zeros(1, bool), d,
+                             alpha)
+        best = subpartition(terms, grid.dim,
+                            d if depth is None else min(depth, d))
         energies[top] = 0.0
 
         def test(q: Cube, qs: float) -> dict:
-            val = _best_partition(q, depth, term)[0] / qs
+            k = q.level - top.level
+            rel = [(a - b) // q.side for a, b in zip(q.lo, top.lo)]
+            val = float(best[k][0, morton_index(rel, k)]) / qs
             if val >= tau and tau > 0.0:
                 return {"energy": val}
             energies[top] = max(energies[top], val)
@@ -328,7 +276,7 @@ def energy_stopping(sigma: Measure, omega: Measure, root: Cube,
     tau = c_en * (e2 * e2 + a2)
     energies = {}
     order, parents, crit = _stop(sigma, root, _energy_criterion(
-        sigma, omega, alpha, depth, tau, energies))
+        sigma, omega, alpha, depth, tau, energies, root.grid))
     return Corona("energy", sigma, root, order, parents,
                   params={"c_en": c_en, "e2": e2, "a2": a2, "alpha": alpha,
                           "depth": depth, "tau": tau},
@@ -355,7 +303,8 @@ def iterated_stopping(fam, omega: Measure, f, t_factory, root: Cube,
     gamma, big_gamma = params["gamma"], params["big_gamma"]
     thresh = big_gamma * params["t_const"] ** 2
     tau = params["c_en"] * (params["e2"] ** 2 + params["a2"])
-    energy = _energy_criterion(mu, omega, params["alpha"], None, tau, {})
+    energy = _energy_criterion(mu, omega, params["alpha"], None, tau, {},
+                               root.grid)
 
     def shadow_criterion(top: Cube):
         # the union of the size, accretivity/testing and energy criteria
@@ -749,17 +698,16 @@ def shifted_corona(corona: Corona, f_cube: Cube, grid_g: Grid, eps: float,
         return not any(g.contains_cube(q) for g in kids)
 
     grid_d = corona.root.grid
-    # crossovers of the grid_g cubes; a tuple key never equals the Cube
-    # keys under which sharp_cross keeps the bodies
-    crossings = {} if body_cache is None else \
-        body_cache.setdefault(("sharp_cross", grid_d, eps), {})
-    out = []
-    for j in grid_g.cubes():
-        if j not in crossings:
-            crossings[j] = sharp_cross(j, grid_d, eps, body_cache)[0]
-        if in_restricted(crossings[j]):
-            out.append(j)
-    return out
+    # the crossovers of all grid_g cubes, in grid_g.cubes() order; a tuple
+    # key never equals the Cube keys under which sharp_cross keeps bodies
+    key = ("sharp_cross", grid_d, grid_g, eps)
+    crossings = None if body_cache is None else body_cache.get(key)
+    if crossings is None:
+        crossings = {j: sharp_cross(j, grid_d, eps, body_cache)[0]
+                     for j in grid_g.cubes()}
+        if body_cache is not None:
+            body_cache[key] = crossings
+    return [j for j, q in crossings.items() if in_restricted(q)]
 
 
 # ---------------------------------------------------------------------------

@@ -16,12 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bfamily import mart_apply, sharp_norm_sq, star_norm_sq
-from .corona import Corona, HalfSpaceMeasure, _best_partition, \
-    _energy_term, _moment_and_row, shifted_corona
-from .grid import Cube, cube_dict, scaled_box4, subtree, whitney
+from .corona import Corona, HalfSpaceMeasure, shifted_corona
+from .grid import Cube, cube_at, cube_dict, kids, scaled_box4, whitney
 from .measure import Measure, mass
-from .poisson_a2 import _norm_moment, enumerate_cubes, halfspace_poisson, \
-    poisson
+from .poisson_a2 import _norm_moment, halfspace_poisson, poisson
 from .singular import apply as kernel_apply
 
 __all__ = [
@@ -37,12 +35,6 @@ __all__ = [
     "mu_bar_from_corona",
     "halfspace_testing",
 ]
-
-
-def _atoms_in_scaled(mu: Measure, q: Cube, factor: float) -> np.ndarray:
-    lo4, hi4 = scaled_box4(q, factor)
-    f = 2 ** (mu.resolution - q.resolution)
-    return mu.in_box4(tuple(x * f for x in lo4), tuple(x * f for x in hi4))
 
 
 def _contains(outer: Cube, inner: Cube) -> bool:
@@ -92,20 +84,44 @@ class EnergyReport:
         }
 
 
-def _strong_one_direction(sigma: Measure, omega: Measure, cubes, alpha,
-                          depth):
-    rows: dict = {}  # piece J -> (moment, row), for this call only
-    best, witness, partition = 0.0, None, []
-    for i in cubes:
-        idx_i = sigma.atoms(i)
-        qs = float(sigma.masses[idx_i].sum())
-        if qs <= 0.0:
-            continue
-        val, parts = _best_partition(
-            i, depth, _energy_term(sigma, omega, alpha, idx_i, rows))
-        if val / qs > best:
-            best, witness, partition = val / qs, i, parts
-    return math.sqrt(best), witness, partition
+def _groups(grids, cubes, tables, depth, by_level=False):
+    """(grid, its tables, rows, masses, DP depth) of the enumerated cubes
+    of positive mass in the first table, by grid and DP depth (and by
+    level with by_level)."""
+    gi, lev, aug, lo = cubes
+    for g, grid in enumerate(grids):
+        tabs = tables(grid)
+        rows = np.flatnonzero(gi == g)
+        qs = tabs[0].stats(*tabs[0].cube_slices(lev[rows], lo[rows],
+                                                aug[rows]))[0]
+        rows, qs = rows[qs > 0], qs[qs > 0]
+        d = grid.M - lev[rows]
+        d = d if depth is None else np.minimum(d, depth)
+        key = lev[rows] if by_level else d
+        for v in sorted(set(key.tolist())):
+            yield grid, tabs, rows[key == v], qs[key == v], int(d[key == v][0])
+
+
+def _strong_one_direction(grids, cubes, tables, alpha, depth):
+    from .levels import partition, pieces, strong_terms, subpartition
+    gi, lev, aug, lo = cubes
+    ratio = np.zeros(len(gi))
+    for grid, (amb, mom), rows, qs, d in _groups(grids, cubes, tables,
+                                                 depth):
+        terms = strong_terms(amb, mom, lev[rows], lo[rows], aug[rows], d,
+                             alpha)
+        ratio[rows] = subpartition(terms, grid.dim, d)[0][:, 0] / qs
+    i = int(np.argmax(ratio)) if len(ratio) else 0
+    if not len(ratio) or ratio[i] <= 0.0:
+        return 0.0, None, []
+    grid, level, top = grids[gi[i]], int(lev[i]), lo[i:i + 1]
+    d = grid.M - level if depth is None else min(depth, grid.M - level)
+    amb, mom = tables(grid)
+    terms = strong_terms(amb, mom, level, top, aug[i:i + 1], d, alpha)
+    best = subpartition(terms, grid.dim, d)
+    parts = [cube_at(grid, level + k, pieces(grid, level, top, k)[0, m],
+                     aug[i]) for k, m in partition(terms, best, grid.dim, 0)]
+    return math.sqrt(ratio[i]), cube_at(grid, level, lo[i], aug[i]), parts
 
 
 def strong_energy(sigma: Measure, omega: Measure, grids, alpha: float,
@@ -122,9 +138,12 @@ def strong_energy(sigma: Measure, omega: Measure, grids, alpha: float,
         raise ValueError("depth must be at least 1 (or None)")
     if not 0 <= alpha < sigma.dim:
         raise ValueError("alpha must lie in [0, n)")
-    cubes = list(enumerate_cubes(grids, sigma, omega, include_augmented))
-    s, w, p = _strong_one_direction(sigma, omega, cubes, alpha, depth)
-    s2, w2, _ = _strong_one_direction(omega, sigma, cubes, alpha, depth)
+    from .levels import Levels, tops
+    cubes = tops(grids, sigma, omega, include_augmented)
+    tabs = {g: (Levels(sigma, g), Levels(omega, g)) for g in grids}
+    s, w, p = _strong_one_direction(grids, cubes, tabs.get, alpha, depth)
+    s2, w2, _ = _strong_one_direction(grids, cubes, lambda g: tabs[g][::-1],
+                                      alpha, depth)
     return EnergyReport(strong=s, strong_star=s2, depth=depth,
                         strong_witness=w, strong_partition=p,
                         strong_star_witness=w2)
@@ -157,60 +176,24 @@ def whitney_energy(sigma: Measure, omega: Measure, grids, alpha: float,
     for name in names:
         if name not in _WHITNEY_VARIANTS:
             raise ValueError(f"unknown Whitney variant {name!r}")
-    w = sigma.masses
-    # per-call memos: piece J -> its Whitney cubes M, and M -> (l(M),
-    # moment, Poisson row, the atoms each variant keeps)
-    wh_cache: dict = {}
-    m_cache: dict = {}
-
-    def whitney_cube(m: Cube):
-        if m not in m_cache:
-            keep = {"plug": None}
-            if "partial" in names:
-                keep["partial"] = ~sigma.in_cube(m)
-            if "hole" in names:
-                keep["hole"] = ~_atoms_in_scaled(sigma, m, gamma)
-            m_cache[m] = (m.sidelength,
-                          *_moment_and_row(m, sigma, omega, alpha), keep)
-        return m_cache[m]
-
-    def whitney_of(q: Cube):
-        if q not in wh_cache:
-            chosen, residual = whitney(q)
-            wh_cache[q] = [whitney_cube(m) for m in chosen + residual]
-        return wh_cache[q]
-
-    best = dict.fromkeys(names, (0.0, None))
-    for i in enumerate_cubes(grids, sigma, omega, True):
-        idx_i = sigma.atoms(i)
-        w_i = w[idx_i]
-        qs = float(w_i.sum())
-        if qs <= 0.0:
-            continue
-        terms: dict = {}
-
-        def terms_of(j: Cube) -> dict:
-            if j not in terms:
-                out = dict.fromkeys(names, 0.0)
-                for ell, moment, row, keep in whitney_of(j):
-                    if row is None:
-                        continue
-                    for name in names:
-                        if keep[name] is None:
-                            p = float(np.dot(w_i, row[idx_i]))
-                        else:
-                            idx = idx_i[keep[name][idx_i]]
-                            p = float(np.dot(w[idx], row[idx]))
-                        out[name] += (p / ell) ** 2 * moment
-                terms[j] = out
-            return terms[j]
-
-        for name in names:
-            val, _ = _best_partition(i, depth,
-                                     lambda j, name=name: terms_of(j)[name])
-            if val / qs > best[name][0]:
-                best[name] = (val / qs, i)
-    found = {name: (math.sqrt(b), wit) for name, (b, wit) in best.items()}
+    from .levels import Levels, subpartition, tops, whitney_terms
+    cubes = tops(grids, sigma, omega, True)
+    gi, lev, aug, lo = cubes
+    ratio = np.zeros((len(names), len(gi)))
+    for grid, (amb, mom), rows, qs, d in _groups(
+            grids, cubes, lambda g: (Levels(sigma, g), Levels(omega, g)),
+            depth, by_level=True):
+        terms = whitney_terms(amb, mom, int(lev[rows[0]]), lo[rows],
+                              aug[rows], d, alpha, gamma, names)
+        for r, name in enumerate(names):
+            ratio[r, rows] = subpartition(terms[name], grid.dim,
+                                          d)[0][:, 0] / qs
+    found = {}
+    for r, name in zip(ratio, names):
+        i = int(np.argmax(r)) if len(r) else 0
+        found[name] = (math.sqrt(r[i]), cube_at(grids[gi[i]], int(lev[i]),
+                                                lo[i], aug[i])) \
+            if len(r) and r[i] > 0.0 else (0.0, None)
     return found[variant] if isinstance(variant, str) else found
 
 
@@ -321,14 +304,16 @@ def functional_energy_context(corona: Corona, grid_g, fam_omega, eps: float,
     pseudoprojection onto the shifted-corona cubes inside M.
     """
     body_cache: dict = {}
-    contrib = {j: sharp_norm_sq(fam_omega, [j]) for j in fam_omega.values}
+    contrib: dict = {}      # shifted-corona cube -> its sharp-norm square
     out = []
     for f_cube in corona.stopping:
         shift = shifted_corona(corona, f_cube, grid_g, eps, body_cache)
+        for j in shift:
+            if j not in contrib:
+                contrib[j] = sharp_norm_sq(fam_omega, [j])
         chosen, residual = whitney(f_cube)
         for m in chosen + residual:
-            q = sum(contrib.get(j, 0.0) for j in shift
-                    if _contains(m, j))
+            q = sum(contrib[j] for j in shift if _contains(m, j))
             out.append((m, q))
     return out
 
@@ -357,12 +342,15 @@ def functional_energy_estimate(context, sigma: Measure, alpha: float,
     """
     rng = np.random.default_rng(seed)
     dictionary = []
-    for q in subtree(root):
+    stack = [root]
+    while stack:            # depth first, below nonempty cubes only
+        q = stack.pop()
         sel = sigma.in_cube(q)
         qm = float(sigma.masses[sel].sum())
         if qm > 0.0:
             dictionary.append(("indicator", sel.astype(np.float64)
                                / math.sqrt(qm)))
+            stack.extend(kids(q))
     for _ in range(n_sign):
         signs = rng.choice([-1.0, 1.0], size=sigma.natoms)
         nrm = math.sqrt(float(sigma.masses.sum()))

@@ -42,7 +42,6 @@ __all__ = [
     "m_deep",
     "halo_region",
     "bad_probability_mc",
-    "dist2_boxes4",
     "dist_cube_to_region",
     "scaled_box4",
 ]
@@ -92,19 +91,31 @@ class Grid:
                        for a in range(self.dim))
         return self.cube(level, coords)
 
+    def corners(self, level: int, lo_units=None, hi_units=None,
+                augmented: bool = False) -> np.ndarray:
+        """(cubes, dim) corners, first axis slowest, of the level-`level`
+        cubes meeting the box [lo, hi) (default [0,1)^n); augmented, of
+        the cubes of that side whose dyadic children are grid cubes."""
+        lo = np.asarray((0,) * self.dim if lo_units is None else lo_units)
+        hi = np.asarray((2 ** self.M,) * self.dim if hi_units is None
+                        else hi_units)
+        a = int(augmented)
+        if a and level >= self.M:
+            return np.zeros((0, self.dim), dtype=np.int64)
+        # augmented corners range over the level-(level+1) lattice, so the
+        # family holds the grid cubes of that side too
+        step = self.side_units(level + a)
+        off = np.array(self.off(level + a), dtype=np.int64)
+        k0 = (lo - off - 2 * a * step) // step + a
+        k1 = -((off - hi) // step)
+        cells = np.indices(tuple(np.maximum(k1 - k0, 0))).reshape(self.dim, -1)
+        return (cells.T + k0) * step + off
+
     def cubes_at_level(self, level: int, lo_units=None, hi_units=None):
         """All level-`level` cubes meeting the box [lo, hi) (default [0,1)^n)."""
         s = self.side_units(level)
-        off = self.off(level)
-        lo = lo_units if lo_units is not None else (0,) * self.dim
-        hi = hi_units if hi_units is not None else (2 ** self.M,) * self.dim
-        ranges = []
-        for a in range(self.dim):
-            k0 = math.floor((lo[a] - off[a]) / s)
-            k1 = math.ceil((hi[a] - off[a]) / s)
-            ranges.append(range(k0, k1))
-        for coords in itertools.product(*ranges):
-            yield self.cube(level, coords)
+        for c in self.corners(level, lo_units, hi_units).tolist():
+            yield Cube(self.M, tuple(c), s, level, self)
 
     def cubes(self, lo_units=None, hi_units=None):
         for level in range(self.N, self.M + 1):
@@ -112,26 +123,10 @@ class Grid:
 
     def augmented_cubes_at_level(self, level: int, lo_units=None,
                                  hi_units=None):
-        """Cubes of side 2^-level whose dyadic children are grid cubes.
-
-        Corners range over the level-(level+1) lattice, so the family
-        contains the grid cubes of that side themselves.
-        """
-        if level >= self.M:
-            return
+        """Cubes of side 2^-level whose dyadic children are grid cubes."""
         s = self.side_units(level)
-        half = s // 2
-        off = self.off(level + 1)
-        lo = lo_units if lo_units is not None else (0,) * self.dim
-        hi = hi_units if hi_units is not None else (2 ** self.M,) * self.dim
-        ranges = []
-        for a in range(self.dim):
-            k0 = math.floor((lo[a] - off[a] - s) / half) + 1
-            k1 = math.ceil((hi[a] - off[a]) / half)
-            ranges.append(range(k0, k1))
-        for coords in itertools.product(*ranges):
-            clo = tuple(off[a] + half * coords[a] for a in range(self.dim))
-            yield Cube(self.M, clo, s, level, None)
+        for c in self.corners(level, lo_units, hi_units, True).tolist():
+            yield Cube(self.M, tuple(c), s, level, None)
 
     def augmented_cubes(self, lo_units=None, hi_units=None):
         for level in range(self.N, self.M):
@@ -212,6 +207,13 @@ def cube_dict(q: Cube | None) -> dict | None:
     if q is None:
         return None
     return {"lo": list(q.lo), "side": q.side, "resolution": q.resolution}
+
+
+def cube_at(grid: Grid, level: int, lo, aug: bool = False) -> Cube:
+    """The cube of side 2^-level at the lattice corner lo; an augmented
+    cube (aug) carries no grid handle."""
+    return Cube(grid.M, tuple(map(int, lo)), grid.side_units(level),
+                int(level), None if aug else grid)
 
 
 def kids(q: Cube) -> list:
@@ -340,38 +342,61 @@ def relatives(q: Cube, k: int = 1):
 # Whitney decomposition and body
 
 
-def _triple_inside(s: Cube, k: Cube) -> bool:
-    # 3S, the concentric triple, as a half-open box in lattice units
-    return all(k.lo[a] <= s.lo[a] - s.side
-               and s.lo[a] + 2 * s.side <= k.lo[a] + k.side
-               for a in range(s.dim))
+def morton_cells(n: int, k: int) -> np.ndarray:
+    """(2^(nk), n) cells of the subcubes k levels down, in Morton order;
+    k = 1 gives the `Cube.children` order."""
+    m = np.arange(1 << (n * k))
+    rel = np.zeros((len(m), n), dtype=np.int64)
+    for j in range(k):
+        for a in range(n):
+            rel[:, a] |= ((m >> (n * (k - j) - 1 - a)) & 1) << (k - 1 - j)
+    return rel
+
+
+def whitney_cells(depth: int, dim: int) -> tuple:
+    """Whitney cubes of the cube [0, 2^depth)^n, in finest lattice units.
+
+    Returns (corners, sides, chosen): the maximal subcubes S with 3S
+    inside the cube (chosen), then the finest tiles none of them covers,
+    each depth first in child order.  The scan runs coarse to fine, so a
+    candidate overlapping a chosen cube never arises.
+    """
+    big = 1 << depth
+    found = [] if depth else [(np.zeros((1, dim), dtype=np.int64), 1, False)]
+    cur, side = morton_cells(dim, 1) * (big // 2), big // 2
+    while depth and len(cur):
+        inside = ((cur >= side) & (cur + 2 * side <= big)).all(axis=1)
+        found.append((cur[inside], side, True))
+        if side == 1:
+            found.append((cur[~inside], 1, False))
+            break
+        side //= 2
+        cur = (cur[~inside][:, None] + side * morton_cells(dim, 1)).reshape(
+            -1, dim)
+    corners = np.concatenate([c for c, _, _ in found])
+    sides = np.concatenate([np.full(len(c), s) for c, s, _ in found])
+    chosen = np.concatenate([np.full(len(c), f) for c, _, f in found])
+    code = np.zeros(len(corners), dtype=np.int64)
+    for j in range(depth - 1, -1, -1):
+        for a in range(dim):
+            code = (code << 1) | ((corners[:, a] >> j) & 1)
+    order = np.lexsort((code, ~chosen))
+    return corners[order], sides[order], chosen[order]
 
 
 def whitney(k: Cube):
     """Maximal subcubes S with 3S inside K, truncated at the finest level.
 
     Returns (cubes, residual) where residual is the list of finest-level
-    tiles of K not covered by any returned cube.  The greedy coarse-to-
-    fine scan makes maximality automatic: a candidate overlapping an
-    already chosen cube is nested inside it.
+    tiles of K not covered by any returned cube.
     """
-    chosen: list[Cube] = []
-    residual: list[Cube] = []
-
-    def descend(s: Cube):
-        if _triple_inside(s, k):
-            chosen.append(s)
-        elif s.level == s.resolution:
-            residual.append(s)
-        else:
-            for c in s.children():
-                descend(c)
-
-    if k.level == k.resolution:
-        return [], [k]
-    for c in k.children():
-        descend(c)
-    return chosen, residual
+    corners, sides, chosen = whitney_cells(k.resolution - k.level, k.dim)
+    out = ([], [])
+    for c, s, f in zip((corners + k.lo).tolist(), sides.tolist(),
+                       chosen.tolist()):
+        out[not f].append(Cube(k.resolution, tuple(c), s,
+                               k.resolution - s.bit_length() + 1, k.grid))
+    return out
 
 
 def _faces4(q: Cube):
@@ -399,14 +424,6 @@ def skeleton(k: Cube) -> Region:
 
 # ---------------------------------------------------------------------------
 # distances (exact integer arithmetic in quarter units)
-
-
-def dist2_boxes4(alo, ahi, blo, bhi) -> int:
-    d2 = 0
-    for a in range(len(alo)):
-        gap = max(0, blo[a] - ahi[a], alo[a] - bhi[a])
-        d2 += gap * gap
-    return d2
 
 
 def dist_cube_to_region(q: Cube, reg: Region) -> float:
@@ -453,23 +470,23 @@ def _ancestor_chain(j: Cube, grid: Grid):
 
     Every level's cube holding J's corner comes from one integer array
     operation; the chain is the first run of levels whose cube holds J.
+    Each cube is built only when the caller asks for it.
     """
     f = 2 ** (grid.M - j.resolution)
     side = j.side * f
     count = grid.M - grid.N + 1 - (side - 1).bit_length()  # sides >= side
     if count <= 0:
-        return []
+        return
     off, sides = (a[:count] for a in grid.level_arrays)
     lo = np.array(j.lo, dtype=np.int64) * f
     corners = off + (lo - off) // sides * sides
     holds = np.all(lo + side <= corners + sides, axis=1).tolist() + [False]
     if True not in holds:
-        return []
+        return
     first = holds.index(True)
-    stop = holds.index(False, first)
-    return [Cube(grid.M, tuple(c), s, grid.N + i, grid) for i, c, s in
-            zip(range(first, stop), corners[first:stop].tolist(),
-                sides[first:stop, 0].tolist())]
+    for i in range(first, holds.index(False, first)):
+        yield Cube(grid.M, tuple(corners[i].tolist()), int(sides[i, 0]),
+                   grid.N + i, grid)
 
 
 def sharp_cross(j: Cube, grid: Grid, eps: float, body_cache: dict | None = None):
@@ -478,11 +495,8 @@ def sharp_cross(j: Cube, grid: Grid, eps: float, body_cache: dict | None = None)
     Returns (q, j_flat) where j_flat is the grandchild of q containing J
     (None when q is missing or has no grandchildren above the cutoff).
     """
-    chain = _ancestor_chain(j, grid)
-    if not chain:
-        return None, None
     q = None
-    for k in chain:
+    for k in _ancestor_chain(j, grid):
         if body_cache is not None and k in body_cache:
             bk = body_cache[k]
         else:

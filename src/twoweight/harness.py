@@ -275,6 +275,7 @@ def verify_theorem(cfg: RunConfig, pair=None) -> dict:
               trep.dual <= fam_omega.C_b * trep.norm + tol,
               f"dual={trep.dual!r} C_b={fam_omega.C_b!r} "
               f"norm={trep.norm!r}")
+        del fam_sigma, fam_omega    # their memory serves the later stages
     else:
         trep = TestingReport()
     summary = ntv(trep, a2, erep.aggregate)
@@ -320,7 +321,11 @@ def verify_theorem(cfg: RunConfig, pair=None) -> dict:
         gg = make_grid(cfg.dim, cfg.resolution, cfg.levels,
                        {"kind": "gamma",
                         "g": (2 ** cfg.resolution * 2 // 3,) * cfg.dim})
-        fam_g = make_family("unit", omega, gg, gg.cube(0, (0,) * cfg.dim))
+        # rooted on every level-0 cube of gg that holds omega atoms, so
+        # that the family covers all of omega
+        cells = (omega.points - gg.off(0)) // gg.side_units(0)
+        fam_g = make_family("unit", omega, gg, [
+            gg.cube(0, c) for c in sorted(set(map(tuple, cells.tolist())))])
         ctx = functional_energy_context(cz, gg, fam_g, cfg.eps, cfg.alpha)
         fenergy = functional_energy_estimate(ctx, sigma, cfg.alpha, root,
                                              seed=cfg.seed)

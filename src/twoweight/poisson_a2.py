@@ -10,13 +10,12 @@ support of the pair.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Cube, Grid, cube_dict
-from .measure import Measure, common_points, mass, puncture
+from .grid import Cube, cube_at, cube_dict
+from .measure import Measure, common_points
 
 __all__ = [
     "A2Report",
@@ -114,32 +113,13 @@ def halfspace_poisson(direction: str, *, alpha: float, n: int,
 # cube enumeration
 
 
-def _support_bounds(ms, grid_res):
-    pts = [m.rescale(grid_res).points for m in ms if m.natoms]
-    if not pts:
-        return None
-    allp = np.vstack(pts)
-    return tuple(allp.min(axis=0)), tuple(allp.max(axis=0) + 1)
-
-
 def enumerate_cubes(grids, sigma: Measure, omega: Measure,
                     include_augmented: bool = True):
     """All cubes of the grids (plus augmented ones) meeting the supports."""
-    seen = set()
-    for g in grids:
-        b = _support_bounds((sigma, omega), g.M)
-        if b is None:
-            continue
-        lo, hi = b
-        for q in g.cubes(lo, hi):
-            if q not in seen:
-                seen.add(q)
-                yield q
-        if include_augmented:
-            for q in g.augmented_cubes(lo, hi):
-                if q not in seen:
-                    seen.add(q)
-                    yield q
+    from .levels import tops
+    for g, level, aug, lo in zip(*tops(grids, sigma, omega,
+                                       include_augmented)):
+        yield cube_at(grids[g], level, lo, aug)
 
 
 # ---------------------------------------------------------------------------
@@ -198,47 +178,56 @@ def a2_constants(sigma: Measure, omega: Measure, grids, alpha: float,
     The energy variants are evaluated with the plain martingale projection
     (unit testing functions), for which the sharp-norm square of x/l(Q)
     collapses to the normalized second moment of omega (resp. sigma) on Q.
+    A hole (the reproducing Poisson integral off Q) adds up the atoms of
+    the slices around Q's.
     """
     if sigma.dim != omega.dim or sigma.resolution != omega.resolution:
         raise ValueError("weight pair must share dimension and resolution")
     n = sigma.dim
     if not 0 <= alpha < n:
         raise ValueError("alpha must lie in [0, n)")
+    from .levels import Levels, ragged, tops
     pts = common_points(sigma, omega)
     rep = A2Report(classicalA2_diverges=bool(pts))
-
-    def hole(q: Cube, mu: Measure) -> float:
-        # the reproducing Poisson integral of mu off Q: one row, masked
-        out = ~mu.in_cube(q)
-        row = _poisson_row("reproducing", q, mu, alpha)
-        return float(np.dot(mu.masses[out], row[out]))
-
-    for q in enumerate_cubes(grids, sigma, omega, include_augmented):
-        ell = q.sidelength
-        size = ell ** (n - alpha)  # |Q|^(1 - alpha/n)
-        qs = float(sigma.masses[sigma.atoms(q)].sum())
-        qw = float(omega.masses[omega.atoms(q)].sum())
-        if qs == 0.0 and qw == 0.0:
-            continue
-        cands = {}
-        if qw > 0.0:
-            cands["calA2"] = hole(q, sigma) * qw / size
-        if qs > 0.0:
-            cands["calA2_star"] = hole(q, omega) * qs / size
-        if qs > 0.0 and qw > 0.0:
-            cands["classicalA2"] = qs * qw / size ** 2
-        if qs > 0.0:
-            cands["punct"] = puncture(q, omega, pts) * qs / size ** 2
-        if qw > 0.0:
-            cands["punct_star"] = puncture(q, sigma, pts) * qw / size ** 2
-        if qs > 0.0:
-            cands["energyA2"] = (_norm_moment(q, omega) / ell ** 2) \
-                * qs / size ** 2
-        if qw > 0.0:
-            cands["energyA2_star"] = (_norm_moment(q, sigma) / ell ** 2) \
-                * qw / size ** 2
-        for key, val in cands.items():
-            if val > getattr(rep, key):
-                setattr(rep, key, val)
-                rep.witnesses[key] = q
+    gi, lev, aug, lo = tops(grids, sigma, omega, include_augmented)
+    # per measure (sigma, omega) and cube: mass, moment, hole, the
+    # heaviest atom at a common point
+    cols = np.zeros((4, 2, len(gi)))
+    ell = np.zeros(len(gi))
+    for g, grid in enumerate(grids):
+        rows = np.flatnonzero(gi == g)
+        side = 2 ** (grid.M - lev[rows])
+        ell[rows] = side / 2.0 ** grid.M
+        for k, mu in enumerate((sigma, omega)):
+            lv = Levels(mu, grid)
+            common = np.array([tuple(p) in pts for p in mu.points],
+                              dtype=bool)[lv.order]
+            s, e = lv.cube_slices(lev[rows], lo[rows], aug[rows])
+            cols[:2, k, rows] = lv.stats(s, e)
+            for r, own, pos in ragged(s, e):
+                v = np.where(common[pos], lv.w[pos], 0.0)
+                o = np.lexsort((v, own))    # each row's largest last
+                last = o[np.flatnonzero(np.r_[own[o][1:] != own[o][:-1],
+                                              True])[:len(o)]]
+                cols[3, k, rows[r][own[last]]] = v[last]
+            s, e = lv.complement(s, e)
+            cols[2, k, rows] = lv.poisson(s, e, lo[rows], side, alpha,
+                                          "reproducing")[0]
+    (qs, qw), (ms, mw), (hs, hw), (bs, bw) = cols
+    size = ell ** (n - alpha)  # |Q|^(1 - alpha/n)
+    cands = {
+        "calA2": (qw > 0.0, hs * qw / size),
+        "calA2_star": (qs > 0.0, hw * qs / size),
+        "classicalA2": ((qs > 0.0) & (qw > 0.0), qs * qw / size ** 2),
+        "punct": (qs > 0.0, (qw - bw) * qs / size ** 2),
+        "punct_star": (qw > 0.0, (qs - bs) * qw / size ** 2),
+        "energyA2": (qs > 0.0, (mw / ell ** 2) * qs / size ** 2),
+        "energyA2_star": (qw > 0.0, (ms / ell ** 2) * qw / size ** 2),
+    }
+    for key, (ok, val) in cands.items():
+        val = np.where(ok, val, 0.0)
+        i = int(np.argmax(val)) if len(val) else 0
+        if len(val) and val[i] > 0.0:
+            setattr(rep, key, float(val[i]))
+            rep.witnesses[key] = cube_at(grids[gi[i]], lev[i], lo[i], aug[i])
     return rep

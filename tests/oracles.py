@@ -4,12 +4,12 @@ These are earlier forms of code under test, kept apart from the package
 so that a refactor is checked against an implementation it does not
 share: the cube lookup as a scan of every atom, the A2 loop over
 restricted measures, the face-by-face goodness distance, the
-stopping-time constructions as five separate loops, the
-best-subpartition recursion, one energy pass per Whitney variant
-and per strong direction, the kernel matrix and operator applied
-in one shot with the coordinates last, the ancestor chain walked level
-by level, the broken-child infimum by scipy's Nelder-Mead, and the
-kernel validation sweep one pair at a time.  Tests
+stopping-time constructions as five separate loops, the family walk
+over every subcube, the best-subpartition recursion, one energy pass
+per Whitney variant and per strong direction, the kernel matrix and
+operator applied in one shot with the coordinates last, the ancestor
+chain walked level by level, the broken-child infimum by scipy's
+Nelder-Mead, and the kernel validation sweep one pair at a time.  Tests
 compare the live code with them.
 """
 
@@ -20,8 +20,7 @@ from scipy.optimize import minimize
 
 from twoweight import singular
 from twoweight.bfamily import make_family, reverse_holder_adjust
-from twoweight.energy import _atoms_in_scaled
-from twoweight.grid import Cube, body, whitney
+from twoweight.grid import Cube, body, scaled_box4, whitney
 from twoweight.measure import common_points
 from twoweight.poisson_a2 import A2Report, enumerate_cubes, poisson
 
@@ -37,6 +36,26 @@ def atoms_in(mu, q):
     lo = np.array(q.lo, dtype=np.int64) * f
     pts = mu.points * up
     return np.all((pts >= lo) & (pts < lo + q.side * f), axis=1)
+
+
+def close(got, want, rel=1e-12):
+    """Equal structures whose floats agree to rel, relative."""
+    if isinstance(want, dict):
+        return got.keys() == want.keys() and all(
+            close(got[k], want[k], rel) for k in want)
+    if isinstance(want, (list, tuple)):
+        return len(got) == len(want) and all(
+            close(g, w, rel) for g, w in zip(got, want))
+    if isinstance(want, float):
+        return math.isclose(got, want, rel_tol=rel, abs_tol=0.0)
+    return got == want
+
+
+def atoms_in_scaled(mu, q, factor):
+    """Mask of mu's atoms in the concentric dilate factor*Q."""
+    lo4, hi4 = scaled_box4(q, factor)
+    f = 2 ** (mu.resolution - q.resolution)
+    return mu.in_box4(tuple(x * f for x in lo4), tuple(x * f for x in hi4))
 
 
 def _kids(q):
@@ -112,6 +131,22 @@ def best_subpartition(top, sigma_amb, omega, alpha, depth=None):
                        for c in kids))
 
     return {q: solve(q, depth) for q in _subtree(top)}
+
+
+def family_values(kind, mu, root, seed=None):
+    """{cube: b_Q} of a unit or random family, walking every subcube of
+    the root (empty ones included) in depth-first order."""
+    rng = np.random.default_rng(seed)
+    values = {}
+    for q in _subtree(root):
+        sel = atoms_in(mu, q)
+        if not sel.any():
+            continue
+        if kind == "unit":
+            values[q] = sel.astype(np.float64)
+        else:
+            values[q] = np.where(sel, rng.uniform(0.5, 2.0, mu.natoms), 0.0)
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +487,7 @@ def whitney_energy(sigma, omega, grids, alpha, gamma, variant, depth):
             chosen, residual = whitney(j)
             for m in chosen + residual:
                 if variant == "hole":
-                    sel = sel_i & ~_atoms_in_scaled(sigma, m, gamma)
+                    sel = sel_i & ~atoms_in_scaled(sigma, m, gamma)
                 elif variant == "partial":
                     sel = sel_i & ~atoms_in(sigma, m)
                 else:
@@ -568,7 +603,8 @@ def loop_sweep(spec, samples, rng):
         return singular._eval_matrix(spec, x[None, :], y[None, :])[0, 0]
 
     worst_size, worst_grad, worst_pair = 0.0, 0.0, None
-    xs, ys = singular._sample_pairs(n, spec.delta_trunc, spec.radius, samples, rng)
+    xs, ys = singular._sample_pairs(n, spec.delta_trunc, spec.radius,
+                                    samples, rng)
     for x, y in zip(xs, ys):
         r = float(np.sqrt(((x - y) ** 2).sum()))
         v = value(x, y)

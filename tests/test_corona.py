@@ -368,10 +368,11 @@ def oracle_instance(dim, seed):
     return sigma, omega, g, root, f
 
 
-def assert_same_corona(cor, want):
+def assert_same_corona(cor, want, rel=0.0):
+    # rel > 0 where the live code adds the same terms in another order
     for key in ("stopping", "parent", "criteria", "alpha_bound", "energies"):
         if key in want:
-            assert getattr(cor, key) == want[key], key
+            assert oracles.close(getattr(cor, key), want[key], rel), key
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -406,7 +407,7 @@ def test_energy_stopping_matches_oracle(dim, depth):
     cor = energy_stopping(sigma, omega, root, 2.0, e2, 0.0, 0.0, depth)
     assert len(cor.stopping) > 1
     assert_same_corona(cor, oracles.energy_stopping(
-        sigma, omega, root, 2.0, e2, 0.0, 0.0, depth))
+        sigma, omega, root, 2.0, e2, 0.0, 0.0, depth), 1e-12)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -423,7 +424,7 @@ def test_iterated_matches_oracle(dim):
     factory = make_t_factory(k, sigma, omega)
     cor, adj = iterated_stopping(fam, omega, f, factory, root, params)
     want = oracles.iterated_stopping(fam, omega, f, factory, root, params)
-    assert_same_corona(cor, want)
+    assert_same_corona(cor, want, 1e-12)
     assert cor.params["shadow"] == want["shadow"]
     assert len(want["shadow"]) > 1
     fired = {name for rec in cor.criteria.values() for name in rec}

@@ -210,6 +210,17 @@ def test_cli_subcommand_sections(capsys):
     assert "coronas" in out and "halfspace" not in out
 
 
+@pytest.mark.parametrize("seed", [0, 2])
+def test_cli_2d_verify_with_omega_off_the_first_gamma_cube(seed, capsys):
+    # these exited 1 ("family has no nonempty cube") while the gamma-grid
+    # family was rooted on the one cube gg.cube(0, 0)
+    code = cli_main(["verify", "--dim", "2", "--res", "3",
+                     "--seed", str(seed)])
+    captured = capsys.readouterr()
+    assert code in (0, 2) and captured.err.count("error") == 0
+    assert '"checks"' in captured.out
+
+
 def test_cli_missing_file_exit_one(capsys):
     assert cli_main(["verify", "--pairs", "/no/such/file.json"]) == 1
     assert "error" in capsys.readouterr().err

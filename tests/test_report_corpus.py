@@ -41,22 +41,22 @@ PAIR_FILES = {"pair.json": """{
 CORPUS = {
     "d1_random_atomic_unit": (
         dict(dim=1, resolution=4, seed=0),
-        "bb67055ce60ed410f051f882c44a3cbc7d5588bd7f8635173f6987068eaf138c"),
+        "38aad6a58f810be7ebd22a5f2a801f0c065c7f3c4c561adf1bf3b8b1322ee23c"),
     "d1_common_atoms_random_family": (
         dict(dim=1, resolution=4, seed=1, generator="common_atoms",
              family_kind="random"),
-        "cfd91ccdcb83c393058cbd28d3efdba95b54e93bfb08883488fd257a7194a7f8"),
+        "d410f7f0a9c89eb96698a0b328786d0e4c5250bbbc2be5dc6c83f3ebe52142fa"),
     "d1_doubling_like_alpha": (
         dict(dim=1, resolution=3, seed=2, alpha=0.5,
              generator="doubling_like"),
-        "6337f92a1627fc698663e6dd0c5ca2c9629bc9c19d6b7306c06aefec8599ad3e"),
+        "4e9658b444033068c345a135d440c29b3f3e7436c4c96a36a27b26ce5e3fd8fe"),
     "d1_cantor_like": (
         dict(dim=1, resolution=4, seed=3, generator="cantor_like"),
         "c1030b002f8a095189eebf373dbf98e0a6c8f2abe45a5e3de5beba83f1d97696"),
     "d1_file_pair": (
         dict(dim=1, resolution=4, seed=4, generator="file",
              generator_params={"path": "pair.json"}),
-        "76c6b5ab5bdccc9cdcfe24c192398cb618294277a28ea37b9d0e6bedade36674"),
+        "e24970308cccffa41dca50b653df007e96751a53898977265a3b788c110958d4"),
     "d1_file_empty_sigma": (
         dict(dim=1, resolution=3, generator="file",
              generator_params={"path": "empty_sigma.json"}),
@@ -65,24 +65,32 @@ CORPUS = {
     # both half-space checks fail (exit 2 from the CLI)
     "d1_failing_halfspace_budget": (
         dict(dim=1, resolution=7, natoms=100, seed=1, budget_ratio=1e-6),
-        "62693e1ec948c6bf409ef0016f48645e979b5433fa56e41114b59f218012dcf8"),
+        "73a23a7ff6c116e262bbce4af770799052dcf7da60189e2f77db52235b4adc50"),
     "d2_random_atomic_random_family": (
         dict(dim=2, resolution=3, seed=1, family_kind="random"),
-        "19dfb9b70a8333f75f2f57445c2a67358d4993fb64e7017a07da8680eb4f7f7a"),
+        "d561d30dbc955eb505d7e00913c82e2407b0f67753787ab969b3f5779b843106"),
     "d2_common_atoms_alpha": (
         dict(dim=2, resolution=3, seed=3, alpha=0.5,
              generator="common_atoms"),
-        "6677fee11c08c04c00066671fa0619f9028d650243d5e41be659a402427eab9a"),
+        "83a2c6b18635613943582c263a14b39c95ac94d74a47d563c81e3bc734450563"),
     "d2_doubling_like": (
         dict(dim=2, resolution=2, seed=1, generator="doubling_like"),
-        "33a6c2112a580faeb24d52b5ff4df87aed1d813ec49698e563927f1406a09704"),
+        "95ba8cdf96093e404201339db5585ec691fdf874c2ead5abeb0eb674e56d5bc6"),
     # the verify_2d benchmark size: deep bodies and 85-piece subpartitions
     "d2_res4_hundred_atoms": (
         dict(dim=2, resolution=4, natoms=100, seed=1),
-        "d972bb4d63ed13a6dcf82393e2f6b4a973cd801274c2799c226fdb1b32132208"),
+        "1ad09be64a2e07cb03d5e2e4adb25f87dd6943b4da82bf94719847ffc064093a"),
+    # omega has no atom in gg.cube(0, 0), the one root the gamma-grid
+    # family had before it covered omega (the CLI exited 1 on both)
+    "d2_res3_seed0_omega_off_the_first_root": (
+        dict(dim=2, resolution=3, seed=0),
+        "52a667b905c0dd096e87ba241ba1ec9e71ea52a0185cd57130358869ba130de8"),
+    "d2_res3_seed2_omega_off_the_first_root": (
+        dict(dim=2, resolution=3, seed=2),
+        "c4de5b457c3c790aeb32309a6bc0a738f4323613009a6b309e925c6ce93f93f6"),
     "d1_global_family": (
         dict(dim=1, resolution=5, seed=2, family_kind="global"),
-        "47cb4d84f1213b839e32de126a6c57ba6233dbddeb044f0ae0db9931a7fcd167"),
+        "f410231aab130ae56a60ff32aee8868ae67ad8a7f437a47a3e6312472b2a8c4a"),
 }
 
 
@@ -141,12 +149,12 @@ SCALARS = {
         2.8754426440930914, 2.752052536614851, 3.581580944154507, 0.0, 0.0,
         0.0, 1.0, 1.0,),
     'd1_failing_halfspace_budget': (
-        15433.2263366054, 15471.808880929371, 18835.690798706943,
+        15433.226336605401, 15471.808880929371, 18835.690798706943,
         8048.150006208623, 8580.80488483814, 1079.2360007972181,
-        1084.8416398731235, 30.73816400357446, 27.22733469507681,
-        9.91286658122145, 15.71577906809991, 26.622456050613202,
+        1084.8416398731233, 30.73816400357446, 27.227334695076806,
+        9.91286658122145, 15.71577906809991, 26.622456050613206,
         152.3468418218648, 164.3186751993377, 264.66228477779197,
-        0.4284670675105404, 21.682350867359453, 1.3555149488095266e-05,
+        0.9712554171384484, 153.38932065169465, 0.0013463045332653854,
         1.1824956503610042, 1.0,),
     'd1_file_empty_sigma': (
         0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
@@ -191,6 +199,20 @@ SCALARS = {
         0.8558882429050381, 1.142496395970482, 2.7740557999233553,
         68.17602521962309, 78.27461029814246, 64.87907095453303, 0.0, 0.0, 0.0,
         1.1197873938776992, 1.0,),
+    'd2_res3_seed0_omega_off_the_first_root': (
+        181.1261896948492, 306.2425278403093, 1551.784364172418,
+        219.62235772381987, 219.62235772381987, 20.329520508628832,
+        22.76397206900225, 2.7629618252908155, 2.3379367123106487,
+        0.505061604765856, 0.7188160772713535, 0.9022172399551426,
+        35.42059942493053, 25.245698587539756, 41.68183928815937, 0.0, 0.0,
+        0.0, 1.1258243882045544, 1.0,),
+    'd2_res3_seed2_omega_off_the_first_root': (
+        410.5461142955745, 892.6788789733544, 1782.4402733543961,
+        379.1735906328778, 379.1735906328778, 47.3824793277211,
+        36.07190520753443, 5.526123011330085, 3.781549406962584,
+        0.7855815733009414, 1.8308563416873043, 1.8308563416873043,
+        58.864775315785565, 58.864775315785565, 65.16862332744658, 0.0, 0.0,
+        0.0, 1.0, 1.0,),
     'd2_res4_hundred_atoms': (
         23125.008334264967, 24609.602334445168, 75342.76319482777,
         18428.46338444287, 18142.01216834798, 3293.235445067713,
