@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import Cube, Grid, kids
-from .measure import Measure
+from .measure import Measure, average
 
 __all__ = [
     "BFamily",
@@ -272,14 +272,6 @@ def reverse_holder_adjust(fam: BFamily, q: Cube, stopping, delta: float,
 # martingale operators
 
 
-def _avg(fam: BFamily, q: Cube, f: np.ndarray) -> float:
-    idx = fam.mu.atoms(q)
-    tot = float(fam.mu.masses[idx].sum())
-    if tot <= 0:
-        return 0.0
-    return float(np.dot(fam.mu.masses[idx], f[idx])) / tot
-
-
 def _e_op(fam: BFamily, q: Cube, f: np.ndarray, b: np.ndarray) -> np.ndarray:
     """1_Q (int_Q f b dmu) / (int_Q b dmu), guarded on degenerate cubes."""
     sel = fam.mu.in_cube(q)
@@ -358,15 +350,17 @@ def mart_apply(fam: BFamily, op: str, q: Cube, f) -> np.ndarray:
             out += _f_op(fam, c, f, fam.b(c)) - _f_op(fam, c, f, bq)
         return out
     if op == "Nabla":
+        f_abs = np.abs(f)
         out = np.zeros(fam.mu.natoms)
         for c in fam.broken_children.get(q, ()):
-            out += fam.mu.in_cube(c) * _avg(fam, c, np.abs(f))
+            out += fam.mu.in_cube(c) * average(c, fam.mu, f_abs)
         return out
     if op == "NablaHat":
-        top = _avg(fam, q, np.abs(f))
+        f_abs = np.abs(f)
+        top = average(q, fam.mu, f_abs)
         out = np.zeros(fam.mu.natoms)
         for c in fam.broken_children.get(q, ()):
-            out += fam.mu.in_cube(c) * (_avg(fam, c, np.abs(f)) + top)
+            out += fam.mu.in_cube(c) * (average(c, fam.mu, f_abs) + top)
         return out
     if op in ("FlatBoxHat", "FlatBox"):
         sel = fam.mu.in_cube(q)
@@ -620,12 +614,12 @@ def telescope_check(fam: BFamily, k: Cube, lcube: Cube, f) -> float:
     total = 0.0
     for i_cube, i_k in chain:
         g = mart_apply(fam, "FlatBoxHat", i_cube, f)
-        total += _avg(fam, i_k, g)
-    e_l = _avg(fam, lcube, mart_apply(fam, "Fhat", lcube, f))
+        total += average(i_k, fam.mu, g)
+    e_l = average(lcube, fam.mu, mart_apply(fam, "Fhat", lcube, f))
     if k in fam.broken_children.get(k.parent(), frozenset()):
         want = -e_l
     else:
-        want = _avg(fam, k, mart_apply(fam, "Fhat", k, f)) - e_l
+        want = average(k, fam.mu, mart_apply(fam, "Fhat", k, f)) - e_l
     return abs(total - want)
 
 

@@ -2,9 +2,9 @@
 
 A corona decomposition is a forest of stopping cubes inside a root cube
 together with the criterion each stopping cube satisfied.  Everything
-below works with exact finite recursions: averages, Poisson integrals,
-and tent masses are finite sums, and maximal/minimal cube selections are
-depth-first scans of the dyadic tree.
+below works with exact finite recursions: averages and tent masses are
+finite sums, and stopping cubes come from depth-first scans of the
+dyadic tree.
 """
 
 from __future__ import annotations
@@ -14,9 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Cube, Grid, kids, scaled_box4, sharp_cross, subtree
-from .measure import Measure, mass
-from .poisson_a2 import poisson
+from .grid import Cube, Grid, kids, scaled_box4, sharp_cross
+from .measure import Measure, average, mass
 
 __all__ = [
     "Corona",
@@ -26,33 +25,11 @@ __all__ = [
     "energy_stopping",
     "iterated_stopping",
     "stopping_data",
-    "lacey_bottom_up",
     "indented_corona",
-    "size_functionals",
     "shifted_corona",
     "carleson_norm",
     "generation_masses",
 ]
-
-
-# ---------------------------------------------------------------------------
-# averages
-
-
-def _avg_abs(mu: Measure, f: np.ndarray, q: Cube) -> float:
-    idx = mu.atoms(q)
-    tot = float(mu.masses[idx].sum())
-    if tot <= 0.0:
-        return 0.0
-    return float(np.dot(mu.masses[idx], np.abs(f[idx]))) / tot
-
-
-def _avg(mu: Measure, f: np.ndarray, q: Cube) -> float:
-    idx = mu.atoms(q)
-    tot = float(mu.masses[idx].sum())
-    if tot <= 0.0:
-        return 0.0
-    return float(np.dot(mu.masses[idx], f[idx])) / tot
 
 
 # ---------------------------------------------------------------------------
@@ -94,19 +71,6 @@ class Corona:
             d += 1
         return d
 
-    def export(self) -> str:
-        lines = [f"corona kind={self.kind} root lo={self.root.lo} "
-                 f"side={self.root.side} stopping={len(self.stopping)}"]
-        for f in self.stopping:
-            rec = self.criteria.get(f, {})
-            fired = ",".join(sorted(rec)) if rec else "root"
-            a = self.alpha_bound.get(f)
-            astr = f" alpha={a:.17g}" if a is not None else ""
-            lines.append(f"  depth={self.depth(f)} lo={f.lo} side={f.side} "
-                         f"criterion={fired}{astr}")
-        return "\n".join(lines)
-
-
 # ---------------------------------------------------------------------------
 # the stopping-time driver
 
@@ -147,10 +111,10 @@ def _stop(mu: Measure, root: Cube, criterion) -> tuple:
 # Calderon-Zygmund stopping times
 
 
-def _cz_test(mu: Measure, f: np.ndarray, c0: float, a_top: float):
+def _cz_test(mu: Measure, f_abs: np.ndarray, c0: float, a_top: float):
     """Stop where the average of |f| exceeds c0 times the top's, a_top."""
     def test(q: Cube, qs: float) -> dict:
-        a = _avg_abs(mu, f, q)
+        a = average(q, mu, f_abs)
         return {"cz": a} if a_top > 0.0 and a > c0 * a_top else {}
 
     return test
@@ -164,12 +128,12 @@ def cz_stopping(mu: Measure, f, root: Cube, c0: float) -> Corona:
     """
     if c0 <= 1.0:
         raise ValueError("c0 must exceed 1")
-    f = np.asarray(f, dtype=np.float64)
+    f_abs = np.abs(np.asarray(f, dtype=np.float64))
     alphas = {}
 
     def criterion(top: Cube):
-        alphas[top] = _avg_abs(mu, f, top)
-        return _cz_test(mu, f, c0, alphas[top])
+        alphas[top] = average(top, mu, f_abs)
+        return _cz_test(mu, f_abs, c0, alphas[top])
 
     order, parents, crit = _stop(mu, root, criterion)
     return Corona("cz", mu, root, order, parents, alphas,
@@ -189,7 +153,7 @@ def _testing_test(mu: Measure, b_top: np.ndarray, t_int, gamma: float,
     """
     def test(q: Cube, qs: float) -> dict:
         rec = {}
-        a = _avg(mu, b_top, q)
+        a = average(q, mu, b_top)
         if abs(a) < gamma:
             rec["accretive"] = a
         ti = t_int(q)
@@ -298,7 +262,7 @@ def iterated_stopping(fam, omega: Measure, f, t_factory, root: Cube,
     """
     from .bfamily import make_family, reverse_holder_adjust
 
-    f = np.asarray(f, dtype=np.float64)
+    f_abs = np.abs(np.asarray(f, dtype=np.float64))
     mu = fam.mu
     gamma, big_gamma = params["gamma"], params["big_gamma"]
     thresh = big_gamma * params["t_const"] ** 2
@@ -309,7 +273,7 @@ def iterated_stopping(fam, omega: Measure, f, t_factory, root: Cube,
     def shadow_criterion(top: Cube):
         # the union of the size, accretivity/testing and energy criteria
         b_top = fam.b(top)
-        cz = _cz_test(mu, f, params["c0"], _avg_abs(mu, f, top))
+        cz = _cz_test(mu, f_abs, params["c0"], average(top, mu, f_abs))
         testing = _testing_test(mu, b_top, t_factory(b_top), gamma, thresh)
         en = energy(top)
         return lambda q, qs: {**cz(q, qs), **testing(q, qs), **en(q, qs)}
@@ -352,7 +316,7 @@ def iterated_stopping(fam, omega: Measure, f, t_factory, root: Cube,
     order, parents, crit = _stop(mu, root, rerun_criterion)
     alphas = {}
     for q in order:
-        base = _avg_abs(mu, f, q)
+        base = average(q, mu, f_abs)
         p = parents.get(q)
         alphas[q] = base if p is None else max(base, alphas[p])
     corona = Corona("iterated", mu, root, order, parents, alphas,
@@ -374,6 +338,7 @@ def stopping_data(corona: Corona, f) -> dict:
     """
     mu = corona.mu
     f = np.asarray(f, dtype=np.float64)
+    f_abs = np.abs(f)
     c0 = corona.params.get("c0", 1.0)
     norm_sq = float(np.dot(mu.masses, f * f))
 
@@ -386,7 +351,7 @@ def stopping_data(corona: Corona, f) -> dict:
         for q in corona.corona_of(top):
             if float(mu.masses[mu.atoms(q)].sum()) <= 0.0:
                 continue
-            r = _avg_abs(mu, f, q) / a
+            r = average(q, mu, f_abs) / a
             if r > prop1:
                 prop1, wit1 = r, (top, q)
 
@@ -484,17 +449,6 @@ class HalfSpaceMeasure:
         off = np.abs(cs - ck).max(axis=1)
         return fits & (off <= 2 * (sk - ss))
 
-    def tent_mass(self, k: Cube) -> float:
-        return float(self.masses[self.tent_mask(k)].sum())
-
-    def union_tent_mass(self, cubes) -> float:
-        if len(self.masses) == 0:
-            return 0.0
-        m = np.zeros(len(self.masses), dtype=bool)
-        for k in cubes:
-            m |= self.tent_mask(k)
-        return float(self.masses[m].sum())
-
     def second_coordinate_sq_integral(self, k: Cube | None = None) -> float:
         """Integral of t^2, optionally over the tent of k."""
         t = self.sides / 2.0 ** self.resolution
@@ -505,126 +459,7 @@ class HalfSpaceMeasure:
 
 
 # ---------------------------------------------------------------------------
-# size functionals
-
-
-def _size_quotient(k: Cube, sigma: Measure, ambient: Cube,
-                   omega_flat: HalfSpaceMeasure, alpha: float) -> float:
-    sel_a = sigma.in_cube(ambient)
-    sel_k = sigma.in_cube(k)
-    qs = float(sigma.masses[sel_k].sum())
-    if qs <= 0.0:
-        return 0.0
-    outside = sigma.subset(sel_a & ~sel_k)
-    p = poisson("standard", k, outside, alpha)
-    return (p / k.sidelength) ** 2 * omega_flat.tent_mass(k) / qs
-
-
-def size_functionals(pairs, omega_flat: HalfSpaceMeasure, sigma: Measure,
-                     a_cube: Cube, alpha: float) -> dict:
-    """Initial and augmented size of a pair collection below a_cube.
-
-    The quotient at K is (P(K, sigma off K inside A)/l(K))^2 times the
-    tent mass over |K|_sigma.  The initial form restricts K to subcubes
-    of first components; the augmented form scans every subcube of A.
-    The localized form re-ambients to a given subcube S.
-    """
-    p1 = [k for k, _ in pairs]
-    init, init_w, aug, aug_w = 0.0, None, 0.0, None
-    for k in subtree(a_cube):
-        val = _size_quotient(k, sigma, a_cube, omega_flat, alpha)
-        if val > aug:
-            aug, aug_w = val, k
-        if val > init and any(p.contains_cube(k) for p in p1):
-            init, init_w = val, k
-
-    def localized(s_cube: Cube) -> float:
-        best = 0.0
-        for k in subtree(s_cube):
-            best = max(best, _size_quotient(k, sigma, s_cube,
-                                            omega_flat, alpha))
-        return best
-
-    return {"init": init, "init_witness": init_w,
-            "aug": aug, "aug_witness": aug_w, "localized": localized}
-
-
-# ---------------------------------------------------------------------------
-# bottom-up generations and the indented subforest
-
-
-def _minimal_with(root: Cube, pred) -> list:
-    """Minimal cubes in the subtree satisfying pred (post-order scan)."""
-    out = []
-
-    def scan(q: Cube) -> bool:
-        found = False
-        for c in kids(q):
-            found |= scan(c)
-        if found:
-            return True
-        if pred(q):
-            out.append(q)
-            return True
-        return False
-
-    scan(root)
-    return out
-
-
-def lacey_bottom_up(pairs, omega_flat: HalfSpaceMeasure, sigma: Measure,
-                    a_cube: Cube, alpha: float, eps_size: float,
-                    rho: float | None = None) -> list:
-    """Generations of stopping cubes driven by tent-mass growth.
-
-    Generation 0 holds the minimal cubes whose size quotient reaches
-    eps_size times the initial size; each later generation holds the
-    minimal cubes whose tent mass is at least rho times the union of the
-    previous generation's tents inside them.  A final residual
-    generation keeps the maximal first-component cubes not yet stopped.
-    """
-    if eps_size <= 0.0:
-        raise ValueError("eps_size must be positive")
-    rho = 1.0 + eps_size if rho is None else rho
-    if rho <= 1.0:
-        raise ValueError("rho must exceed 1")
-    sizes = size_functionals(pairs, omega_flat, sigma, a_cube, alpha)
-    s_init = sizes["init"]
-    p1 = [k for k, _ in pairs]
-    gens = []
-    if s_init > 0.0:
-        cut = eps_size * s_init
-
-        def qualifies(q):
-            return any(p.contains_cube(q) for p in p1) and \
-                _size_quotient(q, sigma, a_cube, omega_flat, alpha) >= cut
-
-        gens.append(_minimal_with(a_cube, qualifies))
-    else:
-        gens.append([])
-    while gens[-1]:
-        prev = gens[-1]
-
-        def grows(q):
-            below = [l for l in prev if q.contains_cube(l) and l != q]
-            if not below:
-                return False
-            u = omega_flat.union_tent_mass(below)
-            return u > 0.0 and omega_flat.tent_mass(q) >= rho * u
-
-        nxt = _minimal_with(a_cube, grows)
-        if not nxt:
-            break
-        gens.append(nxt)
-    done = {q for g in gens for q in g}
-    tops = [p for p in p1
-            if not any(g.contains_cube(p) and g != p for g in p1)]
-    residual = []
-    for t in sorted(set(tops), key=lambda q: (-q.side, q.lo)):
-        if t not in done:
-            residual.append(t)
-    gens.append(residual)
-    return gens
+# the indented subforest
 
 
 def _triple_inside_box(l: Cube, h: Cube) -> bool:

@@ -1,4 +1,4 @@
-"""Energy constants, pseudoprojection norms, and half-space testing.
+"""Energy constants, functional energy, and half-space testing.
 
 Strong and Whitney energies are suprema over enumerated cubes and dyadic
 subpartitions; the subpartition search is a dynamic program over the
@@ -24,10 +24,8 @@ from .singular import apply as kernel_apply
 
 __all__ = [
     "EnergyReport",
-    "PseudoEnergy",
     "strong_energy",
     "whitney_energy",
-    "pseudo_energy",
     "monotonicity_check",
     "functional_energy_context",
     "functional_energy_lhs",
@@ -195,44 +193,6 @@ def whitney_energy(sigma: Measure, omega: Measure, grids, alpha: float,
                                                 lo[i], aug[i])) \
             if len(r) and r[i] > 0.0 else (0.0, None)
     return found[variant] if isinstance(variant, str) else found
-
-
-# ---------------------------------------------------------------------------
-# pseudoprojection energies
-
-
-@dataclass
-class PseudoEnergy:
-    sharp: float
-    star: float
-    percube_c: float
-    percube_witness: Cube | None = None
-
-
-def pseudo_energy(h_cubes, family, g=None) -> PseudoEnergy:
-    """Nonstandard norms of the pseudoprojection onto a cube collection.
-
-    sharp is the coordinate-energy norm squared over h_cubes; star is
-    the corresponding function norm squared of g (0 when g is omitted).
-    percube_c records the largest quotient of the sharp norm localized
-    below K against the plain second moment of K, over K in h_cubes.
-    """
-    h_cubes = list(h_cubes)
-    sharp = sharp_norm_sq(family, h_cubes) if h_cubes else 0.0
-    star = star_norm_sq(family, h_cubes, g) if g is not None and h_cubes \
-        else 0.0
-    best, wit = 0.0, None
-    fam_cubes = list(family.values)
-    for k in h_cubes:
-        denom = _norm_moment(k, family.mu)
-        if denom <= 0.0:
-            continue
-        local = [j for j in fam_cubes if _contains(k, j)]
-        val = sharp_norm_sq(family, local) / denom
-        if val > best:
-            best, wit = val, k
-    return PseudoEnergy(sharp=sharp, star=star, percube_c=best,
-                        percube_witness=wit)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 All coordinates are integers.  A grid at resolution M works in lattice
 units of 2^-M; regions, bodies and distances use quarter units 2^-(M+2)
-so that centers, thirds-of-corners and halo endpoints stay exact.
+so that centers, thirds-of-corners and dilate endpoints stay exact.
 
 Two parameterizations of the random grids are supported:
 
@@ -30,7 +30,6 @@ __all__ = [
     "Cube",
     "cube_dict",
     "kids",
-    "subtree",
     "Region",
     "make_grid",
     "relatives",
@@ -40,7 +39,6 @@ __all__ = [
     "is_eps_good",
     "sharp_cross",
     "m_deep",
-    "halo_region",
     "bad_probability_mc",
     "dist_cube_to_region",
     "scaled_box4",
@@ -223,15 +221,6 @@ def kids(q: Cube) -> list:
     return q.children()
 
 
-def subtree(q: Cube):
-    """q and every dyadic subcube of it, depth first."""
-    stack = [q]
-    while stack:
-        c = stack.pop()
-        yield c
-        stack.extend(kids(c))
-
-
 @dataclass(frozen=True)
 class Region:
     """Finite union of boxes in quarter units 2^-(resolution+2).
@@ -255,17 +244,6 @@ class Region:
         gap = np.maximum(np.maximum(blo - np.asarray(hi4),
                                     np.asarray(lo4) - bhi), 0)
         return int((gap * gap).sum(axis=1).min())
-
-    def volume(self) -> float:
-        unit = (1.0 / 2 ** (self.resolution + 2)) ** len(self.boxes4[0][0]) \
-            if self.boxes4 else 0.0
-        tot = 0
-        for lo4, hi4 in self.boxes4:
-            v = 1
-            for a in range(len(lo4)):
-                v *= hi4[a] - lo4[a]
-            tot += v
-        return tot * unit
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +534,7 @@ def m_deep(k: Cube, rho: int, eps: float, grid: Grid | None = None):
 
 
 # ---------------------------------------------------------------------------
-# halos
+# dilates
 
 
 def scaled_box4(q: Cube, factor) -> tuple:
@@ -568,50 +546,6 @@ def scaled_box4(q: Cube, factor) -> tuple:
                          "quarter lattice")
     c4 = q.center4
     return tuple(c - h for c in c4), tuple(c + h for c in c4)
-
-
-def _box_minus(outer, inner, dim):
-    """Decompose outer \\ inner into disjoint boxes (inner inside outer)."""
-    olo, ohi = list(outer[0]), list(outer[1])
-    ilo, ihi = inner
-    out = []
-    for a in range(dim):
-        if olo[a] < ilo[a]:
-            lo = tuple(olo[b] if b != a else olo[a] for b in range(dim))
-            hi = tuple(ohi[b] if b != a else ilo[a] for b in range(dim))
-            out.append((lo, hi))
-            olo[a] = ilo[a]
-        if ihi[a] < ohi[a]:
-            lo = tuple(olo[b] if b != a else ihi[a] for b in range(dim))
-            hi = tuple(ohi[b] if b != a else ohi[a] for b in range(dim))
-            out.append((lo, hi))
-            ohi[a] = ihi[a]
-    return out
-
-
-def halo_region(q: Cube, lam) -> Region:
-    """The halo (1+lam)Q minus (1-lam)Q, per-axis widths allowed."""
-    lams = list(lam) if hasattr(lam, "__len__") else [lam] * q.dim
-    if len(lams) != q.dim:
-        raise ValueError("one halo width per axis required")
-    if any(not 0 < la < 0.5 for la in lams):
-        raise ValueError("halo widths must lie in (0, 1/2)")
-    c4 = q.center4
-    outer_lo, outer_hi, inner_lo, inner_hi = [], [], [], []
-    for a in range(q.dim):
-        half4 = 2 * q.side  # quarter-unit half side of Q
-        d = lams[a] * half4
-        dd = round(d)
-        if abs(d - dd) > 1e-9:
-            raise ValueError(f"halo width {lams[a]} of side {q.side} leaves "
-                             "the quarter lattice")
-        outer_lo.append(c4[a] - half4 - dd)
-        outer_hi.append(c4[a] + half4 + dd)
-        inner_lo.append(c4[a] - half4 + dd)
-        inner_hi.append(c4[a] + half4 - dd)
-    boxes = _box_minus((tuple(outer_lo), tuple(outer_hi)),
-                       (tuple(inner_lo), tuple(inner_hi)), q.dim)
-    return Region(q.resolution, tuple(boxes))
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,9 @@ import argparse
 import csv
 import json
 import math
+import numbers
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -50,6 +51,9 @@ __all__ = [
 
 _GENERATORS = ("random_atomic", "common_atoms", "doubling_like",
                "cantor_like", "file")
+# the types that RunConfig's annotations name
+_FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str,
+                "dict": dict}
 
 
 @dataclass
@@ -77,6 +81,16 @@ class RunConfig:
     out: str | None = None
 
     def __post_init__(self):
+        for f in fields(self):
+            v, kind = getattr(self, f.name), f.type.split(" | ")[0]
+            if v is None and f.type.endswith("None"):
+                continue
+            # a JSON true is no number, though bool subclasses int
+            if isinstance(v, bool) or not isinstance(v, _FIELD_TYPES[kind]):
+                raise ValueError(f"{f.name} must be {kind}, got {v!r}")
+            # NaN fails no comparison below and an infinity overflows later
+            if kind == "float" and not math.isfinite(v):
+                raise ValueError(f"{f.name} must be finite, got {v!r}")
         if self.dim not in (1, 2):
             raise ValueError("dim must be 1 or 2")
         if not 0 <= self.alpha < self.dim:
@@ -94,6 +108,8 @@ class RunConfig:
             raise ValueError("c_en must exceed 1")
         if not 0 < self.delta_trunc < self.radius:
             raise ValueError("need 0 < delta_trunc < radius")
+        if self.budget_ratio <= 0:
+            raise ValueError("budget_ratio must be positive")
         if self.generator not in _GENERATORS:
             raise ValueError(f"unknown generator {self.generator!r}")
         have = (self.r_param, self.tau_param, self.rho_param)
@@ -212,13 +228,6 @@ def dump_pair(sigma: Measure, omega: Measure) -> str:
 # verification driver
 
 
-def _grids(cfg: RunConfig):
-    m = cfg.resolution
-    beta = make_grid(cfg.dim, m, cfg.levels,
-                     {"kind": "beta", "bits": [[0] * m] * cfg.dim})
-    return beta
-
-
 def verify_theorem(cfg: RunConfig, pair=None) -> dict:
     """All constants of one pair plus the hard invariant checks.
 
@@ -236,13 +245,18 @@ def verify_theorem(cfg: RunConfig, pair=None) -> dict:
         sigma, omega = generate_pair(cfg.generator, gp, cfg.seed)
     else:
         sigma, omega = pair
+    if sigma.dim != cfg.dim or omega.dim != cfg.dim:
+        raise ValueError(f"pair has dims ({sigma.dim}, {omega.dim}), "
+                         f"config has dim {cfg.dim}")
     # the enumeration depth follows the atoms' own lattice, so declaring
     # a finer resolution without moving any atom changes nothing
     res = max(sigma.resolution, omega.resolution)
     sigma, omega = sigma.rescale(res), omega.rescale(res)
     if res != cfg.resolution:
         cfg = RunConfig(**{**asdict(cfg), "resolution": res})
-    grid = _grids(cfg)
+    grid = make_grid(cfg.dim, cfg.resolution, cfg.levels,
+                     {"kind": "beta",
+                      "bits": [[0] * cfg.resolution] * cfg.dim})
     grids = [grid]
     root = grid.cube(0, (0,) * cfg.dim)
     checks = []
@@ -484,7 +498,8 @@ def cli_main(argv=None) -> int:
         if args.pairs is not None:
             pair = load_pair_file(args.pairs)
         report = verify_theorem(cfg, pair=pair)
-    except (OSError, ValueError, KeyError, TypeError) as e:
+    except (OSError, ValueError, KeyError, TypeError, OverflowError) as e:
+        # OverflowError: a finite number too large for the computation
         print(f"error: {e}", file=sys.stderr)
         return 1
     keep = _SECTION[args.command]

@@ -9,6 +9,7 @@ file format).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,12 +18,19 @@ __all__ = [
     "Measure",
     "PointSet",
     "mass",
-    "average_and_moment",
+    "average",
     "common_points",
     "puncture",
     "load_measure",
     "dump_measure",
 ]
+
+
+def _lattice_coord(c) -> int:
+    """A lattice coordinate; a float must be integral (and so finite)."""
+    if isinstance(c, float) and not c.is_integer():
+        raise ValueError(f"atom coordinate {c!r} is not an integer")
+    return int(c)
 
 
 def _mass_str(m) -> str:
@@ -54,7 +62,7 @@ class Measure:
         merged: dict[tuple, float] = {}
         strs: dict[tuple, str] = {}
         for coords, m in atoms:
-            key = tuple(int(c) for c in coords)
+            key = tuple(map(_lattice_coord, coords))
             if len(key) != dim:
                 raise ValueError(f"atom {key} has dim {len(key)}, expected {dim}")
             fm = float(m)
@@ -66,6 +74,9 @@ class Measure:
             else:
                 merged[key] = fm
                 strs[key] = _mass_str(m)
+            if not math.isfinite(merged[key]):   # NaN, or a sum overflowed
+                raise ValueError(f"atom at {key} has non-finite mass "
+                                 f"{merged[key]}")
         keys = sorted(merged)
         pts = np.array(keys, dtype=np.int64).reshape(len(keys), dim)
         ms = np.array([merged[k] for k in keys], dtype=np.float64)
@@ -173,34 +184,21 @@ def _atoms_of(q, mu: Measure) -> np.ndarray:
     return np.flatnonzero(mu.in_box(lo, hi))
 
 
-def mass(q_or_region, mu: Measure) -> float:
-    """Total mu-mass of a cube, an (lo, hi) box, or a Region."""
-    if hasattr(q_or_region, "boxes4"):  # Region in quarter units
-        total = 0.0
-        seen = np.zeros(mu.natoms, dtype=bool)
-        for lo4, hi4 in q_or_region.boxes4:
-            seen |= mu.in_box4(lo4, hi4)
-        return float(mu.masses[seen].sum())
-    return float(mu.masses[_atoms_of(q_or_region, mu)].sum())
+def mass(q, mu: Measure) -> float:
+    """Total mu-mass of a cube or an (lo, hi) box."""
+    return float(mu.masses[_atoms_of(q, mu)].sum())
 
 
-def average_and_moment(q, mu: Measure, f=None):
-    """(E_Q f, barycenter m_Q, flag) under mu; zero-mass cubes flag as empty.
+def average(q, mu: Measure, f: np.ndarray) -> float:
+    """E_Q f under mu, for f an array of values over the atoms of mu.
 
-    f is a vector of values over the atoms of mu (defaults to 1).
+    A cube of zero mu-mass has average 0.
     """
-    sel = _atoms_of(q, mu)
-    w = mu.masses[sel]
-    tot = float(w.sum())
+    idx = mu.atoms(q)
+    tot = float(mu.masses[idx].sum())
     if tot <= 0.0:
-        return 0.0, np.zeros(mu.dim), False
-    if f is None:
-        avg = 1.0
-    else:
-        avg = float(np.dot(w, np.asarray(f, dtype=np.float64)[sel])) / tot
-    xs = mu.coords_float()[sel]
-    m = (w[:, None] * xs).sum(axis=0) / tot
-    return avg, m, True
+        return 0.0
+    return float(np.dot(mu.masses[idx], f[idx])) / tot
 
 
 def common_points(sigma: Measure, omega: Measure) -> PointSet:

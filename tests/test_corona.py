@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from twoweight.bfamily import make_family, mart_apply
+from twoweight.bfamily import make_family
 from twoweight.corona import (
     HalfSpaceMeasure,
     accretive_stopping,
@@ -13,9 +13,7 @@ from twoweight.corona import (
     generation_masses,
     indented_corona,
     iterated_stopping,
-    lacey_bottom_up,
     shifted_corona,
-    size_functionals,
     stopping_data,
 )
 from twoweight.grid import make_grid, sharp_cross
@@ -456,112 +454,10 @@ def test_tent_union_and_t2_integral():
     a, b = g.cube(1, (0,)), g.cube(1, (4,))
     child = g.cube(2, (0,))
     hs = HalfSpaceMeasure.from_cubes([child, b], [2.0, 3.0])
-    assert hs.tent_mass(a) == 2.0
-    assert hs.union_tent_mass([a, b]) == 5.0
+    assert hs.masses[hs.tent_mask(a)].sum() == 2.0
+    assert hs.masses[hs.tent_mask(a) | hs.tent_mask(b)].sum() == 5.0
     assert hs.second_coordinate_sq_integral() == \
         pytest.approx(2.0 * 0.25 ** 2 + 3.0 * 0.5 ** 2)
-
-
-# ------------------------------------------------------- size functionals
-
-def test_size_functionals_empty():
-    rng = np.random.default_rng(8)
-    sigma = lattice_measure(rng)
-    g = std_grid()
-    root = g.cube(0, (0,))
-    hs = HalfSpaceMeasure.from_cubes([], [])
-    out = size_functionals([(root, root)], hs, sigma, root, 0.0)
-    assert out["init"] == 0.0 and out["aug"] == 0.0
-    assert out["localized"](root) == 0.0
-
-
-def test_size_monotone_in_pair_collection():
-    rng = np.random.default_rng(9)
-    sigma = lattice_measure(rng)
-    g = std_grid()
-    root = g.cube(0, (0,))
-    cubes = [q for q in subtree(root) if q.level >= 1]
-    masses = rng.random(len(cubes))
-    big = HalfSpaceMeasure.from_cubes(cubes, masses)
-    small = HalfSpaceMeasure.from_cubes(cubes[:5], masses[:5])
-    pairs = [(root, q) for q in cubes]
-    out_b = size_functionals(pairs, big, sigma, root, 0.0)
-    out_s = size_functionals(pairs[:5], small, sigma, root, 0.0)
-    assert out_s["aug"] <= out_b["aug"] + 1e-15
-
-
-def test_size_below_stopping_energy_in_energy_corona():
-    for seed in range(4):
-        rng = np.random.default_rng(seed + 60)
-        sigma = lattice_measure(rng)
-        omega = lattice_measure(rng)
-        g = std_grid()
-        root = g.cube(0, (0,))
-        cor = energy_stopping(sigma, omega, root, 1e12, 1.0, 1.0, 0.0)
-        assert cor.stopping == [root]
-        fam = make_family("unit", omega, g, root)
-        x = omega.coords_float()[:, 0]
-        js, ms = [], []
-        for j in fam.cubes():
-            d = mart_apply(fam, "Delta", j, x)
-            val = float(np.dot(omega.masses, d * d))
-            if val > 0:
-                js.append(j)
-                ms.append(val)
-        hs = HalfSpaceMeasure.from_cubes(js, ms)
-        pairs = [(root, j) for j in js]
-        out = size_functionals(pairs, hs, sigma, root, 0.0)
-        assert out["aug"] <= cor.energies[root] + 1e-12
-
-
-# ----------------------------------------------------- lacey bottom-up
-
-def test_lacey_empty_tent_measure():
-    rng = np.random.default_rng(10)
-    sigma = lattice_measure(rng)
-    root = std_grid().cube(0, (0,))
-    hs = HalfSpaceMeasure.from_cubes([], [])
-    gens = lacey_bottom_up([(root, root)], hs, sigma, root, 0.0, 0.5)
-    assert gens[0] == [] and gens[-1] == [root]
-
-
-def test_lacey_single_atom_minimal_ancestor():
-    rng = np.random.default_rng(11)
-    sigma = lattice_measure(rng)
-    g = std_grid()
-    root = g.cube(0, (0,))
-    j = g.cube(3, (5,))
-    hs = HalfSpaceMeasure.from_cubes([j], [1.0])
-    gens = lacey_bottom_up([(root, j)], hs, sigma, root, 0.0, 1.0)
-    assert len(gens[0]) == 1
-    l0 = gens[0][0]
-    sizes = size_functionals([(root, j)], hs, sigma, root, 0.0)
-    assert l0 == sizes["aug_witness"]
-
-
-def test_lacey_generation_decay_by_recount():
-    structured = 0
-    for seed in range(6):
-        rng = np.random.default_rng(seed + 70)
-        sigma = lattice_measure(rng, M=4)
-        g = std_grid(M=4)
-        root = g.cube(0, (0,))
-        cubes = [q for q in subtree(root) if q.level >= 2]
-        pick = rng.choice(len(cubes), size=10, replace=False)
-        js = [cubes[i] for i in pick]
-        hs = HalfSpaceMeasure.from_cubes(js, rng.random(10) + 0.1)
-        gens = lacey_bottom_up([(root, j) for j in js], hs, sigma,
-                               root, 0.0, 0.25)
-        rho = 1.25
-        for prev, cur in zip(gens, gens[1:-1]):
-            for l0 in cur:
-                below = [l for l in prev if l0.contains_cube(l) and l != l0]
-                total = sum(hs.tent_mass(l) for l in below)
-                assert total == pytest.approx(hs.union_tent_mass(below))
-                assert total <= hs.tent_mass(l0) / rho + 1e-12
-        if len(gens) > 2:
-            structured += 1
-    assert structured > 0
 
 
 # ------------------------------------------------------- indented corona
@@ -663,11 +559,3 @@ def test_carleson_nested_chain_uniform():
     assert carleson_norm(chain, mu) == pytest.approx(2.0 - 2.0 ** -M)
 
 
-def test_corona_export_mentions_every_stopping_cube():
-    rng = np.random.default_rng(14)
-    mu = lattice_measure(rng, M=4)
-    f = rng.standard_normal(mu.natoms) * rng.integers(1, 30, mu.natoms)
-    root = std_grid(M=4).cube(0, (0,))
-    cor = cz_stopping(mu, f, root, 3.0)
-    text = cor.export()
-    assert text.count("depth=") == len(cor.stopping)

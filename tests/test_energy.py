@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from twoweight.bfamily import make_family, mart_apply
+from twoweight.bfamily import make_family
 from twoweight.corona import cz_stopping
 from twoweight.energy import (
     functional_energy_context,
@@ -12,7 +12,6 @@ from twoweight.energy import (
     halfspace_testing,
     monotonicity_check,
     mu_bar_from_corona,
-    pseudo_energy,
     strong_energy,
     whitney_energy,
 )
@@ -217,48 +216,6 @@ def test_strong_one_pass_matches_oracle(dim, alpha, gamma, kind, depth):
                      (w, parts))
         same_witness(case + "-star", rep.strong_star_witness, w2)
         assert (rep.strong > 0.0) == ("empty" not in kind)
-
-
-# ------------------------------------------------------------ pseudo energy
-
-def test_pseudo_energy_empty_collection():
-    rng = np.random.default_rng(0)
-    mu = lattice_measure(rng)
-    g = std_grid()
-    fam = make_family("unit", mu, g, g.cube(0, (0,)))
-    pe = pseudo_energy([], fam)
-    assert pe.sharp == 0.0 and pe.star == 0.0 and pe.percube_c == 0.0
-
-
-def test_pseudo_energy_unit_family_matches_haar():
-    rng = np.random.default_rng(1)
-    mu = lattice_measure(rng)
-    g = std_grid()
-    root = g.cube(0, (0,))
-    fam = make_family("unit", mu, g, root)
-    cubes = list(fam.values)
-    x = mu.coords_float()[:, 0]
-    haar = 0.0
-    for q in cubes:
-        d = mart_apply(fam, "Delta", q, x)
-        haar += float(np.dot(mu.masses, d * d))
-    pe = pseudo_energy(cubes, fam, g=x)
-    assert pe.sharp == pytest.approx(haar, rel=1e-10)
-    assert pe.star > 0.0
-
-
-def test_pseudo_energy_percube_bound():
-    # The localized sharp norm stays below a moderate multiple of the
-    # plain second moment; 16 was measured over this batch.
-    rng = np.random.default_rng(2)
-    mu = lattice_measure(rng)
-    g = std_grid()
-    root = g.cube(0, (0,))
-    for seed in range(5):
-        fam = make_family("random", mu, g, root, seed=seed)
-        pe = pseudo_energy(list(fam.values), fam)
-        assert pe.percube_c <= 16.0
-        assert pe.percube_witness is not None
 
 
 # ------------------------------------------------------------ monotonicity

@@ -9,7 +9,6 @@ from twoweight.grid import (
     bad_probability_mc,
     body,
     dist_cube_to_region,
-    halo_region,
     is_eps_good,
     m_deep,
     make_grid,
@@ -338,44 +337,6 @@ def test_m_deep_disjoint_and_bounded_overlap():
     # gamma = 1 + 4*sqrt(2) =~ 6.66, so a small two-sided pile-up of
     # nested scales is expected; the point is that it stays bounded
     assert max(counts) <= 16
-
-
-# ---------------------------------------------------------------- halos
-
-def test_halo_1d_quarter():
-    g = std_grid(M=3)
-    q = g.cube(0, (0,))
-    r = halo_region(q, 0.25)
-    boxes = sorted(r.boxes4)
-    assert boxes == [((-4,), (4,)), ((28,), (36,))]  # [-1/8,1/8) u [7/8,9/8)
-
-
-def test_halo_volume_formula():
-    g = std_grid(dim=2, M=3)
-    q = g.cube(1, (0, 1))
-    lam = 0.25
-    r = halo_region(q, lam)
-    vol = ((1 + lam) ** 2 - (1 - lam) ** 2) * q.sidelength ** 2
-    assert r.volume() == pytest.approx(vol)
-
-
-def test_halo_anisotropic_volume():
-    g = std_grid(dim=2, M=3)
-    q = g.cube(0, (0, 0))
-    lam = (0.25, 0.125)
-    r = halo_region(q, lam)
-    vol = (1.25 * 1.125 - 0.75 * 0.875) * q.sidelength ** 2
-    assert r.volume() == pytest.approx(vol)
-    # disjointness of the decomposition boxes
-    for (alo, ahi), (blo, bhi) in itertools.combinations(r.boxes4, 2):
-        overlap = all(alo[i] < bhi[i] and blo[i] < ahi[i] for i in range(2))
-        assert not overlap
-
-
-def test_halo_rejects_bad_lambda():
-    g = std_grid(M=3)
-    with pytest.raises(ValueError):
-        halo_region(g.cube(0, (0,)), 0.6)
 
 
 # ---------------------------------------------------------------- MC goodness

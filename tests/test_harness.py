@@ -1,5 +1,9 @@
 import ast
+import contextlib
+import dataclasses
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import twoweight
 from twoweight import harness
@@ -263,6 +269,129 @@ def test_cli_deterministic_report_files(tmp_path):
                          "--out", str(path)]) == 0
         outs.append(path.read_bytes())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("radius", math.inf),           # overflowed in the kernel
+    ("c_en", math.nan),             # passed every range check: exit 0
+    ("c0", math.nan),               # exit 2 with bound=nan
+    ("budget_ratio", -1.0),         # failed the half-space checks
+])
+def test_cli_rejects_non_finite_and_out_of_range_config(field, value,
+                                                        tmp_path, capsys):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"resolution": 2, field: value}))
+    assert cli_main(["verify", "--config", str(cfgfile)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and field in captured.err
+
+
+def _measure_obj(dim, atoms):
+    return {"dim": dim, "resolution": 2,
+            "atoms": [{"num": num, "mass": m} for num, m in atoms]}
+
+
+_ONE_D = _measure_obj(1, [([1], "1.0"), ([3], "2.0")])
+
+
+@pytest.mark.parametrize("sigma, omega, argv, message", [
+    pytest.param(_measure_obj(2, [([1, 2], "1.0")]),
+                 _measure_obj(2, [([0, 1], "1.5")]), [], "dim",
+                 id="2d_pair_without_dim_2"),
+    pytest.param(_ONE_D, _ONE_D, ["--dim", "2"], "dim",
+                 id="1d_pair_under_dim_2"),
+    pytest.param(_measure_obj(3, [([1, 2, 3], "1.0")]),
+                 _measure_obj(3, [([0, 1, 2], "1.0")]), [], "dim",
+                 id="3d_pair"),
+    pytest.param(_ONE_D, _measure_obj(1, [([2], "nan")]), [],
+                 "non-finite mass", id="nan_mass"),
+    pytest.param(_measure_obj(1, [([1.5], "1.0")]), _ONE_D, [],
+                 "not an integer", id="fractional_coordinate"),
+    pytest.param(_measure_obj(1, [([1], "1e308"), ([1], "1e308")]), _ONE_D,
+                 [], "non-finite mass", id="merged_mass_overflows"),
+])
+def test_cli_rejects_bad_pair_file(sigma, omega, argv, message, tmp_path,
+                                   capsys):
+    pfile = tmp_path / "pair.json"
+    pfile.write_text(json.dumps({"sigma": sigma, "omega": omega}))
+    assert cli_main(["verify", "--pairs", str(pfile)] + argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
+def test_verify_rejects_a_pair_of_another_dim():
+    sigma = Measure.from_atoms(2, 2, [((1, 2), 1.0)])
+    with pytest.raises(ValueError, match="dim"):
+        verify_theorem(RunConfig(dim=1), pair=(sigma, sigma))
+
+
+# ------------------------------------------------------------ CLI fuzz
+# Whatever the config file and the pair file hold, the CLI exits 0, 1 or
+# 2 without a traceback, and an exit 1 says why on an "error: " line.
+
+_ODD = st.sampled_from([math.nan, math.inf, -math.inf, "x", -1, -2.5, 0,
+                        None, [], {}, True, 1e308, 2 ** 64])
+_CONFIG_VALUE = st.one_of(
+    _ODD, st.sampled_from(harness._GENERATORS + ("unit", "random", "global")),
+    st.integers(-2, 3), st.floats(-2, 6),
+    st.floats(allow_nan=True, allow_infinity=True))
+# out takes no string: a valid one would write a report file
+_CONFIG = st.dictionaries(
+    st.sampled_from([f.name for f in dataclasses.fields(RunConfig)]),
+    _CONFIG_VALUE, max_size=2).filter(
+        lambda d: not isinstance(d.get("out"), str))
+
+
+@st.composite
+def _pair(draw):
+    """A pair file of one random dim, perhaps with a bad mass or a
+    fractional coordinate in sigma."""
+    dim = draw(st.integers(1, 3))
+
+    def measure():
+        res = draw(st.integers(0, 3))
+        atoms = draw(st.lists(st.tuples(
+            st.lists(st.integers(-1, 2 ** res), min_size=dim, max_size=dim),
+            st.floats(1e-3, 1e3) | st.floats(1e-3, 1e3).map(repr)),
+            max_size=4))
+        return {"dim": dim, "resolution": res,
+                "atoms": [{"num": num, "mass": m} for num, m in atoms]}
+
+    sigma, omega = measure(), measure()
+    flaw = draw(st.sampled_from([None, None, "mass", "num"]))
+    if flaw and sigma["atoms"]:
+        sigma["atoms"][0][flaw] = draw(st.sampled_from(
+            ["1e308", "nan", "inf", "-1", "0", "x", None])) \
+            if flaw == "mass" else [1.5] * dim
+    return {"sigma": sigma, "omega": omega}
+
+
+@settings(max_examples=50, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(command=st.sampled_from(list(harness._SECTION)), config=_CONFIG,
+       pair=st.none() | _pair(), dim=st.sampled_from([None, 1, 2]))
+def test_cli_fuzz_exits_0_1_or_2_and_explains_exit_1(tmp_path_factory,
+                                                     command, config, pair,
+                                                     dim):
+    where = tmp_path_factory.mktemp("fuzz")
+    argv = [command, "--config", str(where / "cfg.json")]
+    (where / "cfg.json").write_text(json.dumps({"resolution": 2, **config}))
+    if pair is not None:
+        (where / "pair.json").write_text(json.dumps(pair))
+        argv += ["--pairs", str(where / "pair.json")]
+        dim = pair["sigma"]["dim"] if dim is None else dim
+    if dim is not None:
+        argv += ["--dim", str(dim)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(argv)
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert out.getvalue() == ""
+        assert any(line.startswith("error: ")
+                   for line in err.getvalue().splitlines())
 
 
 # ------------------------------------------------------------ dependencies

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from twoweight.grid import Cube, make_grid, whitney
 from twoweight.measure import (
     Measure,
-    average_and_moment,
+    average,
     common_points,
     dump_measure,
     load_measure,
@@ -53,34 +53,31 @@ def test_additivity_over_children():
                 sum(mass(c, mu) for c in kids), abs=1e-12)
 
 
-def test_single_atom_average_and_barycenter():
+def test_single_atom_average():
     mu = Measure.from_atoms(1, 3, [((3,), 2.0)])
     q = std_grid().cube(0, (0,))
-    avg, m, ok = average_and_moment(q, mu, f=[7.0])
-    assert ok
-    assert avg == 7.0
-    assert m[0] == pytest.approx(3 / 8)
+    assert average(q, mu, np.array([7.0])) == 7.0
 
 
-def test_two_atom_barycenter():
-    # unit atoms at 0 and 1 inside [0, 2)
-    mu = Measure.from_atoms(1, 1, [((0,), 1.0), ((2,), 1.0)])
-    avg, m, ok = average_and_moment(((0,), (4,)), mu)
-    assert ok and m[0] == pytest.approx(0.5) and avg == 1.0
+def test_two_atom_average():
+    # atoms of masses 1 and 3 at 0 and 1/2, inside [0, 1) and apart below
+    mu = Measure.from_atoms(1, 1, [((0,), 1.0), ((1,), 3.0)])
+    g = std_grid(M=1)
+    f = np.array([2.0, 6.0])
+    assert average(g.cube(0, (0,)), mu, f) == 5.0
+    assert average(g.cube(1, (1,)), mu, f) == 6.0
 
 
 def test_constant_average():
     mu = Measure.from_atoms(1, 2, [((0,), 1.0), ((1,), 2.0), ((3,), 0.5)])
     q = std_grid(M=2).cube(0, (0,))
-    avg, _, ok = average_and_moment(q, mu, f=[4.0, 4.0, 4.0])
-    assert ok and avg == pytest.approx(4.0)
+    assert average(q, mu, np.full(3, 4.0)) == pytest.approx(4.0)
 
 
 def test_zero_mass_flagged():
     mu = Measure.from_atoms(1, 3, [((7,), 1.0)])
     q = std_grid().cube(2, (0,))  # [0, 1/4)
-    avg, m, ok = average_and_moment(q, mu)
-    assert not ok and avg == 0.0
+    assert average(q, mu, np.array([5.0])) == 0.0
 
 
 def test_common_points():
@@ -109,10 +106,7 @@ def test_cube_of_a_coarser_grid_is_rescaled_to_the_measure():
     mu = Measure.from_atoms(1, 4, [((k,), 1.0) for k in range(16)])
     q = std_grid(M=3).cube(1, (1,))
     assert mass(q, mu) == 8.0
-    avg, m, nonempty = average_and_moment(q, mu, np.arange(16.0))
-    assert nonempty
-    assert avg == 11.5
-    assert m[0] == 0.71875
+    assert average(q, mu, np.arange(16.0)) == 11.5
     assert puncture(q, mu, frozenset({(9,)})) == 7.0
     assert np.array_equal(mu.in_cube(q), np.arange(16) >= 8)
 
