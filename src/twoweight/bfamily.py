@@ -207,33 +207,22 @@ def truncate_family(fam: BFamily, eps: float) -> BFamily:
 # reverse-Hoelder adjustment
 
 
-def reverse_holder_adjust(fam: BFamily, q: Cube, stopping, delta: float,
-                          mode: str = "children"):
-    """Flatten b_Q on selected subcubes so averages control sup norms.
-
-    mode="children": stopping must be the children of Q; only children
-    whose average is tiny relative to their sup norm are adjusted.
-    mode="corona": stopping is any pairwise-disjoint family inside Q and
-    every listed cube is adjusted, with the sign-split parts replaced by
-    their constant averages.
+def reverse_holder_adjust(fam: BFamily, q: Cube, children, delta: float):
+    """Flatten b_Q on the children of Q whose average is tiny relative to
+    their sup norm, so that averages control sup norms.
 
     Returns (new_values, adjusted) where adjusted lists the modified
-    cubes.
+    children.
     """
-    n, cb = fam.mu.dim, fam.C_b
-    if mode == "children":
-        dmax = 1.0 / (2 ** (n + 1) * cb ** 3)
-    elif mode == "corona":
-        dmax = 1.0 / (4 * cb ** 3)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    cb = fam.C_b
+    dmax = 1.0 / (2 ** (fam.mu.dim + 1) * cb ** 3)
     if not 0 < delta < dmax:
         raise ValueError(f"delta must lie in (0, {dmax})")
     w = fam.mu.masses
     v = fam.values[q].copy()
     root_s = math.sqrt(cb * delta)
     adjusted = []
-    for qi in stopping:
+    for qi in children:
         sel = fam.mu.in_cube(qi)
         tot = float(w[sel].sum())
         if tot <= 0:
@@ -242,8 +231,7 @@ def reverse_holder_adjust(fam: BFamily, q: Cube, stopping, delta: float,
         wi = w[sel]
         avg = float(np.dot(wi, vi)) / tot
         sup = float(np.abs(vi).max(initial=0.0))
-        small = sup <= _ZERO or abs(avg) < (delta / cb) * sup
-        if mode == "children" and not small:
+        if not (sup <= _ZERO or abs(avg) < (delta / cb) * sup):
             continue  # the child is "big": leave b_Q alone there
         avg_abs = float(np.dot(wi, np.abs(vi))) / tot
         pos = np.maximum(vi, 0.0)
@@ -256,13 +244,9 @@ def reverse_holder_adjust(fam: BFamily, q: Cube, stopping, delta: float,
             int_p = float(np.dot(wi, pos))
             int_n = float(np.dot(wi, neg))
             if int_n > int_p:
-                adj = pos - neg * (1.0 + root_s)
+                new = pos - neg * (1.0 + root_s)
             else:
-                adj = (1.0 + root_s) * pos - neg
-            if mode == "corona":
-                new = np.full(vi.shape, float(np.dot(wi, adj)) / tot)
-            else:
-                new = adj
+                new = (1.0 + root_s) * pos - neg
         v[sel] = new
         adjusted.append(qi)
     return v, adjusted
@@ -562,7 +546,7 @@ def _certified_min(pts: np.ndarray, member: np.ndarray, cands) -> tuple:
     return best, max(best - low, 0.0)
 
 
-def sharp_norm_sq(fam: BFamily, cubes, coords=None, extra_candidates=()) -> float:
+def sharp_norm_sq(fam: BFamily, cubes, coords=None) -> float:
     """Squared sharp norm of the pseudoprojection of x onto the cubes."""
     if coords is None:
         coords = fam.mu.coords_float()
@@ -572,7 +556,7 @@ def sharp_norm_sq(fam: BFamily, cubes, coords=None, extra_candidates=()) -> floa
         if q not in fam.values:
             continue
         total += sum(_l2(fam, g) for g in _coordwise(fam, "Delta", q, coords))
-        total += _broken_inf_term(fam, q, coords, extra_candidates)[0]
+        total += _broken_inf_term(fam, q, coords)[0]
     return total
 
 

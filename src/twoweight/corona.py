@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Cube, Grid, kids, scaled_box4, sharp_cross
+from .grid import Cube, Grid, kids, morton_index, scaled_box4, sharp_cross
 from .measure import Measure, average, mass
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "cz_stopping",
     "accretive_stopping",
     "energy_stopping",
-    "iterated_stopping",
     "stopping_data",
     "indented_corona",
     "shifted_corona",
@@ -111,15 +110,6 @@ def _stop(mu: Measure, root: Cube, criterion) -> tuple:
 # Calderon-Zygmund stopping times
 
 
-def _cz_test(mu: Measure, f_abs: np.ndarray, c0: float, a_top: float):
-    """Stop where the average of |f| exceeds c0 times the top's, a_top."""
-    def test(q: Cube, qs: float) -> dict:
-        a = average(q, mu, f_abs)
-        return {"cz": a} if a_top > 0.0 and a > c0 * a_top else {}
-
-    return test
-
-
 def cz_stopping(mu: Measure, f, root: Cube, c0: float) -> Corona:
     """Stopping cubes where the local average of |f| jumps by factor c0.
 
@@ -132,8 +122,13 @@ def cz_stopping(mu: Measure, f, root: Cube, c0: float) -> Corona:
     alphas = {}
 
     def criterion(top: Cube):
-        alphas[top] = average(top, mu, f_abs)
-        return _cz_test(mu, f_abs, c0, alphas[top])
+        a_top = alphas[top] = average(top, mu, f_abs)
+
+        def test(q: Cube, qs: float) -> dict:
+            a = average(q, mu, f_abs)
+            return {"cz": a} if a_top > 0.0 and a > c0 * a_top else {}
+
+        return test
 
     order, parents, crit = _stop(mu, root, criterion)
     return Corona("cz", mu, root, order, parents, alphas,
@@ -142,26 +137,6 @@ def cz_stopping(mu: Measure, f, root: Cube, c0: float) -> Corona:
 
 # ---------------------------------------------------------------------------
 # accretive / weak-testing stopping times
-
-
-def _testing_test(mu: Measure, b_top: np.ndarray, t_int, gamma: float,
-                  thresh: float):
-    """Stop where |avg b_top| < gamma or t_int(q) exceeds thresh * |q|_mu.
-
-    b_top is the family's function on the corona top and t_int(q) the
-    integral over q of |T(b_top)|^2 against the target measure.
-    """
-    def test(q: Cube, qs: float) -> dict:
-        rec = {}
-        a = average(q, mu, b_top)
-        if abs(a) < gamma:
-            rec["accretive"] = a
-        ti = t_int(q)
-        if ti > thresh * qs:
-            rec["weak_testing"] = ti / qs
-        return rec
-
-    return test
 
 
 def accretive_stopping(fam, t_diag, root: Cube, gamma: float,
@@ -179,8 +154,19 @@ def accretive_stopping(fam, t_diag, root: Cube, gamma: float,
     thresh = big_gamma * t_const * t_const
 
     def criterion(top: Cube):
-        return _testing_test(mu, fam.b(top), lambda q: t_diag(q, top),
-                             gamma, thresh)
+        b_top = fam.b(top)
+
+        def test(q: Cube, qs: float) -> dict:
+            rec = {}
+            a = average(q, mu, b_top)
+            if abs(a) < gamma:
+                rec["accretive"] = a
+            ti = t_diag(q, top)
+            if ti > thresh * qs:
+                rec["weak_testing"] = ti / qs
+            return rec
+
+        return test
 
     order, parents, crit = _stop(mu, root, criterion)
     return Corona("accretive", mu, root, order, parents,
@@ -192,17 +178,23 @@ def accretive_stopping(fam, t_diag, root: Cube, gamma: float,
 # energy stopping times
 
 
-def _energy_criterion(sigma: Measure, omega: Measure, alpha: float,
-                      depth: int | None, tau: float, energies: dict,
-                      grid: Grid):
-    """Stop where the subpartition energy reaches tau |q|_sigma, tau > 0.
+def energy_stopping(sigma: Measure, omega: Measure, root: Cube,
+                    c_en: float, e2: float, a2: float, alpha: float,
+                    depth: int | None = None) -> Corona:
+    """Stop where the subpartition energy reaches c_en(e2^2 + a2)|I|_sigma.
 
     The Poisson ambient is sigma on the current corona top, whose whole
-    subtree is solved at once.  energies[top] records the largest
-    quotient over the cubes that stay in its corona.
+    subtree is solved at once.  The per-corona stopping energy (largest
+    quotient over strictly inner cubes) is recorded; by construction it
+    stays below the threshold.
     """
-    from .levels import Levels, morton_index, strong_terms, subpartition
+    if c_en <= 1.0:
+        raise ValueError("c_en must exceed 1")
+    from .levels import Levels, strong_terms, subpartition
+    tau = c_en * (e2 * e2 + a2)
+    grid = root.grid
     amb, mom = Levels(sigma, grid), Levels(omega, grid)
+    energies = {}
 
     def criterion(top: Cube):
         lo, d = np.array([top.lo]), grid.M - top.level
@@ -223,107 +215,11 @@ def _energy_criterion(sigma: Measure, omega: Measure, alpha: float,
 
         return test
 
-    return criterion
-
-
-def energy_stopping(sigma: Measure, omega: Measure, root: Cube,
-                    c_en: float, e2: float, a2: float, alpha: float,
-                    depth: int | None = None) -> Corona:
-    """Stop where the subpartition energy reaches c_en(e2^2 + a2)|I|_sigma.
-
-    The Poisson ambient is the current corona top.  The per-corona
-    stopping energy (largest quotient over strictly inner cubes) is
-    recorded; by construction it stays below the threshold.
-    """
-    if c_en <= 1.0:
-        raise ValueError("c_en must exceed 1")
-    tau = c_en * (e2 * e2 + a2)
-    energies = {}
-    order, parents, crit = _stop(sigma, root, _energy_criterion(
-        sigma, omega, alpha, depth, tau, energies, root.grid))
+    order, parents, crit = _stop(sigma, root, criterion)
     return Corona("energy", sigma, root, order, parents,
                   params={"c_en": c_en, "e2": e2, "a2": a2, "alpha": alpha,
                           "depth": depth, "tau": tau},
                   criteria=crit, energies=energies)
-
-
-# ---------------------------------------------------------------------------
-# iterated (triple) stopping times
-
-
-def iterated_stopping(fam, omega: Measure, f, t_factory, root: Cube,
-                      params: dict):
-    """Shadow stopping, reverse-Holder adjustment, then a testing re-run.
-
-    t_factory(b_values) must return a callable q -> integral over q of
-    |T(b)|^2 against omega.  params needs c0, gamma, big_gamma, t_const,
-    c_en, e2, a2, alpha, and delta (reverse-Holder).  Returns the corona
-    and the adjusted family.
-    """
-    from .bfamily import make_family, reverse_holder_adjust
-
-    f_abs = np.abs(np.asarray(f, dtype=np.float64))
-    mu = fam.mu
-    gamma, big_gamma = params["gamma"], params["big_gamma"]
-    thresh = big_gamma * params["t_const"] ** 2
-    tau = params["c_en"] * (params["e2"] ** 2 + params["a2"])
-    energy = _energy_criterion(mu, omega, params["alpha"], None, tau, {},
-                               root.grid)
-
-    def shadow_criterion(top: Cube):
-        # the union of the size, accretivity/testing and energy criteria
-        b_top = fam.b(top)
-        cz = _cz_test(mu, f_abs, params["c0"], average(top, mu, f_abs))
-        testing = _testing_test(mu, b_top, t_factory(b_top), gamma, thresh)
-        en = energy(top)
-        return lambda q, qs: {**cz(q, qs), **testing(q, qs), **en(q, qs)}
-
-    shadow, sh_parents, sh_crit = _stop(mu, root, shadow_criterion)
-    shadow_set = set(shadow)
-
-    # adjust b on every shadow corona top, coarse to fine
-    work = fam
-    adjusted_at = {}
-    for top in shadow:
-        below = [g for g in shadow if sh_parents.get(g) == top]
-        if not below:
-            adjusted_at[top] = []
-            continue
-        new_top_value, adj = reverse_holder_adjust(work, top, below,
-                                                   params["delta"],
-                                                   mode="corona")
-        values = dict(work.values)
-        values[top] = new_top_value
-        work = make_family("explicit", work.mu, work.grid, work.root,
-                           p=work.p, values=values)
-        adjusted_at[top] = adj
-    adjusted = work
-
-    # weak-testing re-run on the adjusted family, forced stops at shadow cubes
-    def rerun_criterion(top: Cube):
-        b_top = adjusted.b(top)
-        testing = _testing_test(mu, b_top, t_factory(b_top), gamma, thresh)
-
-        def test(q: Cube, qs: float) -> dict:
-            rec = {**sh_crit.get(q, {}), "shadow": True} \
-                if q in shadow_set else {}
-            for name, val in testing(q, qs).items():
-                rec[name + "_adjusted"] = val
-            return rec
-
-        return test
-
-    order, parents, crit = _stop(mu, root, rerun_criterion)
-    alphas = {}
-    for q in order:
-        base = average(q, mu, f_abs)
-        p = parents.get(q)
-        alphas[q] = base if p is None else max(base, alphas[p])
-    corona = Corona("iterated", mu, root, order, parents, alphas,
-                    params=dict(params), criteria=crit)
-    corona.params["shadow"] = shadow
-    corona.params["adjusted_at"] = adjusted_at
-    return corona, adjusted
 
 
 # ---------------------------------------------------------------------------
@@ -549,11 +445,11 @@ def shifted_corona(corona: Corona, f_cube: Cube, grid_g: Grid, eps: float,
 # Carleson norms and generation masses
 
 
-def carleson_norm(cube_family, mu: Measure, extra_tested=()) -> float:
+def carleson_norm(cube_family, mu: Measure) -> float:
     """Largest quotient sum of member masses inside S over |S|_mu."""
     fam = list(cube_family)
     best = 0.0
-    for s in list(dict.fromkeys(fam)) + list(extra_tested):
+    for s in dict.fromkeys(fam):
         ms = mass(s, mu)
         if ms <= 0.0:
             continue

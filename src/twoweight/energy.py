@@ -123,8 +123,7 @@ def _strong_one_direction(grids, cubes, tables, alpha, depth):
 
 
 def strong_energy(sigma: Measure, omega: Measure, grids, alpha: float,
-                  depth: int | None = 3,
-                  include_augmented: bool = True) -> EnergyReport:
+                  depth: int | None = 3) -> EnergyReport:
     """Strong energy constants of the pair, both directions.
 
     The value squared is the largest, over enumerated cubes I and dyadic
@@ -137,7 +136,7 @@ def strong_energy(sigma: Measure, omega: Measure, grids, alpha: float,
     if not 0 <= alpha < sigma.dim:
         raise ValueError("alpha must lie in [0, n)")
     from .levels import Levels, tops
-    cubes = tops(grids, sigma, omega, include_augmented)
+    cubes = tops(grids, sigma, omega)
     tabs = {g: (Levels(sigma, g), Levels(omega, g)) for g in grids}
     s, w, p = _strong_one_direction(grids, cubes, tabs.get, alpha, depth)
     s2, w2, _ = _strong_one_direction(grids, cubes, lambda g: tabs[g][::-1],
@@ -155,27 +154,26 @@ _WHITNEY_VARIANTS = ("hole", "partial", "plug")
 
 
 def whitney_energy(sigma: Measure, omega: Measure, grids, alpha: float,
-                   gamma: float, variant="hole",
-                   depth: int | None = None):
-    """Whitney-decomposed energy with a hole, partial hole, or plug.
+                   gamma: float, variants, depth: int | None = None) -> dict:
+    """Whitney-decomposed energies with a hole, partial hole, or plug.
 
     For each enumerated cube I and each subpartition piece, the Whitney
     cubes M of the piece contribute Poisson quotients of sigma on I with
     gamma*M removed (hole), M removed (partial), or nothing removed
-    (plug), weighted by the omega-moments of M.  For one variant name
-    returns (value, witness cube); for a tuple of names returns
-    {name: (value, witness cube)}, all from one pass over the cubes.
+    (plug), weighted by the omega-moments of M.  Returns {variant:
+    (value, witness cube)} for the variants named, all from one pass
+    over the cubes.
     """
     if not 1.0 < gamma <= 5.0:
         raise ValueError("gamma must lie in (1, 5]")
     if not 0 <= alpha < sigma.dim:
         raise ValueError("alpha must lie in [0, n)")
-    names = (variant,) if isinstance(variant, str) else tuple(variant)
+    names = tuple(variants)
     for name in names:
         if name not in _WHITNEY_VARIANTS:
             raise ValueError(f"unknown Whitney variant {name!r}")
     from .levels import Levels, subpartition, tops, whitney_terms
-    cubes = tops(grids, sigma, omega, True)
+    cubes = tops(grids, sigma, omega)
     gi, lev, aug, lo = cubes
     ratio = np.zeros((len(names), len(gi)))
     for grid, (amb, mom), rows, qs, d in _groups(
@@ -192,7 +190,7 @@ def whitney_energy(sigma: Measure, omega: Measure, grids, alpha: float,
         found[name] = (math.sqrt(r[i]), cube_at(grids[gi[i]], int(lev[i]),
                                                 lo[i], aug[i])) \
             if len(r) and r[i] > 0.0 else (0.0, None)
-    return found[variant] if isinstance(variant, str) else found
+    return found
 
 
 # ---------------------------------------------------------------------------

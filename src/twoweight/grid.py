@@ -32,7 +32,6 @@ __all__ = [
     "kids",
     "Region",
     "make_grid",
-    "relatives",
     "whitney",
     "body",
     "skeleton",
@@ -40,7 +39,7 @@ __all__ = [
     "sharp_cross",
     "m_deep",
     "bad_probability_mc",
-    "dist_cube_to_region",
+    "dilate4",
     "scaled_box4",
 ]
 
@@ -297,26 +296,6 @@ def make_grid(dim: int, M: int, N: int, param) -> Grid:
 
 
 # ---------------------------------------------------------------------------
-# relations
-
-
-def relatives(q: Cube, k: int = 1):
-    """k-fold parent, children, grandchildren and inner/outer split."""
-    anc = q
-    for _ in range(k):
-        anc = anc.parent()
-    children = kids(q)
-    grand = [g for c in children for g in kids(c)]
-    inner, outer = [], []
-    for g in grand:
-        touches = any(g.lo[a] == q.lo[a]
-                      or g.lo[a] + g.side == q.lo[a] + q.side
-                      for a in range(q.dim))
-        (outer if touches else inner).append(g)
-    return anc, children, grand, inner, outer
-
-
-# ---------------------------------------------------------------------------
 # Whitney decomposition and body
 
 
@@ -329,6 +308,16 @@ def morton_cells(n: int, k: int) -> np.ndarray:
         for a in range(n):
             rel[:, a] |= ((m >> (n * (k - j) - 1 - a)) & 1) << (k - 1 - j)
     return rel
+
+
+def morton_index(rel, k: int):
+    """Morton index of the subcube with cells rel, k levels down: an int
+    for int cells, an array for arrays of cells."""
+    m = 0 * rel[0]
+    for j in range(k - 1, -1, -1):
+        for r in rel:
+            m = (m << 1) | ((r >> j) & 1)
+    return m
 
 
 def whitney_cells(depth: int, dim: int) -> tuple:
@@ -354,11 +343,7 @@ def whitney_cells(depth: int, dim: int) -> tuple:
     corners = np.concatenate([c for c, _, _ in found])
     sides = np.concatenate([np.full(len(c), s) for c, s, _ in found])
     chosen = np.concatenate([np.full(len(c), f) for c, _, f in found])
-    code = np.zeros(len(corners), dtype=np.int64)
-    for j in range(depth - 1, -1, -1):
-        for a in range(dim):
-            code = (code << 1) | ((corners[:, a] >> j) & 1)
-    order = np.lexsort((code, ~chosen))
+    order = np.lexsort((morton_index(corners.T, depth), ~chosen))
     return corners[order], sides[order], chosen[order]
 
 
@@ -398,17 +383,6 @@ def skeleton(k: Cube) -> Region:
     """Union of the boundaries of the children of K."""
     faces = {f for c in k.children() for f in _faces4(c)}
     return Region(k.resolution, tuple(sorted(faces)))
-
-
-# ---------------------------------------------------------------------------
-# distances (exact integer arithmetic in quarter units)
-
-
-def dist_cube_to_region(q: Cube, reg: Region) -> float:
-    """Euclidean distance (absolute units) from a cube to a region."""
-    if not reg.boxes4:
-        return math.inf
-    return math.sqrt(reg.gap2(q.lo4, q.hi4)) / 2 ** (q.resolution + 2)
 
 
 # ---------------------------------------------------------------------------
@@ -537,15 +511,26 @@ def m_deep(k: Cube, rho: int, eps: float, grid: Grid | None = None):
 # dilates
 
 
+def dilate4(corners, sides, factor) -> tuple:
+    """(lo4, hi4) arrays of the concentric dilates factor*Q of the cubes
+    with corners (..., n) and sides (...) in lattice units; every dilate
+    must have quarter-lattice corners."""
+    sides = np.asarray(sides, dtype=np.int64)
+    half4 = factor * 2 * sides  # half sides in quarter units
+    h = np.round(half4)
+    off = np.abs(half4 - h) > 1e-9
+    if off.any():
+        raise ValueError(f"dilate {factor} of side {sides[off].min()} "
+                         "leaves the quarter lattice")
+    h = h.astype(np.int64)[..., None]
+    c4 = 4 * np.asarray(corners, dtype=np.int64) + 2 * sides[..., None]
+    return c4 - h, c4 + h
+
+
 def scaled_box4(q: Cube, factor) -> tuple:
     """(lo4, hi4) of the concentric dilate factor*Q; needs exact quarters."""
-    half4 = factor * 2 * q.side  # half side in quarter units
-    h = round(half4)
-    if abs(half4 - h) > 1e-9:
-        raise ValueError(f"dilate {factor} of side {q.side} leaves the "
-                         "quarter lattice")
-    c4 = q.center4
-    return tuple(c - h for c in c4), tuple(c + h for c in c4)
+    lo4, hi4 = dilate4(q.lo, q.side, factor)
+    return tuple(lo4.tolist()), tuple(hi4.tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -252,6 +252,12 @@ def verify_theorem(cfg: RunConfig, pair=None) -> dict:
     # a finer resolution without moving any atom changes nothing
     res = max(sigma.resolution, omega.resolution)
     sigma, omega = sigma.rescale(res), omega.rescale(res)
+    # every corona, energy and A2 constant is rooted at the unit cube
+    for name, mu in (("sigma", sigma), ("omega", omega)):
+        out = ((mu.points < 0) | (mu.points >= 2 ** res)).any(axis=1)
+        if out.any():
+            raise ValueError(f"{name} atom {mu.points[out][0].tolist()} at "
+                             f"resolution {res} lies outside the unit cube")
     if res != cfg.resolution:
         cfg = RunConfig(**{**asdict(cfg), "resolution": res})
     grid = make_grid(cfg.dim, cfg.resolution, cfg.levels,
@@ -471,7 +477,10 @@ def _config_from_args(args) -> RunConfig:
         base["out"] = args.out
     if args.pairs is not None:
         base["generator"] = "file"
-        base.setdefault("generator_params", {})["path"] = args.pairs
+        gp = base.setdefault("generator_params", {})
+        if not isinstance(gp, dict):
+            raise ValueError(f"generator_params must be dict, got {gp!r}")
+        gp["path"] = args.pairs
     return RunConfig(**base)
 
 

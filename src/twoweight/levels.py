@@ -19,18 +19,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import morton_cells, whitney_cells
+from .grid import dilate4, morton_cells, whitney_cells
+from .poisson_a2 import poisson_kernel
 
 _BLOCK = 1 << 12        # atoms per block of a ragged sum, to bound memory
-
-
-def morton_index(rel, k: int) -> int:
-    """Morton index of the subcube with cells rel, k levels down."""
-    m = 0
-    for j in range(k - 1, -1, -1):
-        for r in rel:
-            m = (m << 1) | ((r >> j) & 1)
-    return m
 
 
 def support_bounds(ms, grid_res):
@@ -41,7 +33,7 @@ def support_bounds(ms, grid_res):
     return allp.min(axis=0), allp.max(axis=0) + 1
 
 
-def tops(grids, sigma, omega, include_augmented: bool = True) -> tuple:
+def tops(grids, sigma, omega) -> tuple:
     """The cubes of `enumerate_cubes` as (grid index, level, augmented,
     corner) arrays, in its order: per grid, its cubes meeting the support
     box level by level, then its augmented cubes, each cube kept at its
@@ -51,8 +43,7 @@ def tops(grids, sigma, omega, include_augmented: bool = True) -> tuple:
         b = support_bounds((sigma, omega), g.M)
         for aug in (False, True) if b is not None else ():
             for lev in range(g.N, g.M if aug else g.M + 1):
-                if include_augmented or not aug:
-                    rows.append((gi, lev, aug, g.corners(lev, *b, aug)))
+                rows.append((gi, lev, aug, g.corners(lev, *b, aug)))
     rows = rows or [(0, 0, False, np.zeros((0, sigma.dim), dtype=np.int64))]
     gi, lev, aug = (np.concatenate([np.full(len(r[3]), r[i]) for r in rows])
                     for i in range(3))
@@ -232,11 +223,8 @@ class Levels:
             k = rows.stop - rows.start
             d = self.x[pos] - centre[rows][own]
             dist = np.sqrt((d * d).sum(axis=1))
-            e = ell[rows][own]
-            if kind == "standard":
-                v = self.w[pos] * (e / (e + dist) ** (n + 1 - alpha))
-            else:
-                v = self.w[pos] * (e / (e + dist) ** 2) ** (n - alpha)
+            v = self.w[pos] * poisson_kernel(kind, ell[rows][own], dist, n,
+                                             alpha)
             p4 = self.p4[pos]
             for h, box in enumerate(holes):
                 out[h, rows] = np.bincount(own, v if box is None else np.where(
@@ -307,7 +295,11 @@ def whitney_terms(amb: Levels, mom: Levels, level: int, lo, aug, depth: int,
         top = sel // (len(ws) << (n * k))
         box = {"plug": None, "partial": (4 * c, 4 * (c + sd[:, None]))}
         if "hole" in names:
-            box["hole"] = _dilate4(c, sd, gamma, ws)
+            # the dilates of the template, checked for every side, moved
+            # to each piece's corner
+            t = sel % len(ws)
+            base = 4 * (c - wc[t])
+            box["hole"] = tuple(base + x[t] for x in dilate4(wc, ws, gamma))
         p = amb.poisson(a_s[top], a_e[top], c, sd, alpha,
                         holes=[box[name] for name in names])
         for name, v in zip(names, p):
@@ -316,13 +308,3 @@ def whitney_terms(amb: Levels, mom: Levels, level: int, lo, aug, depth: int,
             terms[name].append(term.reshape(len(lo), -1))
     return terms
 
-
-def _dilate4(corners, sides, gamma: float, all_sides):
-    """Quarter-unit boxes of the concentric dilates gamma M."""
-    for sd in sorted(set(all_sides.tolist())):
-        if abs(gamma * 2 * sd - round(gamma * 2 * sd)) > 1e-9:
-            raise ValueError(f"dilate {gamma} of side {sd} leaves the "
-                             "quarter lattice")
-    h = np.round(gamma * 2 * sides).astype(np.int64)[:, None]
-    c4 = 4 * corners + 2 * sides[:, None]
-    return c4 - h, c4 + h

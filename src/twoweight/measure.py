@@ -20,7 +20,6 @@ __all__ = [
     "mass",
     "average",
     "common_points",
-    "puncture",
     "load_measure",
     "dump_measure",
 ]
@@ -65,7 +64,11 @@ class Measure:
             key = tuple(map(_lattice_coord, coords))
             if len(key) != dim:
                 raise ValueError(f"atom {key} has dim {len(key)}, expected {dim}")
-            fm = float(m)
+            try:
+                fm = float(m)
+            except (TypeError, ValueError):
+                raise ValueError(f"atom at {key} has mass {m!r}, not a "
+                                 "number") from None
             if fm <= 0:
                 raise ValueError(f"atom at {key} has nonpositive mass {m}")
             if key in merged:
@@ -176,17 +179,10 @@ _NO_ATOMS = np.zeros(0, dtype=np.int64)
 PointSet = frozenset  # of integer coordinate tuples at a shared resolution
 
 
-def _atoms_of(q, mu: Measure) -> np.ndarray:
-    """Indices of mu's atoms in a Cube or an (lo, hi) box in mu's units."""
-    if hasattr(q, "lo"):
-        return mu.atoms(q)
-    lo, hi = q
-    return np.flatnonzero(mu.in_box(lo, hi))
-
-
 def mass(q, mu: Measure) -> float:
-    """Total mu-mass of a cube or an (lo, hi) box."""
-    return float(mu.masses[_atoms_of(q, mu)].sum())
+    """Total mu-mass of a cube or an (lo, hi) box in mu's units."""
+    idx = mu.atoms(q) if hasattr(q, "lo") else np.flatnonzero(mu.in_box(*q))
+    return float(mu.masses[idx].sum())
 
 
 def average(q, mu: Measure, f: np.ndarray) -> float:
@@ -208,17 +204,6 @@ def common_points(sigma: Measure, omega: Measure) -> PointSet:
     a = {tuple(p) for p in sigma.points}
     b = {tuple(p) for p in omega.points}
     return frozenset(a & b)
-
-
-def puncture(q, mu: Measure, pts: PointSet) -> float:
-    """|Q|_mu minus the largest single mu-atom located in Q intersect pts."""
-    sel = _atoms_of(q, mu)
-    total = float(mu.masses[sel].sum())
-    best = 0.0
-    for i in sel:
-        if tuple(mu.points[i]) in pts:
-            best = max(best, float(mu.masses[i]))
-    return total - best
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from .measure import Measure, common_points
 __all__ = [
     "A2Report",
     "poisson",
+    "poisson_kernel",
     "halfspace_poisson",
     "a2_constants",
     "enumerate_cubes",
@@ -38,18 +39,10 @@ def _center_distances(q: Cube, mu: Measure) -> np.ndarray:
     return np.sqrt((d * d).sum(axis=1))
 
 
-def _poisson_row(kind: str, q: Cube, mu: Measure, alpha: float,
-                 delta: float | None = None) -> np.ndarray:
-    """Poisson kernel of the cube Q at every atom of mu, in atom order.
-
-    poisson() sums this row against the masses; callers that pair one
-    cube with many sub-measures of mu keep the row and mask it.
-    """
-    n = mu.dim
-    if not 0 <= alpha < n:
-        raise ValueError("alpha must lie in [0, n)")
-    ell = q.sidelength
-    dist = _center_distances(q, mu)
+def poisson_kernel(kind: str, ell, dist, n: int, alpha: float,
+                   delta: float | None = None):
+    """Poisson kernel of a cube of side ell in R^n at distance dist from
+    its centre (scalars or arrays alike)."""
     if kind == "standard":
         return ell / (ell + dist) ** (n + 1 - alpha)
     if kind == "reproducing":
@@ -69,7 +62,10 @@ def poisson(kind: str, q: Cube, mu: Measure, alpha: float,
     reproducing  sum w * (l / (l + |x - c|)^2)^(n-alpha)
     small        sum w * l^(1+delta) / (l + |x - c|)^(n+1+delta-alpha)
     """
-    return float(np.dot(mu.masses, _poisson_row(kind, q, mu, alpha, delta)))
+    if not 0 <= alpha < mu.dim:
+        raise ValueError("alpha must lie in [0, n)")
+    return float(np.dot(mu.masses, poisson_kernel(
+        kind, q.sidelength, _center_distances(q, mu), mu.dim, alpha, delta)))
 
 
 def halfspace_poisson(direction: str, *, alpha: float, n: int,
@@ -113,12 +109,10 @@ def halfspace_poisson(direction: str, *, alpha: float, n: int,
 # cube enumeration
 
 
-def enumerate_cubes(grids, sigma: Measure, omega: Measure,
-                    include_augmented: bool = True):
+def enumerate_cubes(grids, sigma: Measure, omega: Measure):
     """All cubes of the grids (plus augmented ones) meeting the supports."""
     from .levels import tops
-    for g, level, aug, lo in zip(*tops(grids, sigma, omega,
-                                       include_augmented)):
+    for g, level, aug, lo in zip(*tops(grids, sigma, omega)):
         yield cube_at(grids[g], level, lo, aug)
 
 
@@ -171,8 +165,8 @@ def _norm_moment(q: Cube, mu: Measure) -> float:
     return float(np.dot(w, d2))
 
 
-def a2_constants(sigma: Measure, omega: Measure, grids, alpha: float,
-                 include_augmented: bool = True) -> A2Report:
+def a2_constants(sigma: Measure, omega: Measure, grids,
+                 alpha: float) -> A2Report:
     """Muckenhoupt constants of the pair over an enumerated cube family.
 
     The energy variants are evaluated with the plain martingale projection
@@ -189,7 +183,7 @@ def a2_constants(sigma: Measure, omega: Measure, grids, alpha: float,
     from .levels import Levels, ragged, tops
     pts = common_points(sigma, omega)
     rep = A2Report(classicalA2_diverges=bool(pts))
-    gi, lev, aug, lo = tops(grids, sigma, omega, include_augmented)
+    gi, lev, aug, lo = tops(grids, sigma, omega)
     # per measure (sigma, omega) and cube: mass, moment, hole, the
     # heaviest atom at a common point
     cols = np.zeros((4, 2, len(gi)))

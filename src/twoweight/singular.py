@@ -199,6 +199,10 @@ def make_kernel(dim: int, alpha: float, kind: str = "riesz", *,
         raise ValueError("alpha must lie in [0, dim)")
     if not 0 < delta_trunc < radius:
         raise ValueError("truncation needs 0 < delta_trunc < radius")
+    if not math.isfinite(4.0 * dim * radius * radius):
+        # the validation sweep squares separations up to 2 radius per axis
+        raise ValueError(f"radius {radius!r} is too large: squared "
+                         "distances in the validation sweep overflow")
     if kind in ("riesz", "riesz_vector"):
         comp = component if kind == "riesz" else None
         if comp is not None and not 0 <= comp < dim:

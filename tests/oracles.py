@@ -4,7 +4,7 @@ These are earlier forms of code under test, kept apart from the package
 so that a refactor is checked against an implementation it does not
 share: the cube lookup as a scan of every atom, the A2 loop over
 restricted measures, the face-by-face goodness distance, the
-stopping-time constructions as five separate loops, the family walk
+stopping-time constructions as three separate loops, the family walk
 over every subcube, the best-subpartition recursion, one energy pass
 per Whitney variant and per strong direction, the kernel matrix and
 operator applied in one shot with the coordinates last, the ancestor
@@ -19,7 +19,6 @@ import numpy as np
 from scipy.optimize import minimize
 
 from twoweight import singular
-from twoweight.bfamily import make_family, reverse_holder_adjust
 from twoweight.grid import Cube, body, scaled_box4, whitney
 from twoweight.measure import common_points
 from twoweight.poisson_a2 import A2Report, enumerate_cubes, poisson
@@ -239,114 +238,6 @@ def energy_stopping(sigma, omega, root, c_en, e2, a2, alpha, depth=None):
             "criteria": crit, "energies": energies}
 
 
-def _shadow_pass(fam, omega, f, t_factory, root, params):
-    mu = fam.mu
-    c0 = params["c0"]
-    gamma, big_gamma = params["gamma"], params["big_gamma"]
-    thresh = big_gamma * params["t_const"] ** 2
-    tau = params["c_en"] * (params["e2"] ** 2 + params["a2"])
-    alpha = params["alpha"]
-    stopping, parents, crit = [root], {root: None}, {}
-    queue = [root]
-    while queue:
-        top = queue.pop()
-        a_top = _avg_abs(mu, f, top)
-        b_top = fam.b(top)
-        t_int = t_factory(b_top)
-        amb = mu.subset(atoms_in(mu, top))
-        best = best_subpartition(top, amb, omega, alpha)
-        stack = list(_kids(top))
-        while stack:
-            q = stack.pop()
-            qs = _mass(mu, q)
-            if qs <= 0.0:
-                continue
-            rec = {}
-            a = _avg_abs(mu, f, q)
-            if a_top > 0.0 and a > c0 * a_top:
-                rec["cz"] = a
-            ab = _avg(mu, b_top, q)
-            if abs(ab) < gamma:
-                rec["accretive"] = ab
-            ti = t_int(q)
-            if ti > thresh * qs:
-                rec["weak_testing"] = ti / qs
-            if tau > 0.0 and best[q] / qs >= tau:
-                rec["energy"] = best[q] / qs
-            if rec:
-                stopping.append(q)
-                parents[q] = top
-                crit[q] = rec
-                queue.append(q)
-            else:
-                stack.extend(_kids(q))
-    return stopping, parents, crit
-
-
-def iterated_stopping(fam, omega, f, t_factory, root, params):
-    f = np.asarray(f, dtype=np.float64)
-    shadow, sh_parents, sh_crit = _shadow_pass(fam, omega, f, t_factory,
-                                               root, params)
-    shadow_set = set(shadow)
-    work = fam
-    adjusted_at = {}
-    for top in _coarse_to_fine(shadow_set):
-        kids = [g for g in shadow_set if sh_parents.get(g) == top]
-        if not kids:
-            adjusted_at[top] = []
-            continue
-        new_top_value, adj = reverse_holder_adjust(work, top, kids,
-                                                   params["delta"],
-                                                   mode="corona")
-        values = dict(work.values)
-        values[top] = new_top_value
-        work = make_family("explicit", work.mu, work.grid, work.root,
-                           p=work.p, values=values)
-        adjusted_at[top] = adj
-    adjusted = work
-
-    mu = fam.mu
-    gamma, big_gamma = params["gamma"], params["big_gamma"]
-    thresh = big_gamma * params["t_const"] ** 2
-    stopping, parents, crit = [root], {root: None}, {}
-    queue = [root]
-    while queue:
-        top = queue.pop()
-        b_top = adjusted.b(top)
-        t_int = t_factory(b_top)
-        stack = list(_kids(top))
-        while stack:
-            q = stack.pop()
-            qs = _mass(mu, q)
-            if qs <= 0.0:
-                continue
-            rec = dict(sh_crit.get(q, {})) if q in shadow_set else {}
-            if q in shadow_set:
-                rec["shadow"] = True
-            ab = _avg(mu, b_top, q)
-            if abs(ab) < gamma:
-                rec["accretive_adjusted"] = ab
-            ti = t_int(q)
-            if ti > thresh * qs:
-                rec["weak_testing_adjusted"] = ti / qs
-            if rec:
-                stopping.append(q)
-                parents[q] = top
-                crit[q] = rec
-                queue.append(q)
-            else:
-                stack.extend(_kids(q))
-    order = _coarse_to_fine(stopping)
-    alphas = {}
-    for q in order:
-        base = _avg_abs(mu, f, q)
-        p = parents.get(q)
-        alphas[q] = base if p is None else max(base, alphas[p])
-    return {"stopping": order, "parent": parents, "criteria": crit,
-            "alpha_bound": alphas, "shadow": _coarse_to_fine(shadow_set),
-            "adjusted_at": adjusted_at, "adjusted": adjusted}
-
-
 # ---------------------------------------------------------------------------
 # A2 constants over restricted measures
 
@@ -372,10 +263,14 @@ def puncture(q, mu, pts):
 
 
 def a2_constants(sigma, omega, grids, alpha, include_augmented=True):
+    """Over the enumerated cubes, or without include_augmented over the
+    sub-family of those that carry a grid (augmented cubes carry none)."""
     n = sigma.dim
     pts = common_points(sigma, omega)
     rep = A2Report(classicalA2_diverges=bool(pts))
-    for q in enumerate_cubes(grids, sigma, omega, include_augmented):
+    for q in enumerate_cubes(grids, sigma, omega):
+        if not include_augmented and q.grid is None:
+            continue
         ell = q.sidelength
         size = ell ** (n - alpha)
         s_in = atoms_in(sigma, q)
@@ -421,12 +316,6 @@ def dist2_min(lo4, hi4, reg):
                    for a in range(len(lo4)))
 
     return min(gap2(blo, bhi) for blo, bhi in reg.boxes4)
-
-
-def dist_cube_to_region(q, reg):
-    if not reg.boxes4:
-        return math.inf
-    return math.sqrt(dist2_min(q.lo4, q.hi4, reg)) / 2 ** (q.resolution + 2)
 
 
 def is_eps_good(j, k, eps, body_k):
@@ -476,7 +365,7 @@ def sharp_cross(j, grid, eps, bodies):
 
 def whitney_energy(sigma, omega, grids, alpha, gamma, variant, depth):
     best, witness = 0.0, None
-    for i in enumerate_cubes(grids, sigma, omega, True):
+    for i in enumerate_cubes(grids, sigma, omega):
         sel_i = atoms_in(sigma, i)
         qs = float(sigma.masses[sel_i].sum())
         if qs <= 0.0:

@@ -220,43 +220,6 @@ def test_children_conclusions_on_random_instances():
     assert hits > 0
 
 
-def test_corona_mode_constants_and_ranges():
-    rng = np.random.default_rng(23)
-    mu, g, root, _ = setup_unit(M=4, seed=55)
-    fam0 = make_family("unit", mu, g, root)
-    vals = {}
-    for q in fam0.values:
-        sel = fam0.mu.in_cube(q)
-        base = rng.uniform(1.0, 2.5, mu.natoms)
-        base = np.where(rng.random(mu.natoms) < 0.25, -base, base)
-        v = np.where(sel, base, 0.0)
-        w = mu.masses
-        tot = float(w[sel].sum())
-        avg = float(np.dot(w, v)) / tot
-        if avg < 1.0:
-            v = v + (1.0 - avg + 0.05) * sel
-        vals[q] = v
-    fam = make_family("explicit", mu, g, root, p=math.inf, values=vals)
-    cb = fam.C_b
-    delta = 0.5 / (4 * cb ** 3)
-    # arbitrary pairwise-disjoint stopping cubes inside the root
-    stopping = [g.cube(2, (0,)), g.cube(2, (2,)), g.cube(3, (6,))]
-    v, adjusted = reverse_holder_adjust(fam, root, stopping, delta,
-                                        mode="corona")
-    assert set(adjusted) == set(stopping)
-    w = mu.masses
-    for qi in stopping:
-        sel = fam.mu.in_cube(qi)
-        vi = v[sel]
-        # constant on each adjusted cube, and nonzero
-        assert np.allclose(vi, vi[0])
-        assert abs(vi[0]) > 0
-    rsel = fam.mu.in_cube(root)
-    tot = float(w[rsel].sum())
-    assert float(np.dot(w, v)) / tot >= 1.0 - delta - 1e-10
-    assert np.abs(v).max() <= 2 * (1 + math.sqrt(cb)) * cb + 1e-10
-
-
 def test_delta_range_rejected():
     mu, g, root, _ = setup_unit()
     fam = make_family("unit", mu, g, root)

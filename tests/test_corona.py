@@ -12,7 +12,6 @@ from twoweight.corona import (
     energy_stopping,
     generation_masses,
     indented_corona,
-    iterated_stopping,
     shifted_corona,
     stopping_data,
 )
@@ -238,78 +237,6 @@ def test_energy_carleson_at_most_two_and_bounds():
     assert hit > 0
 
 
-# ------------------------------------------------------ iterated stopping
-
-def make_t_factory(kernel, sigma, omega):
-    def factory(b_vals):
-        return local_test_integrals(kernel, sigma, omega, b_vals)
-    return factory
-
-
-def base_params(t_const):
-    return {"c0": 4.0, "gamma": 0.25, "big_gamma": 4.0, "t_const": t_const,
-            "c_en": 4.0, "e2": 1.0, "a2": 1.0, "alpha": 0.0, "delta": 0.01}
-
-
-def test_iterated_inert_single_corona():
-    rng = np.random.default_rng(6)
-    sigma = lattice_measure(rng)
-    omega = lattice_measure(rng)
-    g = std_grid()
-    root = g.cube(0, (0,))
-    fam = make_family("unit", sigma, g, root)
-    cor, adj = iterated_stopping(fam, omega, np.ones(sigma.natoms),
-                                 lambda b: (lambda q: 0.0), root,
-                                 base_params(1.0))
-    assert cor.stopping == [root]
-    assert adj.values.keys() == fam.values.keys()
-
-
-def iterated_instance(seed, M=4):
-    rng = np.random.default_rng(seed)
-    sigma = lattice_measure(rng, M=M)
-    omega = lattice_measure(rng, M=M)
-    g = std_grid(M=M)
-    root = g.cube(0, (0,))
-    fam = make_family("unit", sigma, g, root)
-    k = make_kernel(1, 0.0, "riesz")
-    rep = testing_constants(k, sigma, omega, fam, fam)
-    f = rng.standard_normal(sigma.natoms) * rng.integers(1, 30, sigma.natoms)
-    params = base_params(rep.forward)
-    params["e2"] = math.sqrt(
-        full_depth_strong_energy_sq(sigma, omega, root, 0.0))
-    params["a2"] = 0.0
-    cor, adj = iterated_stopping(fam, omega, f,
-                                 make_t_factory(k, sigma, omega),
-                                 root, params)
-    return sigma, omega, fam, f, cor, adj
-
-
-def test_iterated_contains_shadow_cubes():
-    found = 0
-    for seed in range(4):
-        sigma, omega, fam, f, cor, adj = iterated_instance(seed + 30)
-        shadow = set(cor.params["shadow"])
-        assert shadow <= set(cor.stopping)
-        if len(shadow) > 1:
-            found += 1
-    assert found > 0
-
-
-def test_iterated_reverse_holder_line():
-    for seed in range(4):
-        sigma, omega, fam, f, cor, adj = iterated_instance(seed + 40)
-        delta, cb = cor.params["delta"], fam.C_b
-        for top, cubes in cor.params["adjusted_at"].items():
-            b_top = adj.b(top)
-            for qi in cubes:
-                sel = adj.mu.in_cube(qi)
-                tot = float(sigma.masses[sel].sum())
-                avg = abs(float(np.dot(sigma.masses[sel], b_top[sel])) / tot)
-                sup = float(np.abs(b_top[sel]).max())
-                assert sup <= (16 * cb / delta) * avg + 1e-12
-
-
 # ----------------------------------------------------------- stopping data
 
 def test_stopping_data_single_corona():
@@ -323,7 +250,7 @@ def test_stopping_data_single_corona():
     assert rep["a0"] == pytest.approx(4.0)
 
 
-def test_stopping_data_on_random_cz_and_iterated():
+def test_stopping_data_on_random_cz():
     for seed in range(4):
         rng = np.random.default_rng(seed + 50)
         mu = lattice_measure(rng, M=4)
@@ -336,13 +263,9 @@ def test_stopping_data_on_random_cz_and_iterated():
         assert rep["carleson"] <= 4.0 / 3.0 + 1e-12
         assert rep["qorth_ratio"] >= 0.0
 
-    sigma, omega, fam, f, cor, adj = iterated_instance(99)
-    rep = stopping_data(cor, f)
-    assert rep["avg_control_ok"] and rep["alpha_monotone"]
-
 
 # ------------------------------------- stopping times against the oracle
-# tests/oracles.py keeps the five stopping loops as they were written
+# tests/oracles.py keeps the three stopping loops as they were written
 # before the one driver; every recorded field must come out equal.
 
 
@@ -406,34 +329,6 @@ def test_energy_stopping_matches_oracle(dim, depth):
     assert len(cor.stopping) > 1
     assert_same_corona(cor, oracles.energy_stopping(
         sigma, omega, root, 2.0, e2, 0.0, 0.0, depth), 1e-12)
-
-
-@pytest.mark.parametrize("dim", [1, 2])
-def test_iterated_matches_oracle(dim):
-    sigma, omega, g, root, f = oracle_instance(dim, 83 + dim)
-    fam = make_family("random", sigma, g, root, seed=dim)
-    k = make_kernel(dim, 0.0, "riesz")
-    params = base_params(testing_constants(k, sigma, omega, fam,
-                                           fam).forward)
-    params.update(c0=2.0, gamma=0.9, big_gamma=1.5)
-    params["e2"] = 0.3 * math.sqrt(
-        full_depth_strong_energy_sq(sigma, omega, root, 0.0))
-    params["a2"] = 0.0
-    factory = make_t_factory(k, sigma, omega)
-    cor, adj = iterated_stopping(fam, omega, f, factory, root, params)
-    want = oracles.iterated_stopping(fam, omega, f, factory, root, params)
-    assert_same_corona(cor, want, 1e-12)
-    assert cor.params["shadow"] == want["shadow"]
-    assert len(want["shadow"]) > 1
-    fired = {name for rec in cor.criteria.values() for name in rec}
-    assert fired == {"cz", "accretive", "weak_testing", "energy", "shadow",
-                     "accretive_adjusted", "weak_testing_adjusted"}
-    assert {top: set(cubes) for top, cubes
-            in cor.params["adjusted_at"].items()} \
-        == {top: set(cubes) for top, cubes in want["adjusted_at"].items()}
-    assert all(np.array_equal(adj.values[q], want["adjusted"].values[q])
-               for q in want["adjusted"].values)
-    assert adj.values.keys() == want["adjusted"].values.keys()
 
 
 # ----------------------------------------------------- half-space measures

@@ -104,10 +104,10 @@ def test_whitney_variant_ordering():
     for seed in range(6):
         sigma, omega = random_pair(seed)
         g = [std_grid(M=4)]
-        hole, _ = whitney_energy(sigma, omega, g, 0.0, 2.0, "hole", depth=2)
-        part, _ = whitney_energy(sigma, omega, g, 0.0, 2.0, "partial",
-                                 depth=2)
-        plug, _ = whitney_energy(sigma, omega, g, 0.0, 2.0, "plug", depth=2)
+        w = whitney_energy(sigma, omega, g, 0.0, 2.0,
+                           ("hole", "partial", "plug"), depth=2)
+        hole, part, plug = (w[name][0] for name in ("hole", "partial",
+                                                     "plug"))
         assert hole <= part + 1e-12
         assert part <= plug + 1e-12
 
@@ -119,8 +119,8 @@ def test_whitney_controlled_by_strong():
     for seed in range(8):
         sigma, omega = random_pair(seed)
         strong = strong_energy(sigma, omega, g, 0.0, depth=None).strong
-        hole, _ = whitney_energy(sigma, omega, g, 0.0, 2.0, "hole",
-                                 depth=None)
+        hole, _ = whitney_energy(sigma, omega, g, 0.0, 2.0, ("hole",),
+                                 depth=None)["hole"]
         assert hole <= 4.0 * strong + 1e-12
 
 
@@ -130,9 +130,9 @@ def test_whitney_plug_vs_partial_plus_a2():
     for seed in range(8):
         sigma, omega = random_pair(seed)
         a2 = a2_constants(sigma, omega, g, 0.0)
-        part, _ = whitney_energy(sigma, omega, g, 0.0, 2.0, "partial",
-                                 depth=2)
-        plug, _ = whitney_energy(sigma, omega, g, 0.0, 2.0, "plug", depth=2)
+        w = whitney_energy(sigma, omega, g, 0.0, 2.0, ("partial", "plug"),
+                           depth=2)
+        part, plug = w["partial"][0], w["plug"][0]
         assert plug ** 2 <= budget * (part ** 2 + a2.energyA2)
 
 
@@ -140,8 +140,9 @@ def test_whitney_rejects_bad_gamma():
     sigma, omega = random_pair(0)
     for gamma in (1.0, 5.5, 0.0):
         with pytest.raises(ValueError, match="gamma"):
-            whitney_energy(sigma, omega, [std_grid(M=4)], 0.0, gamma, "hole")
-    for variant in ("banana", ("hole", "banana")):
+            whitney_energy(sigma, omega, [std_grid(M=4)], 0.0, gamma,
+                           ("hole",))
+    for variant in (("banana",), ("hole", "banana")):
         with pytest.raises(ValueError, match="variant"):
             whitney_energy(sigma, omega, [std_grid(M=4)], 0.0, 2.0, variant)
 
@@ -193,8 +194,8 @@ def test_whitney_one_pass_matches_per_variant_oracle(dim, alpha, gamma,
         assert math.isclose(got[name][0], val, rel_tol=1e-12, abs_tol=0.0)
         same_witness(f"whitney-{name}-{dim}-{kind}-{depth}", got[name][1],
                      wit)
-        assert whitney_energy(sigma, omega, g, alpha, gamma, name,
-                              depth=depth) == got[name]
+        assert whitney_energy(sigma, omega, g, alpha, gamma, (name,),
+                              depth=depth) == {name: got[name]}
     assert (got["plug"][0] > 0.0) == ("empty" not in kind)
 
 
@@ -203,19 +204,17 @@ def test_whitney_one_pass_matches_per_variant_oracle(dim, alpha, gamma,
 def test_strong_one_pass_matches_oracle(dim, alpha, gamma, kind, depth):
     sigma, omega = oracle_pair(dim, kind, 8)
     g = [std_grid(dim=dim, M=sigma.resolution)]
-    for augmented in (True, False):
-        case = f"strong-{dim}-{kind}-{depth}-{augmented}"
-        rep = strong_energy(sigma, omega, g, alpha, depth, augmented)
-        cubes = list(enumerate_cubes(g, sigma, omega, augmented))
-        s, w, parts = oracles.strong_energy(sigma, omega, cubes, alpha,
-                                            depth)
-        s2, w2, _ = oracles.strong_energy(omega, sigma, cubes, alpha, depth)
-        assert math.isclose(rep.strong, s, rel_tol=1e-12, abs_tol=0.0)
-        assert math.isclose(rep.strong_star, s2, rel_tol=1e-12, abs_tol=0.0)
-        same_witness(case, (rep.strong_witness, rep.strong_partition),
-                     (w, parts))
-        same_witness(case + "-star", rep.strong_star_witness, w2)
-        assert (rep.strong > 0.0) == ("empty" not in kind)
+    case = f"strong-{dim}-{kind}-{depth}"
+    rep = strong_energy(sigma, omega, g, alpha, depth)
+    cubes = list(enumerate_cubes(g, sigma, omega))
+    s, w, parts = oracles.strong_energy(sigma, omega, cubes, alpha, depth)
+    s2, w2, _ = oracles.strong_energy(omega, sigma, cubes, alpha, depth)
+    assert math.isclose(rep.strong, s, rel_tol=1e-12, abs_tol=0.0)
+    assert math.isclose(rep.strong_star, s2, rel_tol=1e-12, abs_tol=0.0)
+    same_witness(case, (rep.strong_witness, rep.strong_partition),
+                 (w, parts))
+    same_witness(case + "-star", rep.strong_star_witness, w2)
+    assert (rep.strong > 0.0) == ("empty" not in kind)
 
 
 # ------------------------------------------------------------ monotonicity

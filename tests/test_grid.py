@@ -8,11 +8,9 @@ from twoweight.grid import (
     _ancestor_chain,
     bad_probability_mc,
     body,
-    dist_cube_to_region,
     is_eps_good,
     m_deep,
     make_grid,
-    relatives,
     sharp_cross,
     skeleton,
     whitney,
@@ -82,36 +80,18 @@ def test_nesting_exhaustive_small():
 
 # ---------------------------------------------------------------- relatives
 
-def test_relatives_1d():
-    g = std_grid(M=3)
-    q = g.cube(0, (0,))
-    _, kids, grand, inner, outer = relatives(q, k=0)
-    assert sorted(c.lo for c in kids) == [(0,), (4,)]
-    assert sorted(c.lo for c in inner) == [(2,), (4,)]   # [1/4,1/2),[1/2,3/4)
-    assert len(grand) == 4 and len(outer) == 2
-
-
-def test_relatives_2d_counts():
-    g = std_grid(dim=2, M=3)
-    q = g.cube(0, (0, 0))
-    _, kids, grand, inner, outer = relatives(q, k=0)
-    assert len(kids) == 4 and len(grand) == 16
-    assert len(inner) == 4 and len(outer) == 12
-
-
 def test_double_parent():
     g = std_grid(M=3)
     q = g.cube(3, (3,))  # [3/8, 1/2)
-    anc, *_ = relatives(q, k=2)
+    anc = q.parent().parent()
     assert anc.lo == (0,) and anc.side == 4  # pi^2 = [0, 1/2)
-    anc3, *_ = relatives(q, k=3)
-    assert anc3.side == 8
+    assert anc.parent().side == 8
 
 
 def test_relatives_level_overflow():
     g = std_grid(M=2)
     with pytest.raises(ValueError):
-        relatives(g.cube(0, (0,)), k=1)  # parent above the root level
+        g.cube(0, (0,)).parent()  # parent above the root level
 
 
 # ---------------------------------------------------------------- whitney
@@ -191,7 +171,7 @@ def test_dist_to_body_matches_brute_force():
     brute = min(min(abs(p - j.lo4[0]), abs(p - j.hi4[0]))
                 if not (j.lo4[0] <= p <= j.hi4[0]) else 0
                 for p in pts) / 2 ** 6
-    assert dist_cube_to_region(j, b) == pytest.approx(brute)
+    assert is_eps_good(j, k, 0.5, b)[1] == pytest.approx(brute)
 
 
 # ---------------------------------------------------------------- goodness
@@ -286,9 +266,9 @@ def test_key_fact_flat_grandchild():
         assert all(jf.lo[a] <= j.lo[a] - j.side
                    and j.lo[a] + 2 * j.side <= jf.lo[a] + jf.side
                    for a in range(1))
-        # J^flat is an inner grandchild of J^sharp
-        _, _, _, inner, _ = relatives(q, k=0)
-        assert jf in inner
+        # J^flat is a grandchild of J^sharp off its boundary
+        assert jf.side * 4 == q.side
+        assert q.lo[0] < jf.lo[0] and jf.lo[0] + jf.side < q.lo[0] + q.side
         checked += 1
     assert checked > 0
 
@@ -381,8 +361,6 @@ def test_goodness_matches_the_face_by_face_oracle(dim, M):
                 for eps in (0.5, 0.9):
                     assert is_eps_good(j, k, eps, reg) \
                         == oracles.is_eps_good(j, k, eps, reg)
-                assert dist_cube_to_region(j, reg) \
-                    == oracles.dist_cube_to_region(j, reg)
     live, bodies = {}, {}
     for eps in (0.5, 0.9):
         for j in shifted.cubes():

@@ -1,6 +1,7 @@
 import ast
 import contextlib
 import dataclasses
+import importlib.util
 import io
 import json
 import math
@@ -321,6 +322,52 @@ def test_cli_rejects_bad_pair_file(sigma, omega, argv, message, tmp_path,
     assert captured.err.startswith("error: ") and message in captured.err
 
 
+@pytest.mark.parametrize("field, config, pair", [
+    pytest.param("mass", {}, {"sigma": _measure_obj(1, [([1], "x")]),
+                              "omega": _ONE_D}, id="mass"),
+    pytest.param("generator_params", {"generator_params": "x"},
+                 {"sigma": _ONE_D, "omega": _ONE_D}, id="generator_params"),
+    pytest.param("radius", {"radius": 1e308}, None, id="radius"),
+    # its squared separations overflowed, and the sampling looped forever
+    pytest.param("radius", {"radius": 1e200}, None, id="radius_squared"),
+])
+def test_cli_exit_one_names_the_field(field, config, pair, tmp_path,
+                                      capsys):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"resolution": 2, **config}))
+    argv = ["verify", "--config", str(cfgfile)]
+    if pair is not None:
+        pfile = tmp_path / "pair.json"
+        pfile.write_text(json.dumps(pair))
+        argv += ["--pairs", str(pfile)]
+    assert cli_main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert any(line.startswith("error: ") and field in line
+               for line in captured.err.splitlines()), captured.err
+
+
+@pytest.mark.parametrize("sigma_nums, omega_nums, message", [
+    # sigma at -1/4, 1/4 and 5/4: every check passed on the root [0, 1)
+    # with 2 of the 7 sigma mass inside it
+    pytest.param([-1, 1, 5], [1, 3], r"sigma atom \[-1\]", id="sigma"),
+    pytest.param([1, 3], [0, 4], r"omega atom \[4\]", id="omega"),
+])
+def test_verify_rejects_atoms_outside_the_unit_cube(sigma_nums, omega_nums,
+                                                    message, tmp_path,
+                                                    capsys):
+    sigma, omega = (Measure.from_atoms(1, 2, [((k,), 2.0 ** i)
+                                              for i, k in enumerate(nums)])
+                    for nums in (sigma_nums, omega_nums))
+    with pytest.raises(ValueError, match=message):
+        verify_theorem(RunConfig(resolution=2), pair=(sigma, omega))
+    pfile = tmp_path / "pair.json"
+    pfile.write_text(dump_pair(sigma, omega))
+    assert cli_main(["verify", "--pairs", str(pfile)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
 def test_verify_rejects_a_pair_of_another_dim():
     sigma = Measure.from_atoms(2, 2, [((1, 2), 1.0)])
     with pytest.raises(ValueError, match="dim"):
@@ -392,6 +439,25 @@ def test_cli_fuzz_exits_0_1_or_2_and_explains_exit_1(tmp_path_factory,
         assert out.getvalue() == ""
         assert any(line.startswith("error: ")
                    for line in err.getvalue().splitlines())
+
+
+# ------------------------------------------------------------ benchmark spans
+
+def test_every_benchmark_span_resolves():
+    # the benchmark's tracer rebinds these names and raises on a missing
+    # one, so a traced benchmark run would fail where no test does
+    path = Path(__file__).parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("_bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.SPANNED and spans.COUNTED
+    for target in spans.SPANNED + spans.COUNTED:
+        mod, *attrs = target.split(".")
+        obj = importlib.import_module(f"twoweight.{mod}")
+        for attr in attrs:
+            obj = getattr(obj, attr, None)
+            assert obj is not None, target
+        assert callable(obj), target
 
 
 # ------------------------------------------------------------ dependencies

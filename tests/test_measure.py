@@ -14,7 +14,6 @@ from twoweight.measure import (
     dump_measure,
     load_measure,
     mass,
-    puncture,
 )
 
 from oracles import atoms_in
@@ -89,17 +88,6 @@ def test_common_points():
     assert common_points(s, d) == frozenset()
 
 
-def test_puncture():
-    g = std_grid(M=2)
-    q = g.cube(0, (0,))
-    mu = Measure.from_atoms(1, 2, [((0,), 1.0), ((1,), 2.0), ((2,), 4.0)])
-    all_pts = frozenset({(0,), (1,), (2,)})
-    assert puncture(q, mu, all_pts) == pytest.approx(3.0)  # 7 - 4
-    assert puncture(q, mu, frozenset()) == pytest.approx(7.0)
-    solo = Measure.from_atoms(1, 2, [((1,), 5.0)])
-    assert puncture(q, solo, frozenset({(1,)})) == 0.0
-
-
 def test_cube_of_a_coarser_grid_is_rescaled_to_the_measure():
     # 16 unit atoms at k/16 and the cube [1/2, 1) of a resolution-3 grid:
     # the cube holds the atoms k = 8..15, whatever its own lattice
@@ -107,18 +95,7 @@ def test_cube_of_a_coarser_grid_is_rescaled_to_the_measure():
     q = std_grid(M=3).cube(1, (1,))
     assert mass(q, mu) == 8.0
     assert average(q, mu, np.arange(16.0)) == 11.5
-    assert puncture(q, mu, frozenset({(9,)})) == 7.0
     assert np.array_equal(mu.in_cube(q), np.arange(16) >= 8)
-
-
-def test_puncture_equals_mass_of_reduced_measure():
-    g = std_grid(M=2)
-    q = g.cube(0, (0,))
-    mu = Measure.from_atoms(1, 2, [((0,), 1.0), ((1,), 2.0), ((2,), 4.0)])
-    pts = frozenset({(1,), (2,)})
-    # removing the largest flagged atom reproduces the punctured mass
-    reduced = Measure.from_atoms(1, 2, [((0,), 1.0), ((1,), 2.0)])
-    assert puncture(q, mu, pts) == pytest.approx(mass(q, reduced))
 
 
 def test_duplicate_atoms_merge():

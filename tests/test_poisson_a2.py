@@ -261,7 +261,15 @@ def test_a2_constants_match_the_restricted_measure_oracle(dim, generator,
         sigma = Measure.from_atoms(dim, m, [])
     grids = [make_grid(dim, m, -1, {"kind": "random", "seed": 3}),
              make_grid(dim, m, 0, {"kind": "gamma", "g": [1] * dim})]
-    got = a2_constants(sigma, omega, grids, alpha, augmented)
+    got = a2_constants(sigma, omega, grids, alpha)
     want = oracles.a2_constants(sigma, omega, grids, alpha, augmented)
-    assert oracles.close(got.as_dict(), want.as_dict())
+    if augmented:
+        assert oracles.close(got.as_dict(), want.as_dict())
+    else:
+        # each constant is a supremum, and the grid cubes alone are a
+        # sub-family of the enumerated cubes (up to the oracle's order of
+        # summation)
+        for key, val in want.as_dict().items():
+            if key != "witnesses":
+                assert val <= got.as_dict()[key] * (1 + 1e-12), key
     assert (got.calA2 > 0.0 and got.calA2_star > 0.0) == bool(sigma.natoms)
