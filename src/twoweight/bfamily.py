@@ -287,7 +287,6 @@ def mart_apply(fam: BFamily, op: str, q: Cube, f) -> np.ndarray:
 
     E, F, Fhat          expectation / accretive averaging and its hat
     Delta, Box          martingale differences (E resp. F version)
-    FPi, BoxPi          parent-b variants
     BoxBrokPi           correction sum over broken children
     Nabla, NablaHat     Carleson averaging over broken children
     FlatBoxHat, FlatBox flat differences (averages over broken children
@@ -300,7 +299,7 @@ def mart_apply(fam: BFamily, op: str, q: Cube, f) -> np.ndarray:
     # below the finest level there are no children: all difference and
     # broken-child operators vanish by convention
     if q.level >= fam.grid.M and op in (
-            "Delta", "Box", "BoxPi", "BoxBrokPi", "Nabla", "NablaHat",
+            "Delta", "Box", "BoxBrokPi", "Nabla", "NablaHat",
             "FlatBoxHat", "FlatBox", "FlatBoxBrok"):
         return np.zeros(fam.mu.natoms)
     if op == "E":
@@ -318,15 +317,6 @@ def mart_apply(fam: BFamily, op: str, q: Cube, f) -> np.ndarray:
         out = -_f_op(fam, q, f, bq)
         for c in fam.children_of(q):
             out += _f_op(fam, c, f, fam.b(c))
-        return out
-    if op == "FPi":
-        if q == fam.root:
-            return _f_op(fam, q, f, bq)
-        return _f_op(fam, q, f, fam.b(q.parent()))
-    if op == "BoxPi":
-        out = -_f_op(fam, q, f, bq)
-        for c in fam.children_of(q):
-            out += _f_op(fam, c, f, bq)
         return out
     if op == "BoxBrokPi":
         out = np.zeros(fam.mu.natoms)

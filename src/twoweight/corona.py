@@ -314,16 +314,11 @@ class HalfSpaceMeasure:
         if not cubes:
             return HalfSpaceMeasure(0, 0, np.zeros((0, 0), dtype=np.int64),
                                     np.zeros(0, dtype=np.int64), masses)
-        res = max(q.resolution for q in cubes)
-        dim = cubes[0].dim
-        cs, ss = [], []
-        for q in cubes:
-            fac = 2 ** (res - q.resolution)
-            cs.append(tuple(c * fac for c in q.center4))
-            ss.append(q.side * fac)
-        return HalfSpaceMeasure(dim, res,
-                                np.array(cs, dtype=np.int64),
-                                np.array(ss, dtype=np.int64), masses)
+        return HalfSpaceMeasure(cubes[0].dim, cubes[0].resolution,
+                                np.array([q.center4 for q in cubes],
+                                         dtype=np.int64),
+                                np.array([q.side for q in cubes],
+                                         dtype=np.int64), masses)
 
     @property
     def total(self) -> float:
@@ -333,17 +328,11 @@ class HalfSpaceMeasure:
         """Atoms (c, t) whose cube of side t centered at c sits inside k."""
         if len(self.masses) == 0:
             return np.zeros(0, dtype=bool)
-        if k.resolution <= self.resolution:
-            fk, fa = 2 ** (self.resolution - k.resolution), 1
-        else:
-            fk, fa = 1, 2 ** (k.resolution - self.resolution)
-        ck = np.array(k.center4, dtype=np.int64) * fk
-        sk = k.side * fk
-        cs = self.centers4 * fa
-        ss = self.sides * fa
-        fits = ss <= sk
-        off = np.abs(cs - ck).max(axis=1)
-        return fits & (off <= 2 * (sk - ss))
+        if k.resolution != self.resolution:
+            raise ValueError(f"cube at resolution {k.resolution} meets a "
+                             f"measure at resolution {self.resolution}")
+        off = np.abs(self.centers4 - np.array(k.center4)).max(axis=1)
+        return (self.sides <= k.side) & (off <= 2 * (k.side - self.sides))
 
     def second_coordinate_sq_integral(self, k: Cube | None = None) -> float:
         """Integral of t^2, optionally over the tent of k."""
@@ -360,9 +349,7 @@ class HalfSpaceMeasure:
 
 def _triple_inside_box(l: Cube, h: Cube) -> bool:
     lo4, hi4 = scaled_box4(l, 3)
-    fl = 2 ** max(0, h.resolution - l.resolution)
-    fh = 2 ** max(0, l.resolution - h.resolution)
-    return all(h.lo4[a] * fh <= lo4[a] * fl and hi4[a] * fl <= h.hi4[a] * fh
+    return all(h.lo4[a] <= lo4[a] and hi4[a] <= h.hi4[a]
                for a in range(l.dim))
 
 

@@ -35,21 +35,12 @@ __all__ = [
 ]
 
 
-def _contains(outer: Cube, inner: Cube) -> bool:
-    fo = 2 ** max(0, inner.resolution - outer.resolution)
-    fi = 2 ** max(0, outer.resolution - inner.resolution)
-    return all(outer.lo[a] * fo <= inner.lo[a] * fi
-               and (inner.lo[a] + inner.side) * fi
-               <= (outer.lo[a] + outer.side) * fo
-               for a in range(outer.dim))
-
-
 def _weighted(mu: Measure, dens) -> Measure:
     """The measure with the given nonnegative density against mu."""
     dens = np.abs(np.asarray(dens, dtype=np.float64))
     keep = dens * mu.masses > 0
     return Measure(mu.dim, mu.resolution, mu.points[keep],
-                   (mu.masses * dens)[keep], ())
+                   (mu.masses * dens)[keep])
 
 
 # ---------------------------------------------------------------------------
@@ -209,10 +200,7 @@ def monotonicity_check(kernel, i_cube: Cube, j_cube: Cube,
     """
     omega = family.mu
     lo4, hi4 = scaled_box4(j_cube, gamma)
-    f = 2 ** max(0, i_cube.resolution - j_cube.resolution)
-    fi = 2 ** max(0, j_cube.resolution - i_cube.resolution)
-    if not all(i_cube.lo4[a] * fi <= lo4[a] * f
-               and hi4[a] * f <= i_cube.hi4[a] * fi
+    if not all(i_cube.lo4[a] <= lo4[a] and hi4[a] <= i_cube.hi4[a]
                for a in range(j_cube.dim)):
         raise ValueError("gamma*J must sit inside I")
     if bool(mu_meas.in_cube(i_cube).any()):
@@ -271,7 +259,7 @@ def functional_energy_context(corona: Corona, grid_g, fam_omega, eps: float,
                 contrib[j] = sharp_norm_sq(fam_omega, [j])
         chosen, residual = whitney(f_cube)
         for m in chosen + residual:
-            q = sum(contrib[j] for j in shift if _contains(m, j))
+            q = sum(contrib[j] for j in shift if m.contains_cube(j))
             out.append((m, q))
     return out
 

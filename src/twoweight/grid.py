@@ -118,24 +118,14 @@ class Grid:
         for level in range(self.N, self.M + 1):
             yield from self.cubes_at_level(level, lo_units, hi_units)
 
-    def augmented_cubes_at_level(self, level: int, lo_units=None,
-                                 hi_units=None):
-        """Cubes of side 2^-level whose dyadic children are grid cubes."""
-        s = self.side_units(level)
-        for c in self.corners(level, lo_units, hi_units, True).tolist():
-            yield Cube(self.M, tuple(c), s, level, None)
-
-    def augmented_cubes(self, lo_units=None, hi_units=None):
-        for level in range(self.N, self.M):
-            yield from self.augmented_cubes_at_level(level, lo_units, hi_units)
-
 
 @dataclass(frozen=True)
 class Cube:
     """Half-open cube lo + [0, side)^n in lattice units 2^-resolution.
 
     `grid` is a navigation handle only; augmented cubes carry grid=None.
-    Identity is purely geometric.
+    Identity is purely geometric on one lattice: the cubes of a
+    computation, and the measures they meet, share one resolution.
     """
 
     resolution: int
@@ -174,11 +164,6 @@ class Cube:
     def contains_cube(self, other: "Cube") -> bool:
         return all(self.lo[a] <= other.lo[a]
                    and other.lo[a] + other.side <= self.lo[a] + self.side
-                   for a in range(self.dim))
-
-    def meets(self, other: "Cube") -> bool:
-        return all(self.lo[a] < other.lo[a] + other.side
-                   and other.lo[a] < self.lo[a] + self.side
                    for a in range(self.dim))
 
     def parent(self) -> "Cube":
@@ -398,21 +383,19 @@ def is_eps_good(j: Cube, k: Cube, eps: float, body_k: Region | None = None):
     """
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0, 1)")
-    if j.sidelength > k.sidelength:
+    if j.resolution != k.resolution:
+        raise ValueError(f"J at resolution {j.resolution} and K at "
+                         f"resolution {k.resolution}: goodness needs one "
+                         "lattice")
+    if j.side > k.side:
         raise ValueError("goodness needs l(J) <= l(K)")
     if body_k is None:
         body_k = body(k)
     if not body_k.boxes4:
         return True, math.inf
-    if j.resolution > k.resolution:
-        raise ValueError("J must live at a resolution no finer than K's")
-    f = 2 ** (k.resolution - j.resolution)
-    lo4 = tuple(x * f for x in j.lo4)
-    hi4 = tuple(x * f for x in j.hi4)
-    d2q = body_k.gap2(lo4, hi4)
+    d2q = body_k.gap2(j.lo4, j.hi4)
     # threshold in quarter units: 8 * sideJ^eps * sideK^(1-eps)
-    sj = j.side * f
-    t2q = 64.0 * sj ** (2 * eps) * k.side ** (2 - 2 * eps)
+    t2q = 64.0 * j.side ** (2 * eps) * k.side ** (2 - 2 * eps)
     dist = math.sqrt(d2q) / 2 ** (k.resolution + 2)
     return float(d2q) > t2q, dist
 
@@ -424,15 +407,13 @@ def _ancestor_chain(j: Cube, grid: Grid):
     operation; the chain is the first run of levels whose cube holds J.
     Each cube is built only when the caller asks for it.
     """
-    f = 2 ** (grid.M - j.resolution)
-    side = j.side * f
-    count = grid.M - grid.N + 1 - (side - 1).bit_length()  # sides >= side
+    count = grid.M - grid.N + 1 - (j.side - 1).bit_length()  # sides >= J's
     if count <= 0:
         return
     off, sides = (a[:count] for a in grid.level_arrays)
-    lo = np.array(j.lo, dtype=np.int64) * f
+    lo = np.array(j.lo, dtype=np.int64)
     corners = off + (lo - off) // sides * sides
-    holds = np.all(lo + side <= corners + sides, axis=1).tolist() + [False]
+    holds = np.all(lo + j.side <= corners + sides, axis=1).tolist() + [False]
     if True not in holds:
         return
     first = holds.index(True)
@@ -464,7 +445,7 @@ def sharp_cross(j: Cube, grid: Grid, eps: float, body_cache: dict | None = None)
         return None, None
     j_flat = None
     if q.level + 2 <= grid.M and j.sidelength <= q.sidelength / 4:
-        jc4 = tuple(c * 2 ** (grid.M - j.resolution) for c in j.center4)
+        jc4 = j.center4
         for g in (gg for c in q.children() for gg in c.children()):
             if all(g.lo4[a] <= jc4[a] < g.hi4[a] for a in range(g.dim)):
                 j_flat = g

@@ -35,7 +35,7 @@ from .energy import (
     whitney_energy,
 )
 from .grid import bad_probability_mc, cube_dict, make_grid
-from .measure import Measure, common_points, dump_measure
+from .measure import Measure, common_points
 from .poisson_a2 import a2_constants
 from .singular import TestingReport, make_kernel, ntv, testing_constants
 
@@ -220,8 +220,14 @@ def load_pair_file(path: str) -> tuple:
 
 
 def dump_pair(sigma: Measure, omega: Measure) -> str:
-    return json.dumps({"sigma": json.loads(dump_measure(sigma)),
-                       "omega": json.loads(dump_measure(omega))}, indent=1)
+    """The pair file `load_pair_file` reads; masses are written as their
+    repr, so they read back bit-exactly."""
+    return json.dumps({key: {"dim": mu.dim, "resolution": mu.resolution,
+                             "atoms": [{"num": p, "mass": m} for p, m in
+                                       zip(mu.points.tolist(),
+                                           mu.masses.tolist())]}
+                       for key, mu in (("sigma", sigma), ("omega", omega))},
+                      indent=1)
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +254,10 @@ def verify_theorem(cfg: RunConfig, pair=None) -> dict:
     if sigma.dim != cfg.dim or omega.dim != cfg.dim:
         raise ValueError(f"pair has dims ({sigma.dim}, {omega.dim}), "
                          f"config has dim {cfg.dim}")
-    # the enumeration depth follows the atoms' own lattice, so declaring
-    # a finer resolution without moving any atom changes nothing
+    # the one place lattices meet: the pair moves onto the finer of its
+    # two, and every grid, cube and measure below lives on it.  The
+    # enumeration depth follows the atoms' own lattice, so declaring a
+    # finer resolution without moving any atom changes nothing
     res = max(sigma.resolution, omega.resolution)
     sigma, omega = sigma.rescale(res), omega.rescale(res)
     # every corona, energy and A2 constant is rooted at the unit cube

@@ -25,8 +25,14 @@ from .poisson_a2 import poisson_kernel
 _BLOCK = 1 << 12        # atoms per block of a ragged sum, to bound memory
 
 
-def support_bounds(ms, grid_res):
-    pts = [m.rescale(grid_res).points for m in ms if m.natoms]
+def _one_lattice(mu, grid):
+    if mu.resolution != grid.M:
+        raise ValueError(f"measure at resolution {mu.resolution} meets "
+                         f"a grid at resolution {grid.M}")
+
+
+def support_bounds(ms):
+    pts = [m.points for m in ms if m.natoms]
     if not pts:
         return None
     allp = np.vstack(pts)
@@ -39,8 +45,10 @@ def tops(grids, sigma, omega) -> tuple:
     box level by level, then its augmented cubes, each cube kept at its
     first appearance."""
     rows = []
+    b = support_bounds((sigma, omega))
     for gi, g in enumerate(grids):
-        b = support_bounds((sigma, omega), g.M)
+        _one_lattice(sigma, g)
+        _one_lattice(omega, g)
         for aug in (False, True) if b is not None else ():
             for lev in range(g.N, g.M if aug else g.M + 1):
                 rows.append((gi, lev, aug, g.corners(lev, *b, aug)))
@@ -118,18 +126,16 @@ class Levels:
     every nonempty grid cube of every level."""
 
     def __init__(self, mu, grid):
+        _one_lattice(mu, grid)
         self.grid, self.n = grid, grid.dim
-        unit = max(mu.resolution, grid.M)
-        self.cf = 2 ** (unit - grid.M)      # grid lattice -> common unit
-        pts = mu.points * 2 ** (unit - mu.resolution)
         off, sides = grid.level_arrays
-        cells = (pts[None] - off[:, None] * self.cf) \
-            // (sides[:, None] * self.cf)            # (levels, atoms, n)
+        # (levels, atoms, n)
+        cells = (mu.points[None] - off[:, None]) // sides[:, None]
         self.order = np.lexsort(
             cells.transpose(0, 2, 1).reshape(len(cells) * self.n, -1)[::-1])
         self.w = mu.masses[self.order]
         self.x = mu.coords_float()[self.order]
-        self.p4 = 4 * pts[self.order]       # quarter units of the unit
+        self.p4 = 4 * mu.points[self.order]     # quarter units
         # the nonempty cubes of all levels under one sorted code: level
         # l's cells, offset by lo[l], in mixed radix span[l], plus base[l]
         self.lo = cells.min(axis=1, initial=0)
@@ -228,8 +234,8 @@ class Levels:
             p4 = self.p4[pos]
             for h, box in enumerate(holes):
                 out[h, rows] = np.bincount(own, v if box is None else np.where(
-                    ((p4 >= box[0][rows][own] * self.cf)
-                     & (p4 < box[1][rows][own] * self.cf)).all(axis=1),
+                    ((p4 >= box[0][rows][own])
+                     & (p4 < box[1][rows][own])).all(axis=1),
                     0.0, v), k)
         return out
 

@@ -1,14 +1,14 @@
 """Finite atomic measures on the dyadic lattice.
 
 Atoms live on the lattice (1/2^M)Z^n so that cube membership is exact
-integer arithmetic.  Masses are stored both as floats (for numerics) and
-as the original decimal strings (for bit-exact round trips through the
-file format).
+integer arithmetic.  A cube meets a measure only on the measure's own
+lattice; `harness.verify_theorem` moves a pair onto one lattice first.
+Masses are floats; the pair file format (`harness.dump_pair`) writes
+their repr, which reads back bit-exactly.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -20,8 +20,6 @@ __all__ = [
     "mass",
     "average",
     "common_points",
-    "load_measure",
-    "dump_measure",
 ]
 
 
@@ -30,12 +28,6 @@ def _lattice_coord(c) -> int:
     if isinstance(c, float) and not c.is_integer():
         raise ValueError(f"atom coordinate {c!r} is not an integer")
     return int(c)
-
-
-def _mass_str(m) -> str:
-    if isinstance(m, str):
-        return m
-    return repr(float(m))
 
 
 @dataclass(frozen=True, eq=False)       # equality is identity
@@ -51,7 +43,6 @@ class Measure:
     resolution: int
     points: np.ndarray
     masses: np.ndarray
-    mass_strs: tuple = ()
     # (side, phase) -> {cell: ascending atom indices}, built by atoms()
     _index: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -59,7 +50,6 @@ class Measure:
     def from_atoms(dim, resolution, atoms) -> "Measure":
         """Build a measure from (coords, mass) pairs, merging duplicates."""
         merged: dict[tuple, float] = {}
-        strs: dict[tuple, str] = {}
         for coords, m in atoms:
             key = tuple(map(_lattice_coord, coords))
             if len(key) != dim:
@@ -71,27 +61,18 @@ class Measure:
                                  "number") from None
             if fm <= 0:
                 raise ValueError(f"atom at {key} has nonpositive mass {m}")
-            if key in merged:
-                merged[key] += fm
-                strs[key] = _mass_str(merged[key])
-            else:
-                merged[key] = fm
-                strs[key] = _mass_str(m)
+            merged[key] = merged.get(key, 0.0) + fm
             if not math.isfinite(merged[key]):   # NaN, or a sum overflowed
                 raise ValueError(f"atom at {key} has non-finite mass "
                                  f"{merged[key]}")
         keys = sorted(merged)
         pts = np.array(keys, dtype=np.int64).reshape(len(keys), dim)
         ms = np.array([merged[k] for k in keys], dtype=np.float64)
-        return Measure(dim, resolution, pts, ms, tuple(strs[k] for k in keys))
+        return Measure(dim, resolution, pts, ms)
 
     @property
     def natoms(self) -> int:
         return len(self.masses)
-
-    @property
-    def total_mass(self) -> float:
-        return float(self.masses.sum())
 
     def coords_float(self) -> np.ndarray:
         """Atom locations as floats (exact: dyadic rationals)."""
@@ -104,26 +85,21 @@ class Measure:
         return np.all((self.points >= lo) & (self.points < hi), axis=1)
 
     def atoms(self, q) -> np.ndarray:
-        """Ascending indices of the atoms in the cube q, at any resolution.
+        """Ascending indices of the atoms in the cube q, a cube of the
+        measure's lattice.
 
-        The cube becomes the box of lattice points it holds, a cell of
-        the index of its (side, phase), which is built on first use.
+        The cube is a cell of the index of its (side, phase), which is
+        built on first use.
         """
-        shift = self.resolution - q.resolution
-        if shift >= 0:
-            side = q.side << shift
-            lo = [x << shift for x in q.lo]
-        else:  # finer than the lattice: the first lattice point >= each edge
-            lo = [-(-x >> -shift) for x in q.lo]
-            hi = [-(-(x + q.side) >> -shift) for x in q.lo]
-            side = min(b - a for a, b in zip(lo, hi))
-            if side <= 0:
-                return _NO_ATOMS
-        phase = tuple(x % side for x in lo)
+        if q.resolution != self.resolution:
+            raise ValueError(f"cube at resolution {q.resolution} meets a "
+                             f"measure at resolution {self.resolution}")
+        side = q.side
+        phase = tuple(x % side for x in q.lo)
         cells = self._index.get((side, phase))
         if cells is None:
             cells = self._index[side, phase] = self._cells(side, phase)
-        return cells.get(tuple((x - p) // side for x, p in zip(lo, phase)),
+        return cells.get(tuple((x - p) // side for x, p in zip(q.lo, phase)),
                          _NO_ATOMS)
 
     def _cells(self, side: int, phase: tuple) -> dict:
@@ -144,34 +120,22 @@ class Measure:
         mask[self.atoms(q)] = True
         return mask
 
-    def in_box4(self, lo4, hi4) -> np.ndarray:
-        """Membership against a box given in quarter-lattice units 2^-(M+2)."""
-        p4 = self.points * 4
-        lo4 = np.asarray(lo4, dtype=np.int64)
-        hi4 = np.asarray(hi4, dtype=np.int64)
-        return np.all((p4 >= lo4) & (p4 < hi4), axis=1)
-
     def rescale(self, resolution: int) -> "Measure":
         """Re-express atoms at a finer lattice 2^-resolution (exact)."""
         if resolution < self.resolution:
             raise ValueError("can only rescale to a finer resolution")
         f = 2 ** (resolution - self.resolution)
-        return Measure(self.dim, resolution, self.points * f, self.masses,
-                       self.mass_strs)
+        return Measure(self.dim, resolution, self.points * f, self.masses)
 
     def subset(self, mask) -> "Measure":
         """Restriction of the measure to the atoms selected by the mask."""
         mask = np.asarray(mask, dtype=bool)
-        strs = tuple(np.array(self.mass_strs, dtype=object)[mask]) \
-            if self.mass_strs else ()
         return Measure(self.dim, self.resolution, self.points[mask],
-                       self.masses[mask], strs)
+                       self.masses[mask])
 
     def scaled(self, lam: float) -> "Measure":
-        masses = self.masses * lam
-        return Measure(self.dim, self.resolution, self.points, masses,
-                       tuple(map(_mass_str, masses)) if self.mass_strs
-                       else ())
+        return Measure(self.dim, self.resolution, self.points,
+                       self.masses * lam)
 
 
 _NO_ATOMS = np.zeros(0, dtype=np.int64)
@@ -205,33 +169,3 @@ def common_points(sigma: Measure, omega: Measure) -> PointSet:
     b = {tuple(p) for p in omega.points}
     return frozenset(a & b)
 
-
-# ---------------------------------------------------------------------------
-# file format
-
-
-def dump_measure(mu: Measure) -> str:
-    strs = mu.mass_strs or tuple(map(_mass_str, mu.masses))
-    atoms = [
-        {"num": [int(c) for c in mu.points[i]], "mass": strs[i]}
-        for i in range(mu.natoms)
-    ]
-    return json.dumps(
-        {"dim": mu.dim, "resolution": mu.resolution, "atoms": atoms},
-        indent=1,
-    )
-
-
-def load_measure(text: str) -> Measure:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ValueError(f"measure parse error at line {e.lineno}: {e.msg}") from e
-    for key in ("dim", "resolution", "atoms"):
-        if key not in obj:
-            raise ValueError(f"measure file missing field {key!r}")
-    return Measure.from_atoms(
-        obj["dim"],
-        obj["resolution"],
-        [(a["num"], a["mass"]) for a in obj["atoms"]],
-    )

@@ -33,6 +33,7 @@ _BLOCK = 1 << 15       # kernel entries evaluated per row block
 _LANCZOS_STEPS = 128   # bidiagonalisation steps before a restart
 _LANCZOS_CYCLES = 50   # restarts before the best estimate is returned
 _LANCZOS_TOL = 1e-13   # top Ritz residual, relative to the value
+_TINY = np.finfo(np.float64).tiny
 
 
 @dataclass(frozen=True)
@@ -96,8 +97,14 @@ def _kernel_values(spec: KernelSpec, xs: np.ndarray, ys: np.ndarray):
         for idx in zip(*np.nonzero(keep)):
             out[idx] = spec.func(xb[idx], yb[idx])
         return out
+    p = len(diff) - spec.alpha
     with np.errstate(divide="ignore", invalid="ignore"):
-        scale = r ** (-(len(diff) - spec.alpha + 1))
+        scale = r ** -(p + 1)
+        if spec.radius > _TINY ** (-1 / (p + 1)):
+            # far pairs: r^-(p+1) underflows, so divide diff by r first
+            far = keep & (scale < _TINY)
+            diff = np.where(far, diff / r, diff)
+            scale = np.where(far, r ** -p, scale)
     scale[r == 0.0] = 0.0
     if spec.kind == "riesz":
         return np.where(keep, diff[spec.component] * scale, 0.0)
@@ -153,16 +160,16 @@ def _validation_sweep(spec: KernelSpec, samples: int, rng):
 
     The gradient is a central difference with step 1e-6 * |x - y| along
     each axis of x.  Pairs are sampled 1e-4 inside the truncation range,
-    so every shifted point stays inside it.  Zero and NaN quotients
-    never count.
+    so every shifted point stays inside it.  Each value is scaled by its
+    power of r before it is squared, so neither underflows at large r.
+    Zero and NaN quotients never count.
     """
     n = spec.dim
     x, y = _sample_pairs(n, spec.delta_trunc, spec.radius, samples, rng)
     r = np.sqrt(((x - y) ** 2).sum(axis=1))
-    v = _kernel_values(spec, x, y)
-    if spec.vector_valued:
-        v = np.sqrt((v * v).sum(axis=1))
-    size = np.abs(v) * r ** (n - spec.alpha)
+    rp = (r ** (n - spec.alpha))[:, None]
+    v = _kernel_values(spec, x, y).reshape(len(r), -1) * rp
+    size = np.sqrt((v * v).sum(axis=1))
     size = np.where(size > 0.0, size, 0.0)
     worst_size = float(size.max(initial=0.0))
     worst_pair = None
@@ -178,9 +185,10 @@ def _validation_sweep(spec: KernelSpec, samples: int, rng):
         xm = x.copy()
         xm[:, axis] -= h
         d = _kernel_values(spec, xp, y) - _kernel_values(spec, xm, y)
-        d = d.reshape(len(r), -1) / (2 * h)[:, None]
+        # times r^(n - alpha + 1), with r / 2h = 5e5 kept apart
+        d = d.reshape(len(r), -1) * rp * (r / (2 * h))[:, None]
         grad2 += (d * d).sum(axis=1)
-    grad = np.sqrt(grad2) * r ** (n - spec.alpha + 1)
+    grad = np.sqrt(grad2)
     grad = np.where(grad > 0.0, grad, 0.0)
     return worst_size, float(grad.max(initial=0.0)), worst_pair
 

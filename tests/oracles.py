@@ -19,22 +19,23 @@ import numpy as np
 from scipy.optimize import minimize
 
 from twoweight import singular
-from twoweight.grid import Cube, body, scaled_box4, whitney
+from twoweight.grid import body, cube_at, scaled_box4, whitney
 from twoweight.measure import common_points
 from twoweight.poisson_a2 import A2Report, enumerate_cubes, poisson
 
 
 def atoms_in(mu, q):
-    """Mask of mu's atoms in the cube q, comparing every atom.
+    """Mask of mu's atoms in the cube q of mu's lattice, comparing every
+    atom."""
+    lo = np.array(q.lo, dtype=np.int64)
+    return np.all((mu.points >= lo) & (mu.points < lo + q.side), axis=1)
 
-    Cube and atoms are compared on the finer of their two lattices, so a
-    cube finer than mu's lattice is exact too.
-    """
-    up = 2 ** max(0, q.resolution - mu.resolution)
-    f = 2 ** max(0, mu.resolution - q.resolution)
-    lo = np.array(q.lo, dtype=np.int64) * f
-    pts = mu.points * up
-    return np.all((pts >= lo) & (pts < lo + q.side * f), axis=1)
+
+def augmented_cubes(g):
+    """The augmented cubes of every level of the grid g, from its
+    augmented corners."""
+    return [cube_at(g, level, lo, True) for level in range(g.N, g.M)
+            for lo in g.corners(level, augmented=True)]
 
 
 def close(got, want, rel=1e-12):
@@ -53,8 +54,8 @@ def close(got, want, rel=1e-12):
 def atoms_in_scaled(mu, q, factor):
     """Mask of mu's atoms in the concentric dilate factor*Q."""
     lo4, hi4 = scaled_box4(q, factor)
-    f = 2 ** (mu.resolution - q.resolution)
-    return mu.in_box4(tuple(x * f for x in lo4), tuple(x * f for x in hi4))
+    p4 = 4 * mu.points
+    return np.all((p4 >= lo4) & (p4 < hi4), axis=1)
 
 
 def _kids(q):
@@ -321,25 +322,19 @@ def dist2_min(lo4, hi4, reg):
 def is_eps_good(j, k, eps, body_k):
     if not body_k.boxes4:
         return True, math.inf
-    f = 2 ** (k.resolution - j.resolution)
-    d2q = dist2_min(tuple(x * f for x in j.lo4),
-                    tuple(x * f for x in j.hi4), body_k)
-    sj = j.side * f
-    t2q = 64.0 * sj ** (2 * eps) * k.side ** (2 - 2 * eps)
+    d2q = dist2_min(j.lo4, j.hi4, body_k)
+    t2q = 64.0 * j.side ** (2 * eps) * k.side ** (2 - 2 * eps)
     return float(d2q) > t2q, math.sqrt(d2q) / 2 ** (k.resolution + 2)
 
 
 def ancestor_chain(j, grid):
     """Grid cubes containing J, coarsest first, one level at a time."""
-    f = 2 ** (grid.M - j.resolution)
-    jk = j if f == 1 else Cube(grid.M, tuple(x * f for x in j.lo),
-                               j.side * f, j.level, None)
     chain = []
     for level in range(grid.N, grid.M + 1):
-        if grid.side_units(level) < jk.side:
+        if grid.side_units(level) < j.side:
             break
-        k = grid.cube_containing(level, jk.lo)
-        if k.contains_cube(jk):
+        k = grid.cube_containing(level, j.lo)
+        if k.contains_cube(j):
             chain.append(k)
         elif chain:
             break
@@ -496,9 +491,9 @@ def loop_sweep(spec, samples, rng):
                                     samples, rng)
     for x, y in zip(xs, ys):
         r = float(np.sqrt(((x - y) ** 2).sum()))
-        v = value(x, y)
-        val = float(np.sqrt((v * v).sum()) if spec.vector_valued else abs(v))
-        q = val * r ** (n - spec.alpha)
+        rs = r ** (n - spec.alpha)      # scaled in before squaring
+        v = value(x, y) * rs
+        q = float(np.sqrt((v * v).sum()) if spec.vector_valued else abs(v))
         if q > worst_size:
             worst_size, worst_pair = q, (x.copy(), y.copy())
         h = 1e-6 * r
@@ -514,9 +509,8 @@ def loop_sweep(spec, samples, rng):
                     and spec.delta_trunc < rm < spec.radius):
                 grad2 = -1.0
                 break
-            d = (value(xp, y) - value(xm, y)) / (2 * h)
+            d = (value(xp, y) - value(xm, y)) * rs * (r / (2 * h))
             grad2 += float((d * d).sum())
         if grad2 >= 0.0:
-            worst_grad = max(worst_grad,
-                             math.sqrt(grad2) * r ** (n - spec.alpha + 1))
+            worst_grad = max(worst_grad, math.sqrt(grad2))
     return worst_size, worst_grad, worst_pair

@@ -342,6 +342,9 @@ def test_tent_membership_matches_containment():
         inside = hs.tent_mask(k)
         expected = np.array([k.contains_cube(j) for j in cubes])
         assert np.array_equal(inside, expected)
+    with pytest.raises(ValueError, match="cube at resolution 4 meets a "
+                       "measure at resolution 3"):
+        hs.tent_mask(std_grid(M=4).cube(0, (0,)))
 
 
 def test_tent_union_and_t2_integral():

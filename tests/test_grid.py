@@ -24,6 +24,12 @@ def std_grid(dim=1, M=3, N=0):
     return make_grid(dim, M, N, {"kind": "beta", "bits": bits})
 
 
+def meet(a, b):
+    """Whether the half-open cubes a and b overlap."""
+    return all(a.lo[i] < b.lo[i] + b.side and b.lo[i] < a.lo[i] + a.side
+               for i in range(a.dim))
+
+
 # ---------------------------------------------------------------- make_grid
 
 def test_zero_shift_is_standard_grid():
@@ -74,7 +80,7 @@ def test_nesting_exhaustive_small():
     cubes = list(g.cubes())
     for a in cubes:
         for b in cubes:
-            if a.meets(b):
+            if meet(a, b):
                 assert a.contains_cube(b) or b.contains_cube(a)
 
 
@@ -143,7 +149,7 @@ def test_whitney_pairwise_disjoint():
     g = std_grid(dim=2, M=4)
     cubes, _ = whitney(g.cube(0, (0, 0)))
     for a, b in itertools.combinations(cubes, 2):
-        assert not a.meets(b)
+        assert not meet(a, b)
 
 
 # ---------------------------------------------------------------- body
@@ -190,6 +196,14 @@ def test_self_case_is_bad():
     k = g.cube(0, (0,))
     good, _ = is_eps_good(k, k, 0.5)
     assert not good
+
+
+def test_goodness_needs_one_lattice():
+    k = std_grid(M=4).cube(0, (0,))
+    for j in (std_grid(M=3).cube(3, (5,)), std_grid(M=5).cube(5, (5,))):
+        with pytest.raises(ValueError, match=f"J at resolution {j.resolution}"
+                           " and K at resolution 4"):
+            is_eps_good(j, k, 0.5)
 
 
 def test_goodness_threshold_example():
@@ -303,7 +317,7 @@ def test_m_deep_disjoint_and_bounded_overlap():
     k = g.cube(0, (0,))
     out = m_deep(k, 1, 0.5)
     for a, b in itertools.combinations(out, 2):
-        assert not a.meets(b)
+        assert not meet(a, b)
     # overlap count of the gamma-dilates on the finest lattice
     gamma = 1 + 4 * 2 ** 0.5
     counts = [0] * (2 ** 6)
@@ -371,15 +385,13 @@ def test_goodness_matches_the_face_by_face_oracle(dim, M):
 @pytest.mark.parametrize("dim,M,N", [(1, 6, 0), (1, 5, -2), (2, 4, 0),
                                      (2, 3, -1)])
 def test_ancestor_chain_matches_the_level_by_level_oracle(dim, M, N):
-    # J from the grid itself, from a shifted grid, from a coarser lattice,
-    # and augmented cubes (no grid handle); level and handle are compared
+    # J from the grid itself and from a shifted grid, with their
+    # augmented cubes (no grid handle); level and handle are compared
     # too, since cube equality ignores them.
     g = make_grid(dim, M, N, {"kind": "random", "seed": 3})
-    others = [make_grid(dim, M, N, {"kind": "gamma", "g": [3] * dim}),
-              make_grid(dim, M - 1, 0, {"kind": "random", "seed": 4})]
-    js = list(g.cubes()) + list(g.augmented_cubes())
-    for h in others:
-        js += list(h.cubes()) + list(h.augmented_cubes())
+    h = make_grid(dim, M, N, {"kind": "gamma", "g": [3] * dim})
+    js = [j for x in (g, h) for j in list(x.cubes())
+          + oracles.augmented_cubes(x)]
     seen = 0
     for j in js:
         live = _ancestor_chain(j, g)

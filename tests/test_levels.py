@@ -15,7 +15,7 @@ from twoweight.bfamily import make_family
 from twoweight.corona import energy_stopping
 from twoweight.grid import Cube, make_grid, sharp_cross
 from twoweight.harness import RunConfig, generate_pair, verify_theorem
-from twoweight.levels import Levels
+from twoweight.levels import Levels, tops
 from twoweight.measure import Measure
 
 import oracles
@@ -52,11 +52,17 @@ def pair(dim, kind, seed, natoms=14):
     (2, 3, 0, {"kind": "gamma", "g": [3, 5]}, 0),
     (2, 3, -1, {"kind": "random", "seed": 4}, 1)])
 def test_slices_hold_the_atoms_of_every_cube(dim, M, N, param, finer):
-    # a measure on the grid's lattice, or on a finer one
+    # a measure on the grid's lattice; one on a finer lattice is refused
     g = make_grid(dim, M, N, param)
-    mu = draw(np.random.default_rng(M), dim, M + finer, 3 * 2 ** dim)
+    if finer:
+        fine = draw(np.random.default_rng(M), dim, M + finer, 4)
+        for build in (lambda: Levels(fine, g), lambda: tops([g], fine, fine)):
+            with pytest.raises(ValueError, match=f"measure at resolution "
+                               f"{M + finer} meets a grid at resolution {M}"):
+                build()
+    mu = draw(np.random.default_rng(M), dim, M, 3 * 2 ** dim)
     lv = Levels(mu, g)
-    cubes = list(g.cubes()) + list(g.augmented_cubes())
+    cubes = list(g.cubes()) + oracles.augmented_cubes(g)
     assert any(q.grid is None for q in cubes)
     for q in cubes:
         s, e = lv.cube_slices(q.level, np.array([q.lo]),

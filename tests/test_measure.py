@@ -7,16 +7,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twoweight.grid import Cube, make_grid, whitney
-from twoweight.measure import (
-    Measure,
-    average,
-    common_points,
-    dump_measure,
-    load_measure,
-    mass,
-)
+from twoweight.harness import dump_pair, load_pair_file
+from twoweight.measure import Measure, average, common_points, mass
 
-from oracles import atoms_in
+from oracles import atoms_in, augmented_cubes
 
 
 def std_grid(dim=1, M=3):
@@ -88,39 +82,50 @@ def test_common_points():
     assert common_points(s, d) == frozenset()
 
 
-def test_cube_of_a_coarser_grid_is_rescaled_to_the_measure():
-    # 16 unit atoms at k/16 and the cube [1/2, 1) of a resolution-3 grid:
-    # the cube holds the atoms k = 8..15, whatever its own lattice
+def test_cube_of_a_coarser_grid_raises_naming_both_resolutions():
+    # 16 unit atoms at k/16 and the cube [1/2, 1) of a resolution-3 grid
     mu = Measure.from_atoms(1, 4, [((k,), 1.0) for k in range(16)])
     q = std_grid(M=3).cube(1, (1,))
-    assert mass(q, mu) == 8.0
-    assert average(q, mu, np.arange(16.0)) == 11.5
-    assert np.array_equal(mu.in_cube(q), np.arange(16) >= 8)
+    for look in (mu.atoms, mu.in_cube, lambda q: mass(q, mu),
+                 lambda q: average(q, mu, np.arange(16.0))):
+        with pytest.raises(ValueError, match="cube at resolution 3 meets a "
+                           "measure at resolution 4"):
+            look(q)
 
 
 def test_duplicate_atoms_merge():
     mu = Measure.from_atoms(1, 2, [((1,), 1.0), ((1,), 2.5)])
     assert mu.natoms == 1
-    assert mu.total_mass == pytest.approx(3.5)
+    assert mu.masses.sum() == pytest.approx(3.5)
 
 
-def test_roundtrip_bit_exact():
-    text = json.dumps({
-        "dim": 2, "resolution": 3,
-        "atoms": [{"num": [1, 5], "mass": "0.1"},
-                  {"num": [0, 0], "mass": "2.75"}],
-    })
-    mu = load_measure(text)
-    again = load_measure(dump_measure(mu))
-    assert again.mass_strs == mu.mass_strs == ("2.75", "0.1")
-    assert np.array_equal(again.points, mu.points)
+def round_trip(tmp_path, sigma, omega):
+    path = tmp_path / "pair.json"
+    path.write_text(dump_pair(sigma, omega))
+    return load_pair_file(str(path))
 
 
-def test_load_rejects_missing_fields():
-    with pytest.raises(ValueError):
-        load_measure(json.dumps({"dim": 1, "atoms": []}))
-    with pytest.raises(ValueError):
-        load_measure("{not json")
+def assert_same_atoms(got, want):
+    assert (got.dim, got.resolution) == (want.dim, want.resolution)
+    assert np.array_equal(got.points, want.points)
+    assert np.array_equal(got.masses, want.masses)
+
+
+def test_roundtrip_bit_exact(tmp_path):
+    mu = Measure.from_atoms(2, 3, [((1, 5), "0.1"), ((0, 0), "2.75"),
+                                   ((2, 2), 1 / 3)])
+    nu = Measure.from_atoms(2, 4, [((9, 1), 0.1 * 3.0)])
+    for got, want in zip(round_trip(tmp_path, mu, nu), (mu, nu)):
+        assert_same_atoms(got, want)
+
+
+def test_load_rejects_missing_fields(tmp_path):
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"sigma": {"dim": 1, "atoms": []},
+                                "omega": {"dim": 1, "resolution": 1,
+                                          "atoms": []}}))
+    with pytest.raises(ValueError, match="sigma missing field 'resolution'"):
+        load_pair_file(str(path))
 
 
 @settings(max_examples=50, deadline=None)
@@ -133,41 +138,37 @@ def test_mass_matches_direct_filter(atoms):
     assert mass((lo, hi), mu) == pytest.approx(direct)
 
 
-def test_cube_finer_than_the_lattice_holds_only_its_own_points():
+def test_cube_finer_than_the_lattice_raises_naming_both_resolutions():
     # atoms at 0 and 1/2 on the lattice 2^-1, cubes of the lattice 2^-2
-    # and 2^-3: each holds an atom only where that atom lies inside it
+    # and 2^-3
     mu = Measure.from_atoms(1, 1, [((0,), 1.0), ((1,), 2.0)])
-    assert mass(Cube(2, (0,), 1, 2, None), mu) == 1.0   # [0, 1/4)
-    assert mass(Cube(2, (1,), 1, 2, None), mu) == 0.0   # [1/4, 1/2)
-    assert mass(Cube(2, (2,), 1, 2, None), mu) == 2.0   # [1/2, 3/4)
-    assert mass(Cube(2, (3,), 1, 2, None), mu) == 0.0   # [3/4, 1)
-    assert mass(Cube(3, (2,), 4, 1, None), mu) == 2.0   # [1/4, 3/4)
-    assert mass(Cube(3, (5,), 4, 1, None), mu) == 0.0   # [5/8, 9/8)
-    assert not mu.in_cube(Cube(2, (1,), 1, 2, None)).any()
+    for q in (Cube(2, (0,), 1, 2, None), Cube(3, (2,), 4, 1, None)):
+        with pytest.raises(ValueError, match=f"cube at resolution "
+                           f"{q.resolution} meets a measure at resolution 1"):
+            mass(q, mu)
 
 
 def _grid_cubes(g):
     """Grid, augmented, child and Whitney cubes of a grid."""
-    cubes = list(g.cubes()) + list(g.augmented_cubes())
+    cubes = list(g.cubes()) + augmented_cubes(g)
     top = g.cube(g.N, (0,) * g.dim)
     chosen, residual = whitney(top)
     return cubes + top.children() + chosen + residual
 
 
 @settings(max_examples=60, deadline=None)
-@given(dim=st.sampled_from([1, 2]), mu_res=st.integers(0, 5),
-       grid_m=st.integers(1, 4), kind=st.sampled_from(["beta", "gamma",
-                                                        "random"]),
+@given(dim=st.sampled_from([1, 2]), grid_m=st.integers(1, 5),
+       kind=st.sampled_from(["beta", "gamma", "random"]),
        natoms=st.integers(0, 25), seed=st.integers(0, 2 ** 16))
-@example(dim=2, mu_res=3, grid_m=2, kind="beta", natoms=0, seed=0)
-@example(dim=1, mu_res=0, grid_m=4, kind="gamma", natoms=3, seed=1)
-@example(dim=2, mu_res=1, grid_m=3, kind="random", natoms=25, seed=2)
-def test_atoms_index_matches_the_scan(dim, mu_res, grid_m, kind, natoms,
-                                      seed):
+@example(dim=2, grid_m=2, kind="beta", natoms=0, seed=0)
+@example(dim=1, grid_m=4, kind="gamma", natoms=3, seed=1)
+@example(dim=2, grid_m=1, kind="random", natoms=25, seed=2)
+def test_atoms_index_matches_the_scan(dim, grid_m, kind, natoms, seed):
+    # one lattice for the measure and the grid, atoms also outside [0, 1)
     rng = np.random.default_rng(seed)
-    side = 2 ** mu_res
+    side = 2 ** grid_m
     pts = rng.integers(-side, 2 * side, size=(natoms, dim))
-    mu = Measure.from_atoms(dim, mu_res, [(p, 1.0 + k)
+    mu = Measure.from_atoms(dim, grid_m, [(p, 1.0 + k)
                                           for k, p in enumerate(pts)])
     if kind == "beta":
         param = {"kind": "beta", "bits": rng.integers(
@@ -186,28 +187,22 @@ def test_atoms_index_matches_the_scan(dim, mu_res, grid_m, kind, natoms,
         assert np.array_equal(mu.in_cube(q), want)
 
 
-def test_measure_built_directly_round_trips():
+def test_measure_built_directly_round_trips(tmp_path):
+    # built with its atoms out of order: the file reads back sorted
     mu = Measure(2, 3, np.array([[1, 5], [0, 0]]), np.array([0.1, 2.75]))
-    again = load_measure(dump_measure(mu))
+    again, _ = round_trip(tmp_path, mu, mu)
+    assert np.array_equal(again.points, [[0, 0], [1, 5]])
     assert np.array_equal(again.masses, [2.75, 0.1])
-    assert again.mass_strs == ("2.75", "0.1")
 
 
-def test_scaled_and_subset_measures_round_trip():
-    mu = load_measure(json.dumps({
-        "dim": 1, "resolution": 2,
-        "atoms": [{"num": [1], "mass": "0.1"}, {"num": [3], "mass": "3"}]}))
-    big = mu.scaled(3.0)
-    assert big.mass_strs == (repr(0.1 * 3.0), "9.0")
-    assert np.array_equal(load_measure(dump_measure(big)).masses,
-                          big.masses)
-    assert mu.subset([False, True]).mass_strs == ("3",)
-    bare = Measure(1, 2, mu.points, mu.masses)
-    assert bare.subset([True, False]).mass_strs == ()
-    assert bare.scaled(3.0).mass_strs == ()
-    for m in (bare.subset([True, False]), bare.scaled(3.0)):
-        assert np.array_equal(load_measure(dump_measure(m)).masses,
-                              m.masses)
+def test_scaled_and_subset_measures_round_trip(tmp_path):
+    mu = Measure.from_atoms(1, 2, [((1,), "0.1"), ((3,), "3")])
+    big, part = mu.scaled(3.0), mu.subset([False, True])
+    assert np.array_equal(big.masses, [0.1 * 3.0, 9.0])
+    assert np.array_equal(part.points, [[3]])
+    assert np.array_equal(part.masses, [3.0])
+    for got, want in zip(round_trip(tmp_path, big, part), (big, part)):
+        assert_same_atoms(got, want)
 
 
 def test_measures_compare_by_identity():

@@ -18,8 +18,8 @@ from twoweight.harness import RunConfig, _scalar_rows, format_report, \
     verify_theorem
 
 # pair.json has sigma at resolution 3 and omega at resolution 4, masses
-# as decimal strings: the file generator, the rescaling to a common
-# lattice and the exact mass strings all enter the report.
+# as decimal strings: the file generator and the rescaling to a common
+# lattice enter the report, the masses only as the floats they parse to.
 # empty_sigma.json has no sigma atom, which skips the testing constants
 # and the coronas.
 PAIR_FILES = {"pair.json": """{

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -66,6 +67,19 @@ def test_validation_sweep_matches_pairwise_loop(dim, alpha, kind):
     assert grad == pytest.approx(want[1], rel=1e-12) and grad > 0.0
     assert np.array_equal(pair[0], want[2][0])
     assert np.array_equal(pair[1], want[2][1])
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("kind", ["riesz", "riesz_vector"])
+def test_validation_constant_holds_at_large_radii(dim, kind):
+    # the sizes and gradients are scaled by their powers of r before they
+    # are squared: unscaled, they under- or overflow from about 1e60 on
+    want = make_kernel(dim, 0.0, kind, radius=1e3).c_cz
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for radius in (1e50, 1e60, 1e100, 1e150):
+            got = make_kernel(dim, 0.0, kind, radius=radius).c_cz
+            assert got == pytest.approx(want, rel=1e-6), radius
 
 
 def test_riesz_validation_constant_near_one():
@@ -228,7 +242,7 @@ def test_custom_kernel_called_once_per_kept_pair(monkeypatch, transpose):
 
 def test_norm_empty_sigma():
     k = make_kernel(1, 0.0, "riesz")
-    sigma = Measure(1, 3, np.zeros((0, 1), dtype=np.int64), np.zeros(0), ())
+    sigma = Measure(1, 3, np.zeros((0, 1), dtype=np.int64), np.zeros(0))
     omega = single_atom(1, 3, (0,))
     assert operator_norm(k, sigma, omega) == 0.0
 
@@ -507,7 +521,7 @@ def test_testing_constants_with_an_empty_measure_match_loop(kind):
     kernel = make_kernel(1, 0.0, kind)
     rng = np.random.default_rng(2)
     full = lattice_measure(rng)
-    empty = Measure(1, 3, np.zeros((0, 1), dtype=np.int64), np.zeros(0), ())
+    empty = Measure(1, 3, np.zeros((0, 1), dtype=np.int64), np.zeros(0))
     g = std_grid()
     root = g.cube(0, (0,))
     fam = make_family("random", full, g, root, seed=5)
