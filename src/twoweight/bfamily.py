@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Cube, Grid, kids
+from .grid import Cube, Grid
 from .measure import Measure, average
 
 __all__ = [
@@ -47,7 +47,9 @@ class BFamily:
     C_b: float
     broken_children: dict = field(default_factory=dict)  # Cube -> frozenset
     kind: str = "explicit"
-    _children: dict = field(default_factory=dict, repr=False)  # children_of
+    # each cube's children in the family and its atoms, from the walk
+    _children: dict = field(default_factory=dict, repr=False)
+    _atoms: dict = field(default_factory=dict, repr=False)
 
     # ---- plumbing
 
@@ -72,20 +74,21 @@ class BFamily:
         return self._children[q]
 
     def mass(self, q: Cube) -> float:
-        return float(self.mu.masses[self.mu.atoms(q)].sum())
+        idx = self._atoms.get(q)
+        return float(self.mu.masses[self.mu.atoms(q) if idx is None
+                                    else idx].sum())
 
 
 def _classify_broken(fam: BFamily):
+    """Mark the children where b changes or has integral 0.  The b of a
+    family cube is 0 off it, so b changes on a child exactly where it
+    differs from the parent's b on the child's atoms."""
     for q in list(fam.values):
-        if q.level >= fam.grid.M:
-            continue
-        brok = set()
-        for c in fam.children_of(q):
-            same = np.array_equal(fam.values[c], fam.values[q] * fam.mu.in_cube(c))
-            if not same or abs(fam.integral_b(c)) <= _ZERO:
-                brok.add(c)
+        brok = frozenset(c for c in fam.children_of(q) if abs(
+            fam.integral_b(c)) <= _ZERO or not np.array_equal(
+                fam.values[c][fam._atoms[c]], fam.values[q][fam._atoms[c]]))
         if brok:
-            fam.broken_children[q] = frozenset(brok)
+            fam.broken_children[q] = brok
 
 
 def _accretivity(fam: BFamily):
@@ -133,29 +136,35 @@ def make_family(kind: str, mu: Measure, grid: Grid, root,
             raise ValueError("explicit family needs values")
     if kind == "global" and global_values is None:
         global_values = np.ones(mu.natoms)
-    stack, walked = roots[::-1], []
-    while stack:
-        q = stack.pop()
-        idx = mu.atoms(q)
-        if not len(idx):
-            continue        # and so is every subcube of q
-        walked.append((q, kids(q)))
-        stack.extend(walked[-1][1])
-        v = np.zeros(mu.natoms)
-        if kind == "unit":
-            v[idx] = 1.0
-        elif kind == "random":
-            v[idx] = rng.uniform(0.5, 2.0, mu.natoms)[idx]
-        elif kind == "global":
-            v[idx] = np.asarray(global_values, dtype=np.float64)[idx]
-        elif kind == "explicit":
-            if q not in values:
-                continue
-            v[idx] = np.asarray(values[q], dtype=np.float64)[idx]
-        else:
-            raise ValueError(f"unknown family kind {kind!r}")
-        fam.values[q] = v
-    fam._children = {q: [c for c in ch if c in fam.values] for q, ch in walked}
+    # depth first off the level table; a parent is the last cube walked
+    from .levels import Levels
+    lv = Levels(mu, grid)
+    above = {}
+    for root in roots:
+        rows = lv.subtree(root)
+        for r, level, lo in zip(rows.tolist(), lv.level[rows].tolist(),
+                                lv.corner[rows].tolist()):
+            idx = lv.order[lv.st[r]:lv.en[r]]
+            q = root if level == root.level else Cube(
+                mu.resolution, tuple(lo), grid.side_units(level), level,
+                root.grid)
+            fam._children[q], above[level] = [], q
+            v = np.zeros(mu.natoms)
+            if kind == "unit":
+                v[idx] = 1.0
+            elif kind == "random":
+                v[idx] = rng.uniform(0.5, 2.0, mu.natoms)[idx]
+            elif kind == "global":
+                v[idx] = np.asarray(global_values, dtype=np.float64)[idx]
+            elif kind == "explicit":
+                if q not in values:
+                    continue
+                v[idx] = np.asarray(values[q], dtype=np.float64)[idx]
+            else:
+                raise ValueError(f"unknown family kind {kind!r}")
+            fam.values[q], fam._atoms[q] = v, idx[idx.argsort(kind="stable")]
+            if q is not root:
+                fam._children[above[level - 1]].insert(0, q)
     fam.c_b, fam.C_b = _accretivity(fam)
     _classify_broken(fam)
     return fam
@@ -184,7 +193,8 @@ def truncate_family(fam: BFamily, eps: float) -> BFamily:
             capped = np.where(absv <= lam, v, lam * np.sign(v))
         new_values[q] = 2.0 * capped
     out = BFamily(fam.mu, fam.grid, fam.root, new_values, math.inf,
-                  0.0, 0.0, kind=fam.kind + "-truncated")
+                  0.0, 0.0, kind=fam.kind + "-truncated",
+                  _children=fam._children, _atoms=fam._atoms)
     out.c_b, out.C_b = _accretivity(out)
     _classify_broken(out)
     w = fam.mu.masses

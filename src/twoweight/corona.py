@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Cube, Grid, kids, morton_index, scaled_box4, sharp_cross
+from .grid import Cube, Grid, cube_arrays, dilate4, holders, kids, \
+    morton_index, sharp_cross
 from .measure import Measure, average, mass
 
 __all__ = [
@@ -51,16 +52,13 @@ class Corona:
         return [g for g in self.stopping if self.parent.get(g) == f]
 
     def corona_of(self, f: Cube) -> list:
-        """Cubes of the restricted corona below f, coarse to fine."""
-        below = self.forest_children(f)
-        out = []
-        stack = [f]
+        """Cubes of the restricted corona below f, coarse to fine; the
+        walk stops at f's forest children, found by key."""
+        below, out, stack = set(self.forest_children(f)), [], [f]
         while stack:
             q = stack.pop()
             out.append(q)
-            for c in kids(q):
-                if not any(g.contains_cube(c) for g in below):
-                    stack.append(c)
+            stack.extend(c for c in kids(q) if c not in below)
         return sorted(out, key=lambda q: (-q.side, q.lo))
 
     def depth(self, f: Cube) -> int:
@@ -347,12 +345,6 @@ class HalfSpaceMeasure:
 # the indented subforest
 
 
-def _triple_inside_box(l: Cube, h: Cube) -> bool:
-    lo4, hi4 = scaled_box4(l, 3)
-    return all(h.lo4[a] <= lo4[a] and hi4[a] <= h.hi4[a]
-               for a in range(l.dim))
-
-
 def indented_corona(l_cubes) -> tuple:
     """Subforest of cubes whose triples nest in their forest parents.
 
@@ -360,36 +352,28 @@ def indented_corona(l_cubes) -> tuple:
     parent) where levels[k] lists the depth-k cubes; every cube at depth
     one or more satisfies 3H inside its parent exactly.
     """
-    flat = []
-    for item in l_cubes:
-        if isinstance(item, Cube):
-            flat.append(item)
-        else:
-            flat.extend(item)
-    flat = list(dict.fromkeys(flat))
+    flat = list(dict.fromkeys(q for item in l_cubes for q in (
+        [item] if isinstance(item, Cube) else item)))
     if not flat:
         return [], {}
-    tops = [q for q in flat
-            if not any(p.contains_cube(q) and p != q for p in flat)]
-    levels = [sorted(set(tops), key=lambda q: (-q.side, q.lo))]
-    parent = {q: None for q in levels[0]}
-    frontier = levels[0]
-    while True:
+    lo, side = cube_arrays(flat, flat[0].dim)
+    i, k = holders(lo, side, lo, side)
+    i, k = i[i != k], k[i != k]         # flat[k] strictly holds flat[i]
+    t_lo, t_hi = dilate4(lo[i], side[i], 3)
+    nest = ((4 * lo[k] <= t_lo)
+            & (t_hi <= 4 * (lo[k] + side[k][:, None]))).all(axis=1)
+    tier = sorted(set(range(len(flat))) - set(i.tolist()))
+    levels, parent = [], {flat[t]: None for t in tier}
+    while tier:
+        levels.append(sorted({flat[t] for t in tier},
+                             key=lambda q: (-q.side, q.lo)))
         nxt = []
-        for h in frontier:
-            cands = [l for l in flat
-                     if l != h and h.contains_cube(l)
-                     and _triple_inside_box(l, h)]
-            chosen = [l for l in cands
-                      if not any(c.contains_cube(l) and c != l
-                                 for c in cands)]
-            for l in chosen:
-                parent[l] = h
-                nxt.append(l)
-        if not nxt:
-            break
-        levels.append(sorted(set(nxt), key=lambda q: (-q.side, q.lo)))
-        frontier = nxt
+        for h in tier:      # its largest candidates, in the family's order
+            cands = set(i[(k == h) & nest].tolist())
+            for c in sorted(cands - set(i[np.isin(k, list(cands))].tolist())):
+                parent[flat[c]] = flat[h]
+                nxt.append(c)
+        tier = nxt
     return levels, parent
 
 
@@ -397,35 +381,23 @@ def indented_corona(l_cubes) -> tuple:
 # shifted coronas
 
 
-def shifted_corona(corona: Corona, f_cube: Cube, grid_g: Grid, eps: float,
-                   body_cache: dict | None = None) -> list:
-    """Cubes of the other grid whose goodness crossover lands in the corona.
-
-    A cube J of grid_g belongs to the shifted corona of f_cube when its
-    finest all-good ancestor exists and lies in the restricted corona of
-    f_cube.  Cubes with no crossover belong to no shifted corona.
-
-    body_cache, when given, keeps the grid bodies and the crossovers
-    across the calls that share it, so each crossover is found once.
-    """
-    kids = corona.forest_children(f_cube)
-
-    def in_restricted(q: Cube | None) -> bool:
-        if q is None or not f_cube.contains_cube(q):
-            return False
-        return not any(g.contains_cube(q) for g in kids)
-
-    grid_d = corona.root.grid
-    # the crossovers of all grid_g cubes, in grid_g.cubes() order; a tuple
-    # key never equals the Cube keys under which sharp_cross keeps bodies
-    key = ("sharp_cross", grid_d, grid_g, eps)
-    crossings = None if body_cache is None else body_cache.get(key)
-    if crossings is None:
-        crossings = {j: sharp_cross(j, grid_d, eps, body_cache)[0]
-                     for j in grid_g.cubes()}
-        if body_cache is not None:
-            body_cache[key] = crossings
-    return [j for j, q in crossings.items() if in_restricted(q)]
+def shifted_corona(corona: Corona, grid_g: Grid, eps: float) -> list:
+    """The shifted coronas of the stopping cubes, in their order, each in
+    `grid_g.cubes()` order: J lies in F's when its crossover (one
+    `sharp_cross` call finds them all) exists and lies in F's restricted
+    corona, that is when F is the deepest stopping cube holding it."""
+    js = list(grid_g.cubes())
+    crossed = [(j, q) for j, (q, _) in zip(
+        js, sharp_cross(js, corona.root.grid, eps)) if q is not None]
+    stop = cube_arrays(corona.stopping, corona.root.dim)
+    i, k = holders(*stop, *cube_arrays([q for _, q in crossed],
+                                       corona.root.dim))
+    o = np.argsort(-stop[1][k], kind="stable")    # the deepest holder last
+    top = dict(zip(i[o].tolist(), k[o].tolist()))
+    out = [[] for _ in corona.stopping]
+    for a in sorted(top):
+        out[top[a]].append(crossed[a][0])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -435,14 +407,14 @@ def shifted_corona(corona: Corona, f_cube: Cube, grid_g: Grid, eps: float,
 def carleson_norm(cube_family, mu: Measure) -> float:
     """Largest quotient sum of member masses inside S over |S|_mu."""
     fam = list(cube_family)
-    best = 0.0
-    for s in dict.fromkeys(fam):
-        ms = mass(s, mu)
-        if ms <= 0.0:
-            continue
-        tot = sum(mass(f2, mu) for f2 in fam if s.contains_cube(f2))
-        best = max(best, tot / ms)
-    return best
+    uniq = list(dict.fromkeys(fam))
+    m = np.array([mass(s, mu) for s in uniq])
+    i, k = holders(*cube_arrays(uniq, mu.dim),
+                   *cube_arrays(fam, mu.dim))       # uniq[k] holds fam[i]
+    o = np.argsort(i, kind="stable")                # each sum in fam order
+    tot = np.bincount(k[o], np.array([mass(f, mu) for f in fam])[i[o]],
+                      len(uniq))
+    return float((tot[m > 0] / m[m > 0]).max(initial=0.0))
 
 
 def generation_masses(corona: Corona) -> list:

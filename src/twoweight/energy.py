@@ -17,9 +17,11 @@ import numpy as np
 
 from .bfamily import mart_apply, sharp_norm_sq, star_norm_sq
 from .corona import Corona, HalfSpaceMeasure, shifted_corona
-from .grid import Cube, cube_at, cube_dict, kids, scaled_box4, whitney
+from .grid import Cube, cube_arrays, cube_at, cube_dict, holders, \
+    scaled_box4, whitney
 from .measure import Measure, mass
-from .poisson_a2 import _norm_moment, halfspace_poisson, poisson
+from .poisson_a2 import _norm_moment, halfspace_poisson, poisson, \
+    poisson_kernel
 from .singular import apply as kernel_apply
 
 __all__ = [
@@ -33,14 +35,6 @@ __all__ = [
     "mu_bar_from_corona",
     "halfspace_testing",
 ]
-
-
-def _weighted(mu: Measure, dens) -> Measure:
-    """The measure with the given nonnegative density against mu."""
-    dens = np.abs(np.asarray(dens, dtype=np.float64))
-    keep = dens * mu.masses > 0
-    return Measure(mu.dim, mu.resolution, mu.points[keep],
-                   (mu.masses * dens)[keep])
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +206,9 @@ def monotonicity_check(kernel, i_cube: Cube, j_cube: Cube,
     t_mu = kernel_apply(kernel, mu_meas, dens, omega)
     lhs = abs(float(np.dot(omega.masses, t_mu * box_psi)))
 
-    mu_abs = _weighted(mu_meas, dens)
+    keep = np.abs(dens) * mu_meas.masses > 0
+    mu_abs = Measure(mu_meas.dim, mu_meas.resolution, mu_meas.points[keep],
+                     (mu_meas.masses * np.abs(dens))[keep])
     ell = j_cube.sidelength
     p_std = poisson("standard", j_cube, mu_abs, kernel.alpha) / ell
     p_small = poisson("small", j_cube, mu_abs, kernel.alpha,
@@ -247,34 +243,45 @@ def functional_energy_context(corona: Corona, grid_g, fam_omega, eps: float,
 
     Returns a list of (M, q) where M runs over the Whitney cubes of each
     stopping cube F and q is the sharp-norm square of the coordinate
-    pseudoprojection onto the shifted-corona cubes inside M.
+    pseudoprojection onto the shifted-corona cubes inside M, summed over
+    them in `grid_g.cubes()` order (the int 0 when there are none).
     """
-    body_cache: dict = {}
-    contrib: dict = {}      # shifted-corona cube -> its sharp-norm square
-    out = []
-    for f_cube in corona.stopping:
-        shift = shifted_corona(corona, f_cube, grid_g, eps, body_cache)
-        for j in shift:
-            if j not in contrib:
-                contrib[j] = sharp_norm_sq(fam_omega, [j])
-        chosen, residual = whitney(f_cube)
-        for m in chosen + residual:
-            q = sum(contrib[j] for j in shift if m.contains_cube(j))
-            out.append((m, q))
+    out, n = [], corona.root.dim
+    for f_cube, shift in zip(corona.stopping,
+                             shifted_corona(corona, grid_g, eps)):
+        ms = sum(whitney(f_cube), [])       # chosen, then residual
+        i, k = holders(*cube_arrays(ms, n), *cube_arrays(shift, n))
+        o = np.argsort(i, kind="stable")    # each sum in shift order
+        v = np.bincount(k[o], [sharp_norm_sq(fam_omega, [shift[j]])
+                               for j in i[o].tolist()], len(ms))
+        count = np.bincount(k, minlength=len(ms))
+        out += [(m, x if c else 0) for m, x, c in zip(ms, v.tolist(),
+                                                      count.tolist())]
     return out
 
 
-def functional_energy_lhs(h, context, sigma: Measure, alpha: float) -> float:
-    """Whitney-Poisson pairing of |h| dsigma against the context energies."""
+def functional_energy_lhs(h, context, sigma: Measure, alpha: float):
+    """Whitney-Poisson pairing of |h| dsigma against the context energies,
+    for one function h over sigma's atoms (a float back) or a stack of
+    them, one per row (an array back): one matrix of Poisson values
+    serves every row, and each row is summed on its own, so equal rows
+    give equal values."""
     h = np.asarray(h, dtype=np.float64)
-    hs = _weighted(sigma, h)
-    total = 0.0
-    for m, q in context:
-        if q <= 0.0:
-            continue
-        p = poisson("standard", m, hs, alpha)
-        total += (p / m.sidelength) ** 2 * q
-    return total
+    stack, rows = np.atleast_2d(h), [(m, q) for m, q in context if q > 0.0]
+    out = np.zeros(len(stack))
+    if rows and sigma.natoms:
+        ell = np.array([m.sidelength for m, _ in rows])
+        q = np.array([q for _, q in rows])
+        d = sigma.coords_float() - np.array([m.center() for m, _ in rows])[
+            :, None]
+        kern = poisson_kernel("standard", ell[:, None],
+                              np.sqrt((d * d).sum(axis=2)), sigma.dim, alpha)
+        step = max(1, (1 << 14) // kern.size)     # products per block
+        for b in range(0, len(out), step):
+            hw = np.abs(stack[b:b + step]) * sigma.masses
+            p = (hw[:, None] * kern).sum(axis=2)
+            out[b:b + step] = ((p / ell) ** 2 * q).sum(axis=1)
+    return float(out[0]) if h.ndim == 1 else out
 
 
 def functional_energy_estimate(context, sigma: Measure, alpha: float,
@@ -284,30 +291,26 @@ def functional_energy_estimate(context, sigma: Measure, alpha: float,
 
     The dictionary holds normalized cube indicators plus random sign
     vectors; the estimate is the largest square root of the pairing per
-    unit L2(sigma) norm of h.
+    unit L2(sigma) norm of h.  The indicators are of the nonempty cubes
+    below root, depth first, off the level table of root's grid.
     """
+    from .levels import Levels
     rng = np.random.default_rng(seed)
-    dictionary = []
-    stack = [root]
-    while stack:            # depth first, below nonempty cubes only
-        q = stack.pop()
-        sel = sigma.in_cube(q)
-        qm = float(sigma.masses[sel].sum())
-        if qm > 0.0:
-            dictionary.append(("indicator", sel.astype(np.float64)
-                               / math.sqrt(qm)))
-            stack.extend(kids(q))
-    for _ in range(n_sign):
+    lv = Levels(sigma, root.grid)
+    walk = lv.subtree(root).tolist()
+    stack = np.zeros((len(walk) + n_sign, sigma.natoms))
+    for d, r in enumerate(walk):
+        idx = lv.order[lv.st[r]:lv.en[r]]
+        idx = idx[np.argsort(idx, kind="stable")]    # summed as atoms() is
+        stack[d, idx] = 1.0 / math.sqrt(float(sigma.masses[idx].sum()))
+    for d in range(len(walk), len(stack)):
         signs = rng.choice([-1.0, 1.0], size=sigma.natoms)
-        nrm = math.sqrt(float(sigma.masses.sum()))
-        dictionary.append(("signs", signs / nrm))
-    best, kind = 0.0, None
-    for name, h in dictionary:
-        val = functional_energy_lhs(h, context, sigma, alpha)
-        if val > best:
-            best, kind = val, name
-    return {"value": math.sqrt(best), "best_kind": kind,
-            "dictionary_size": len(dictionary)}
+        stack[d] = signs / math.sqrt(float(sigma.masses.sum()))
+    vals = np.r_[0.0, functional_energy_lhs(stack, context, sigma, alpha)]
+    i = int(np.argmax(vals))        # the first largest, 0 if none is > 0
+    return {"value": math.sqrt(vals[i]), "dictionary_size": len(stack),
+            "best_kind": None if i == 0 else "indicator" if i <= len(walk)
+            else "signs"}
 
 
 # ---------------------------------------------------------------------------

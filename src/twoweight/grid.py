@@ -30,13 +30,12 @@ __all__ = [
     "Cube",
     "cube_dict",
     "kids",
-    "Region",
     "make_grid",
     "whitney",
-    "body",
-    "skeleton",
     "is_eps_good",
     "sharp_cross",
+    "cube_arrays",
+    "holders",
     "m_deep",
     "bad_probability_mc",
     "dilate4",
@@ -162,6 +161,9 @@ class Cube:
         return np.array(self.center4, dtype=np.float64) / 2.0 ** (self.resolution + 2)
 
     def contains_cube(self, other: "Cube") -> bool:
+        if other.resolution != self.resolution:
+            raise ValueError(f"cube at resolution {other.resolution} meets a "
+                             f"cube at resolution {self.resolution}")
         return all(self.lo[a] <= other.lo[a]
                    and other.lo[a] + other.side <= self.lo[a] + self.side
                    for a in range(self.dim))
@@ -203,31 +205,6 @@ def kids(q: Cube) -> list:
     if q.level >= q.resolution:
         return []
     return q.children()
-
-
-@dataclass(frozen=True)
-class Region:
-    """Finite union of boxes in quarter units 2^-(resolution+2).
-
-    Boxes may be degenerate (hi == lo on some axis); those carry no mass
-    but participate in distance computations as closed sets.
-    """
-
-    resolution: int
-    boxes4: tuple
-
-    @cached_property
-    def _arrays4(self) -> tuple:
-        """(lo4, hi4) of the boxes as (boxes, dim) int64 arrays."""
-        return tuple(np.array([b[k] for b in self.boxes4], dtype=np.int64)
-                     for k in (0, 1))
-
-    def gap2(self, lo4, hi4) -> int:
-        """Squared distance from the box [lo4, hi4] to the nonempty region."""
-        blo, bhi = self._arrays4
-        gap = np.maximum(np.maximum(blo - np.asarray(hi4),
-                                    np.asarray(lo4) - bhi), 0)
-        return int((gap * gap).sum(axis=1).min())
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +258,7 @@ def make_grid(dim: int, M: int, N: int, param) -> Grid:
 
 
 # ---------------------------------------------------------------------------
-# Whitney decomposition and body
+# Whitney decomposition
 
 
 def morton_cells(n: int, k: int) -> np.ndarray:
@@ -347,121 +324,145 @@ def whitney(k: Cube):
     return out
 
 
-def _faces4(q: Cube):
-    """Closed boundary faces of a cube as degenerate quarter-unit boxes."""
-    lo4, hi4 = q.lo4, q.hi4
-    for a in range(q.dim):
-        for pos in (lo4[a], hi4[a]):
-            flo = tuple(pos if b == a else lo4[b] for b in range(q.dim))
-            fhi = tuple(pos if b == a else hi4[b] for b in range(q.dim))
-            yield flo, fhi
-
-
-def body(k: Cube) -> Region:
-    """Union of the boundaries of the Whitney cubes of K."""
-    cubes, _ = whitney(k)
-    faces = {f for s in cubes for f in _faces4(s)}
-    return Region(k.resolution, tuple(sorted(faces)))
-
-
-def skeleton(k: Cube) -> Region:
-    """Union of the boundaries of the children of K."""
-    faces = {f for c in k.children() for f in _faces4(c)}
-    return Region(k.resolution, tuple(sorted(faces)))
-
-
 # ---------------------------------------------------------------------------
-# goodness
+# goodness and crossovers
 
 
-def is_eps_good(j: Cube, k: Cube, eps: float, body_k: Region | None = None):
-    """Whether dist(J, body K) exceeds 2 l(J)^eps l(K)^(1-eps).
+def _good(rel, side, big: int, eps: float) -> tuple:
+    """(good, squared quarter-unit gap) of the cubes rel + [0, side)^n
+    inside [0, big)^n against its body, the boundaries of its Whitney
+    cubes: good when the gap exceeds 2 l(J)^eps l(K)^(1-eps), squared.
 
-    Returns (good, distance).  The comparison is done on squared
-    quarter-unit quantities; for eps = 1/2 and square side products it
-    is exact integer-versus-integer.
+    The Whitney cube holding a cell is the largest dyadic S with 3S
+    inside (a subcube of a cube inside is inside).  A cube whose first
+    and last cells lie in one such S lies in S, and any path from it to
+    another Whitney boundary crosses that of S, so its gap is the gap to
+    the boundary of S; any other cube meets a Whitney boundary (at side
+    >= 4 every finest boundary tile touches a Whitney cube): gap 0.
+    Without Whitney cubes (big <= 2) all are good, the gaps None.
     """
+    if big <= 2:
+        return np.ones(len(rel), dtype=bool), None
+    ends = np.stack([rel, rel + side[:, None] - 1])     # first, last cells
+    t, c = np.zeros(ends.shape[:2], dtype=np.int64), np.zeros_like(ends)
+    s = big // 2
+    while s:
+        cell = ends // s * s
+        ok = (t == 0) & ((cell >= s) & (cell + 2 * s <= big)).all(axis=2)
+        t[ok], c[ok] = s, cell[ok]
+        s //= 2
+    gap = np.minimum(ends[0] - c[0], c[0] + t[0][:, None] - 1 - ends[1])
+    same = (t[0] > 0) & (t[0] == t[1]) & (c[0] == c[1]).all(axis=1)
+    d2q = np.where(same, 16 * gap.min(axis=1) ** 2, 0)
+    u = np.array(sorted(set(side.tolist())), dtype=np.int64)
+    t2q = np.array([64.0 * sd ** (2 * eps) * big ** (2 - 2 * eps)
+                    for sd in u.tolist()])
+    return d2q.astype(np.float64) > t2q[np.searchsorted(u, side)], d2q
+
+
+def is_eps_good(j: Cube, k: Cube, eps: float):
+    """Whether dist(J, body K) exceeds 2 l(J)^eps l(K)^(1-eps), for J
+    inside K; returns (good, distance)."""
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0, 1)")
     if j.resolution != k.resolution:
         raise ValueError(f"J at resolution {j.resolution} and K at "
                          f"resolution {k.resolution}: goodness needs one "
                          "lattice")
-    if j.side > k.side:
-        raise ValueError("goodness needs l(J) <= l(K)")
-    if body_k is None:
-        body_k = body(k)
-    if not body_k.boxes4:
-        return True, math.inf
-    d2q = body_k.gap2(j.lo4, j.hi4)
-    # threshold in quarter units: 8 * sideJ^eps * sideK^(1-eps)
-    t2q = 64.0 * j.side ** (2 * eps) * k.side ** (2 - 2 * eps)
-    dist = math.sqrt(d2q) / 2 ** (k.resolution + 2)
-    return float(d2q) > t2q, dist
+    if not k.contains_cube(j):
+        raise ValueError("goodness needs J inside K")
+    good, d2q = _good(np.array([j.lo]) - k.lo, np.array([j.side]), k.side,
+                      eps)
+    return bool(good[0]), math.inf if d2q is None else \
+        math.sqrt(d2q[0]) / 2 ** (k.resolution + 2)
 
 
-def _ancestor_chain(j: Cube, grid: Grid):
-    """Grid cubes containing J, coarsest first, finest last.
+def sharp_cross(cubes, grid: Grid, eps: float) -> list:
+    """(q, j_flat) of each cube J of `cubes`: q is the smallest grid cube
+    with J good in every grid supercube K >= q, j_flat the grandchild of
+    q holding J's centre (None when q is missing or J is larger than the
+    grandchildren).  One cube is a list of one.
 
-    Every level's cube holding J's corner comes from one integer array
-    operation; the chain is the first run of levels whose cube holds J.
-    Each cube is built only when the caller asks for it.
+    One integer pass per grid level: the ancestors of J are the grid
+    cubes holding it, from the first level whose cube does until one
+    does not, and q is the last before the first in which J is bad.
     """
-    count = grid.M - grid.N + 1 - (j.side - 1).bit_length()  # sides >= J's
-    if count <= 0:
-        return
-    off, sides = (a[:count] for a in grid.level_arrays)
-    lo = np.array(j.lo, dtype=np.int64)
-    corners = off + (lo - off) // sides * sides
-    holds = np.all(lo + j.side <= corners + sides, axis=1).tolist() + [False]
-    if True not in holds:
-        return
-    first = holds.index(True)
-    for i in range(first, holds.index(False, first)):
-        yield Cube(grid.M, tuple(corners[i].tolist()), int(sides[i, 0]),
-                   grid.N + i, grid)
+    if not 0 < eps < 1:
+        raise ValueError("eps must lie in (0, 1)")
+    cubes = list(cubes)
+    for res in {j.resolution for j in cubes} - {grid.M}:
+        raise ValueError(f"J at resolution {res} and K at resolution "
+                         f"{grid.M}: goodness needs one lattice")
+    lo, side = cube_arrays(cubes, grid.dim)
+    off, sides = grid.level_arrays
+    row, q_lo = np.full(len(lo), -1), np.zeros_like(lo)
+    live, begun = np.ones(len(lo), dtype=bool), np.zeros(len(lo), dtype=bool)
+    for li, s in enumerate(sides[:, 0].tolist()):
+        corner = off[li] + (lo - off[li]) // s * s
+        holds = live & (side <= s) & (lo + side[:, None] <= corner + s).all(
+            axis=1)
+        live &= (side <= s) & (holds | ~begun)
+        begun |= holds
+        at = np.flatnonzero(holds)
+        good = _good(lo[at] - corner[at], side[at], s, eps)[0]
+        row[at[good]], q_lo[at[good]] = li, corner[at[good]]
+        live[at[~good]] = False
+    qs = np.where(row >= 0, sides[row, 0], 4)[:, None]
+    # the grandchild of side qs / 4 holding the centre, in quarter units
+    flat = q_lo + (4 * lo + 2 * side[:, None] - 4 * q_lo) // qs * (qs // 4)
+    return [(None, None) if r < 0 else (
+        Cube(grid.M, tuple(a), s, grid.N + r, grid),
+        Cube(grid.M, tuple(b), s // 4, grid.N + r + 2, grid)
+        if 4 * js <= s else None)
+        for r, js, s, a, b in zip(row.tolist(), side.tolist(),
+                                  qs[:, 0].tolist(), q_lo.tolist(),
+                                  flat.tolist())]
 
 
-def sharp_cross(j: Cube, grid: Grid, eps: float, body_cache: dict | None = None):
-    """Smallest supercube Q with J good in every grid supercube K >= Q.
+# ---------------------------------------------------------------------------
+# containment by code
 
-    Returns (q, j_flat) where j_flat is the grandchild of q containing J
-    (None when q is missing or has no grandchildren above the cutoff).
+
+def cube_arrays(cubes, dim: int) -> tuple:
+    """(corners (k, n), sides (k,)) of a list of cubes."""
+    return (np.array([q.lo for q in cubes], dtype=np.int64).reshape(-1, dim),
+            np.array([q.side for q in cubes], dtype=np.int64))
+
+
+def holders(m_lo, m_side, lo, side) -> tuple:
+    """(i, k) index arrays of the pairs where cube k of the first set
+    (corners m_lo, sides m_side; no cube twice) holds cube i of the
+    second, on one lattice.
+
+    J lies in M exactly when J's first and last lattice points fall in
+    M's cell of the lattice M.lo + side Z^n, so each (side, phase) of the
+    first set takes one integer pass instead of a scan of pairs.
     """
-    q = None
-    for k in _ancestor_chain(j, grid):
-        if body_cache is not None and k in body_cache:
-            bk = body_cache[k]
-        else:
-            bk = body(k)
-            if body_cache is not None:
-                body_cache[k] = bk
-        good, _ = is_eps_good(j, k, eps, bk)
-        if good:
-            q = k
-        else:
-            break
-    if q is None:
-        return None, None
-    j_flat = None
-    if q.level + 2 <= grid.M and j.sidelength <= q.sidelength / 4:
-        jc4 = j.center4
-        for g in (gg for c in q.children() for gg in c.children()):
-            if all(g.lo4[a] <= jc4[a] < g.hi4[a] for a in range(g.dim)):
-                j_flat = g
-                break
-    return q, j_flat
+    m_lo, m_side, lo, side = (np.asarray(x, dtype=np.int64)
+                              for x in (m_lo, m_side, lo, side))
+    cls = np.column_stack([m_side, m_lo % m_side[:, None]])
+    out = [np.zeros((0, 2), dtype=np.int64)]
+    for s, *phase in sorted(set(map(tuple, cls.tolist()))):
+        ks = np.flatnonzero((cls == [s, *phase]).all(axis=1))
+        cell = (lo - phase) // s
+        at = np.flatnonzero((cell == (lo + side[:, None] - 1 - phase) // s)
+                            .all(axis=1))
+        # cells as codes in the box of the members' cells
+        base = (m_lo[ks] - phase) // s
+        c0, span = base.min(axis=0), np.ptp(base, axis=0) + 1
+        rel, dims = cell[at] - c0, tuple(span.tolist())
+        inbox = ((rel >= 0) & (rel < span)).all(axis=1)
+        at, code = at[inbox], np.ravel_multi_index(tuple(rel[inbox].T), dims)
+        mcode = np.ravel_multi_index(tuple((base - c0).T), dims)
+        o = np.argsort(mcode, kind="stable")
+        pos = np.minimum(np.searchsorted(mcode[o], code), len(o) - 1)
+        hit = mcode[o][pos] == code
+        out.append(np.column_stack([at[hit], ks[o][pos[hit]]]))
+    return tuple(np.concatenate(out).T)
 
 
 # ---------------------------------------------------------------------------
 # deep embedding
-
-
-def _dist_to_boundary_units(j: Cube, k: Cube) -> int:
-    """dist(J, dK) in lattice units, for J inside K (negative if outside)."""
-    return min(min(j.lo[a] - k.lo[a],
-                   (k.lo[a] + k.side) - (j.lo[a] + j.side))
-               for a in range(j.dim))
 
 
 def m_deep(k: Cube, rho: int, eps: float, grid: Grid | None = None):
@@ -476,15 +477,13 @@ def m_deep(k: Cube, rho: int, eps: float, grid: Grid | None = None):
     chosen: list[Cube] = []
     for level in range(k.level + rho, g.M + 1):
         s = g.side_units(level)
-        for j in g.cubes_at_level(level, k.lo, k.hi):
-            if not k.contains_cube(j):
-                continue
-            if any(c.contains_cube(j) for c in chosen):
-                continue
-            d = _dist_to_boundary_units(j, k)
-            # threshold in lattice units: 2 sideJ^eps sideK^(1-eps)
-            if d >= 2.0 * s ** eps * k.side ** (1 - eps):
-                chosen.append(j)
+        lo = g.corners(level, k.lo, k.hi)
+        # dist(J, dK) in lattice units, negative outside K
+        d = np.minimum(lo - k.lo, np.add(k.lo, k.side) - lo - s).min(axis=1)
+        ok = d >= 2.0 * s ** eps * k.side ** (1 - eps)
+        held = holders(*cube_arrays(chosen, k.dim), lo, np.full(len(lo), s))
+        ok[held[0]] = False
+        chosen += [Cube(g.M, tuple(c), s, level, g) for c in lo[ok].tolist()]
     return chosen
 
 
@@ -521,14 +520,9 @@ def scaled_box4(q: Cube, factor) -> tuple:
 @lru_cache(maxsize=32)
 def _unit_body_points(depth: int) -> np.ndarray:
     """Sorted endpoints of the Whitney intervals of [0,1) down to 2^-depth."""
-    g = make_grid(1, depth, 0, {"kind": "beta", "bits": [[0] * depth]})
-    k = g.cube(0, (0,))
-    cubes, _ = whitney(k)
-    pts = set()
-    for s in cubes:
-        pts.add(s.lo[0] / 2 ** depth)
-        pts.add((s.lo[0] + s.side) / 2 ** depth)
-    return np.array(sorted(pts))
+    c, s, chosen = whitney_cells(depth, 1)
+    c, s = c[chosen, 0], s[chosen]
+    return np.array(sorted(set(np.r_[c, c + s].tolist()))) / 2 ** depth
 
 
 def _axis_bad_fraction(k: int, eps: float, shifts: np.ndarray) -> np.ndarray:

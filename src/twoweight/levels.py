@@ -141,18 +141,23 @@ class Levels:
         self.lo = cells.min(axis=1, initial=0)
         self.span = cells.max(axis=1, initial=0) - self.lo + 1
         self.base = np.cumsum(np.r_[0, self.span.prod(axis=1)[:-1]])
-        codes, st, en = [], [], []
+        codes, st, en, lo = [], [], [], []
         for li, c in enumerate(cells[:, self.order]):
             new = np.ones(len(c), dtype=bool)
             new[1:] = (c[1:] != c[:-1]).any(axis=1)
             st.append(np.flatnonzero(new))
             en.append(np.append(st[-1][1:], len(c)))
             codes.append(self._code(li, c[st[-1]]))
+            lo.append(off[li] + c[st[-1]] * sides[li])
         o = np.lexsort((np.concatenate(codes),))
         # -1 ends each array: no code is -1
         self.codes, self.st, self.en = (np.append(np.concatenate(x)[o], v)
                                         for x, v in ((codes, -1), (st, 0),
                                                      (en, 0)))
+        # level and corner of each nonempty cube, row by row
+        self.level = grid.N + np.repeat(np.arange(len(cells)),
+                                        [len(x) for x in st])[o]
+        self.corner = np.concatenate(lo).reshape(-1, self.n)[o]
 
     def _code(self, li, cells):
         """Codes of cells (..., n) of the levels li - N (broadcast), -2
@@ -175,6 +180,19 @@ class Levels:
         i = np.searchsorted(self.codes[:-1], code)
         hit = self.codes[i] == code
         return np.where(hit, self.st[i], 0), np.where(hit, self.en[i], 0)
+
+    def subtree(self, root) -> np.ndarray:
+        """Rows of the nonempty cubes below the grid cube root as a depth
+        first walk that stacks children in child order visits them: a
+        slice ends where its last child's does, so by end (down), level."""
+        g = self.grid
+        if not g.N <= root.level <= g.M or root != g.cube_containing(
+                root.level, root.lo):
+            raise ValueError(f"{root} is not a cube of the grid")
+        st, en = self.slices(root.level, np.array(root.lo))
+        inside = np.flatnonzero((self.st[:-1] >= st) & (self.en[:-1] <= en)
+                                & (self.level >= root.level))
+        return inside[np.lexsort((self.level[inside], -self.en[inside]))]
 
     def cube_slices(self, level, corners, aug) -> tuple:
         """(cubes, 2^n) slices: a grid cube in the first column, an

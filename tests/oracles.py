@@ -3,24 +3,27 @@
 These are earlier forms of code under test, kept apart from the package
 so that a refactor is checked against an implementation it does not
 share: the cube lookup as a scan of every atom, the A2 loop over
-restricted measures, the face-by-face goodness distance, the
-stopping-time constructions as three separate loops, the family walk
-over every subcube, the best-subpartition recursion, one energy pass
-per Whitney variant and per strong direction, the kernel matrix and
-operator applied in one shot with the coordinates last, the ancestor
-chain walked level by level, the broken-child infimum by scipy's
-Nelder-Mead, and the kernel validation sweep one pair at a time.  Tests
-compare the live code with them.
+restricted measures, the body and the goodness distance face by face,
+the crossover cube by cube, the stopping-time constructions as three
+separate loops, the family walk cube by cube and over every subcube,
+the coronas, the Carleson sums and the functional energy by
+containment scans and one Poisson call per cube, the best-subpartition
+recursion, one energy pass per Whitney variant and per strong
+direction, the kernel matrix and operator applied in one shot with the
+coordinates last, the ancestor chain walked level by level, the
+broken-child infimum by scipy's Nelder-Mead, and the kernel validation
+sweep one pair at a time.  Tests compare the live code with them.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
 
 from twoweight import singular
-from twoweight.grid import body, cube_at, scaled_box4, whitney
-from twoweight.measure import common_points
+from twoweight.grid import cube_at, scaled_box4, whitney
+from twoweight.measure import Measure, common_points
 from twoweight.poisson_a2 import A2Report, enumerate_cubes, poisson
 
 
@@ -131,6 +134,52 @@ def best_subpartition(top, sigma_amb, omega, alpha, depth=None):
                        for c in kids))
 
     return {q: solve(q, depth) for q in _subtree(top)}
+
+
+def make_family(kind, mu, roots, p=4.0, seed=None, values=None,
+                global_values=None):
+    """The family walk cube by cube: (values, children, broken children,
+    c_b, C_b), each cube's atoms looked up and its children made."""
+    rng = np.random.default_rng(seed)
+    if kind == "global" and global_values is None:
+        global_values = np.ones(mu.natoms)
+    vals, children, stack = {}, {}, list(roots[::-1])
+    while stack:
+        q = stack.pop()
+        sel = atoms_in(mu, q)
+        if not sel.any():
+            continue
+        kids = _kids(q)
+        stack.extend(kids)
+        children[q] = kids
+        if kind == "unit":
+            vals[q] = sel.astype(np.float64)
+        elif kind == "random":
+            vals[q] = np.where(sel, rng.uniform(0.5, 2.0, mu.natoms), 0.0)
+        elif kind == "global":
+            vals[q] = np.where(sel, global_values, 0.0)
+        elif q in values:
+            vals[q] = np.where(sel, values[q], 0.0)
+    children = {q: [c for c in ch if c in vals] for q, ch in children.items()}
+    w = mu.masses
+    broken = {}
+    for q in vals:
+        brok = frozenset(
+            c for c in children[q]
+            if not np.array_equal(vals[c], vals[q] * atoms_in(mu, c))
+            or abs(float(np.dot(w, vals[c]))) <= 1e-14)
+        if brok:
+            broken[q] = brok
+    c_lo, c_hi = math.inf, 0.0
+    for q, v in vals.items():
+        tot = _mass(mu, q)
+        c_lo = min(c_lo, float(np.dot(w, v)) / tot)
+        if math.isinf(p):
+            c_hi = max(c_hi, float(np.abs(v).max(initial=0.0)))
+        else:
+            c_hi = max(c_hi, (float(np.dot(w, np.abs(v) ** p)) / tot)
+                       ** (1.0 / p))
+    return vals, children, broken, c_lo, c_hi
 
 
 def family_values(kind, mu, root, seed=None):
@@ -310,6 +359,35 @@ def a2_constants(sigma, omega, grids, alpha, include_augmented=True):
 # goodness, face by face
 
 
+@dataclass(frozen=True)
+class Region:
+    """Finite union of closed boxes (lo4, hi4) in quarter units; a face
+    is a box with hi == lo on one axis."""
+
+    resolution: int
+    boxes4: tuple
+
+
+def _faces4(q):
+    lo4, hi4 = q.lo4, q.hi4
+    for a in range(q.dim):
+        for pos in (lo4[a], hi4[a]):
+            yield (tuple(pos if b == a else lo4[b] for b in range(q.dim)),
+                   tuple(pos if b == a else hi4[b] for b in range(q.dim)))
+
+
+def body(k):
+    """Union of the boundaries of the Whitney cubes of K, face by face."""
+    faces = {f for s in whitney(k)[0] for f in _faces4(s)}
+    return Region(k.resolution, tuple(sorted(faces)))
+
+
+def skeleton(k):
+    """Union of the boundaries of the children of K, face by face."""
+    faces = {f for c in k.children() for f in _faces4(c)}
+    return Region(k.resolution, tuple(sorted(faces)))
+
+
 def dist2_min(lo4, hi4, reg):
     """Smallest squared gap from the box [lo4, hi4] to a face of reg."""
     def gap2(blo, bhi):
@@ -351,6 +429,133 @@ def sharp_cross(j, grid, eps, bodies):
             break
         q = k
     return q
+
+
+def flat_grandchild(j, q):
+    """The grandchild of q holding J's centre, scanning all of them; None
+    without q or when J is larger than the grandchildren."""
+    if q is None or q.level + 2 > q.resolution \
+            or j.sidelength > q.sidelength / 4:
+        return None
+    jc4 = j.center4
+    for g in (gg for c in q.children() for gg in c.children()):
+        if all(g.lo4[a] <= jc4[a] < g.hi4[a] for a in range(g.dim)):
+            return g
+    return None
+
+
+# ---------------------------------------------------------------------------
+# coronas by containment scans
+
+
+def corona_of(corona, f):
+    """Cubes of the restricted corona below f, each child tested against
+    every forest child of f, coarse to fine."""
+    below = [g for g in corona.stopping if corona.parent.get(g) == f]
+    out, stack = [], [f]
+    while stack:
+        q = stack.pop()
+        out.append(q)
+        stack.extend(c for c in _kids(q)
+                     if not any(g.contains_cube(c) for g in below))
+    return _coarse_to_fine(out)
+
+
+def carleson_norm(cube_family, mu):
+    fam = list(cube_family)
+    best = 0.0
+    for s in dict.fromkeys(fam):
+        ms = _mass(mu, s)
+        if ms <= 0.0:
+            continue
+        tot = sum(_mass(mu, f2) for f2 in fam if s.contains_cube(f2))
+        best = max(best, tot / ms)
+    return best
+
+
+def avg_control(corona, f):
+    """Largest average of |f| over a nonempty cube of a restricted corona
+    relative to its top's alpha bound, with the first (top, cube) that
+    reaches it."""
+    f_abs = np.abs(np.asarray(f, dtype=np.float64))
+    best, wit = 0.0, None
+    for top in corona.stopping:
+        a = corona.alpha_bound.get(top, 0.0)
+        if a <= 0.0:
+            continue
+        for q in corona_of(corona, top):
+            if _mass(corona.mu, q) <= 0.0:
+                continue
+            r = _avg(corona.mu, f_abs, q) / a
+            if r > best:
+                best, wit = r, (top, q)
+    return best, wit
+
+
+def shifted_corona(corona, f_cube, grid_g, eps):
+    """The cubes of grid_g whose crossover lies in f_cube but in none of
+    its forest children, each crossover found cube by cube."""
+    below = [g for g in corona.stopping if corona.parent.get(g) == f_cube]
+    bodies, out = {}, []
+    for j in grid_g.cubes():
+        q = sharp_cross(j, corona.root.grid, eps, bodies)
+        if q is not None and f_cube.contains_cube(q) \
+                and not any(g.contains_cube(q) for g in below):
+            out.append(j)
+    return out
+
+
+def functional_energy_context(corona, grid_g, fam_omega, eps, sharp_norm_sq):
+    """(M, q) over the Whitney cubes M of every stopping cube, q summed
+    over the shifted-corona cubes that M contains, each tested."""
+    out = []
+    for f_cube in corona.stopping:
+        shift = shifted_corona(corona, f_cube, grid_g, eps)
+        chosen, residual = whitney(f_cube)
+        for m in chosen + residual:
+            out.append((m, sum(sharp_norm_sq(fam_omega, [j]) for j in shift
+                               if m.contains_cube(j))))
+    return out
+
+
+def functional_energy_lhs(h, context, sigma, alpha):
+    """The pairing from one `poisson` call on a fresh measure per cube."""
+    dens = np.abs(np.asarray(h, dtype=np.float64))
+    keep = dens * sigma.masses > 0
+    hs = Measure(sigma.dim, sigma.resolution, sigma.points[keep],
+                 (sigma.masses * dens)[keep])
+    total = 0.0
+    for m, q in context:
+        if q <= 0.0:
+            continue
+        total += (poisson("standard", m, hs, alpha) / m.sidelength) ** 2 * q
+    return total
+
+
+def functional_energy_estimate(context, sigma, alpha, root, seed=0,
+                               n_sign=8):
+    """The dictionary walked cube by cube, one pairing per entry."""
+    rng = np.random.default_rng(seed)
+    dictionary = []
+    stack = [root]
+    while stack:
+        q = stack.pop()
+        sel = atoms_in(sigma, q)
+        qm = float(sigma.masses[sel].sum())
+        if qm > 0.0:
+            dictionary.append(("indicator", sel / math.sqrt(qm)))
+            stack.extend(_kids(q))
+    for _ in range(n_sign):
+        signs = rng.choice([-1.0, 1.0], size=sigma.natoms)
+        dictionary.append(("signs",
+                           signs / math.sqrt(float(sigma.masses.sum()))))
+    best, kind = 0.0, None
+    for name, h in dictionary:
+        val = functional_energy_lhs(h, context, sigma, alpha)
+        if val > best:
+            best, kind = val, name
+    return {"value": math.sqrt(best), "best_kind": kind,
+            "dictionary_size": len(dictionary)}
 
 
 # ---------------------------------------------------------------------------

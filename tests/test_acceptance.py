@@ -285,9 +285,8 @@ def test_tripled_cube_sits_inside_crossing_grandchild():
                                  "seed": int(rng.integers(1 << 30))})
         gg = make_grid(1, 6, 0, {"kind": "gamma",
                                  "g": (int(rng.integers(64)),)})
-        cache = {}
-        for j in gg.cubes():
-            q, j_flat = sharp_cross(j, gd, 0.9, cache)
+        js = list(gg.cubes())
+        for j, (q, j_flat) in zip(js, sharp_cross(js, gd, 0.9)):
             if j_flat is None:
                 continue
             total += 1

@@ -396,15 +396,11 @@ def test_shifted_coronas_partition_crossed_cubes():
     f = rng.standard_normal(mu.natoms) * rng.integers(1, 30, mu.natoms)
     root = g_d.cube(0, (0,))
     cor = cz_stopping(mu, f, root, 3.0)
-    cache = {}
-    expected = 0
-    for j in g_g.cubes():
-        q, _ = sharp_cross(j, g_d, eps, cache)
-        if q is not None and root.contains_cube(q):
-            expected += 1
+    expected = sum(q is not None and root.contains_cube(q)
+                   for q, _ in sharp_cross(g_g.cubes(), g_d, eps))
     counts = {}
-    for top in cor.stopping:
-        for j in shifted_corona(cor, top, g_g, eps, cache):
+    for shift in shifted_corona(cor, g_g, eps):
+        for j in shift:
             counts[j] = counts.get(j, 0) + 1
     assert all(v == 1 for v in counts.values())
     assert sum(counts.values()) == expected
@@ -412,6 +408,9 @@ def test_shifted_coronas_partition_crossed_cubes():
 
 
 def test_shifted_corona_memo_finds_each_crossover_once(monkeypatch):
+    # all the shifted coronas come from one sharp_cross call that sees
+    # every cube of the other grid once, and they equal the coronas
+    # found top by top with a crossover per cube
     import twoweight.corona as corona_mod
     eps = 0.9
     g_d = std_grid(M=5)
@@ -421,22 +420,19 @@ def test_shifted_corona_memo_finds_each_crossover_once(monkeypatch):
     f = rng.standard_normal(mu.natoms) * rng.integers(1, 30, mu.natoms)
     cor = cz_stopping(mu, f, g_d.cube(0, (0,)), 3.0)
     assert len(cor.stopping) > 1
-    plain = [shifted_corona(cor, top, g_g, eps) for top in cor.stopping]
+    plain = [oracles.shifted_corona(cor, top, g_g, eps)
+             for top in cor.stopping]
     calls = []
 
-    def counted(j, grid, eps, body_cache=None):
-        calls.append(j)
-        return sharp_cross(j, grid, eps, body_cache)
+    def counted(cubes, grid, eps):
+        calls.append(list(cubes))
+        return sharp_cross(calls[-1], grid, eps)
 
     monkeypatch.setattr(corona_mod, "sharp_cross", counted)
-    for _ in range(2):
-        cache = {}
-        memo = [shifted_corona(cor, top, g_g, eps, cache)
-                for top in cor.stopping]
-        assert memo == plain
-    n_cubes = len(list(g_g.cubes()))
-    assert len(calls) == 2 * n_cubes
-    assert len(set(calls)) == n_cubes
+    memo = shifted_corona(cor, g_g, eps)
+    assert memo == plain
+    assert len(calls) == 1
+    assert calls[0] == list(g_g.cubes())
 
 
 # --------------------------------------------------------- carleson norm

@@ -5,14 +5,12 @@ import pytest
 
 from twoweight.grid import (
     Cube,
-    _ancestor_chain,
     bad_probability_mc,
-    body,
+    holders,
     is_eps_good,
     m_deep,
     make_grid,
     sharp_cross,
-    skeleton,
     whitney,
 )
 
@@ -156,14 +154,14 @@ def test_whitney_pairwise_disjoint():
 
 def test_body_contains_half():
     g = std_grid(M=4)
-    b = body(g.cube(0, (0,)))
+    b = oracles.body(g.cube(0, (0,)))
     pts = {lo[0] for lo, hi in b.boxes4}
     assert 4 * 8 in pts  # the point 1/2 in quarter units
 
 
 def test_skeleton_unit_interval():
     g = std_grid(M=3)
-    s = skeleton(g.cube(0, (0,)))
+    s = oracles.skeleton(g.cube(0, (0,)))
     pts = sorted({lo[0] for lo, hi in s.boxes4})
     assert pts == [0, 16, 32]  # {0, 1/2, 1} in quarter units
 
@@ -171,13 +169,13 @@ def test_skeleton_unit_interval():
 def test_dist_to_body_matches_brute_force():
     g = std_grid(M=4)
     k = g.cube(0, (0,))
-    b = body(k)
+    b = oracles.body(k)
     j = g.cube(4, (10,))  # [5/8, 11/16)
     pts = sorted({lo[0] for lo, hi in b.boxes4})
     brute = min(min(abs(p - j.lo4[0]), abs(p - j.hi4[0]))
                 if not (j.lo4[0] <= p <= j.hi4[0]) else 0
                 for p in pts) / 2 ** 6
-    assert is_eps_good(j, k, 0.5, b)[1] == pytest.approx(brute)
+    assert is_eps_good(j, k, 0.5)[1] == pytest.approx(brute)
 
 
 # ---------------------------------------------------------------- goodness
@@ -196,6 +194,15 @@ def test_self_case_is_bad():
     k = g.cube(0, (0,))
     good, _ = is_eps_good(k, k, 0.5)
     assert not good
+
+
+def test_containment_needs_one_lattice():
+    # [0, 1/2) at 2^-4 and [1/2, 1) at 2^-3 share the corner numerator 4
+    # with different meanings; read on one lattice, the first would hold
+    # the second
+    with pytest.raises(ValueError, match="cube at resolution 3 meets a "
+                       "cube at resolution 4"):
+        Cube(4, (0,), 8, 1).contains_cube(Cube(3, (4,), 4, 1))
 
 
 def test_goodness_needs_one_lattice():
@@ -221,7 +228,7 @@ def test_sharp_cross_always_bad_gives_none():
     g = std_grid(M=4)
     j = g.cube(4, (8,))  # touches 1/2, the body of every ancestor [0,2^-l)
     # the root is [0,1); J touches its body point 1/2, so nothing qualifies
-    q, _ = sharp_cross(j, g, 0.5)
+    q, _ = sharp_cross([j], g, 0.5)[0]
     assert q is None
 
 
@@ -241,19 +248,17 @@ def test_sharp_cross_is_finest_all_good_ancestor():
                 expected = k
             else:
                 break
-        q, _ = sharp_cross(j, g, eps)
+        q, _ = sharp_cross([j], g, eps)[0]
         assert q == expected
 
 
 def test_sharp_cross_monotone_under_inclusion():
     g = std_grid(M=6, N=0)
     eps = 0.5
-    cache = {}
     for c in range(0, 64, 3):
         j = g.cube(6, (c,))
         parent = j.parent()
-        qj, _ = sharp_cross(j, g, eps, cache)
-        qp, _ = sharp_cross(parent, g, eps, cache)
+        (qj, _), (qp, _) = sharp_cross([j, parent], g, eps)
         if qp is not None and qj is not None:
             assert qj.contains_cube(j)
             # J' subset J implies (J')^sharp subset J^sharp
@@ -266,11 +271,9 @@ def test_key_fact_flat_grandchild():
     # level gap k must reach 9 before any cube can qualify
     g = std_grid(M=9, N=0)
     eps = 0.5
-    cache = {}
     checked = 0
-    for c in range(0, 512, 7):
-        j = g.cube(9, (c,))
-        q, jf = sharp_cross(j, g, eps, cache)
+    js = [g.cube(9, (c,)) for c in range(0, 512, 7)]
+    for j, (q, jf) in zip(js, sharp_cross(js, g, eps)):
         if q is None or q.level + 2 > g.M:
             continue
         if j.sidelength > q.sidelength / 4:
@@ -368,36 +371,39 @@ def test_goodness_matches_the_face_by_face_oracle(dim, M):
     shifted = make_grid(dim, M, 0, {"kind": "gamma", "g": [5] * dim})
     root = g.cube(0, (0,) * dim)
     for k in (root, root.children()[0], root.children()[-1]):
-        for reg in (body(k), skeleton(k)):
-            for j in g.cubes(k.lo, k.hi):
-                if j.side > k.side:
-                    continue
-                for eps in (0.5, 0.9):
-                    assert is_eps_good(j, k, eps, reg) \
-                        == oracles.is_eps_good(j, k, eps, reg)
-    live, bodies = {}, {}
+        reg = oracles.body(k)
+        for j in g.cubes(k.lo, k.hi):
+            if j.side > k.side:
+                continue
+            for eps in (0.5, 0.9):
+                assert is_eps_good(j, k, eps) \
+                    == oracles.is_eps_good(j, k, eps, reg)
+    bodies = {}
+    js = list(shifted.cubes())
     for eps in (0.5, 0.9):
-        for j in shifted.cubes():
-            assert sharp_cross(j, g, eps, live)[0] \
-                == oracles.sharp_cross(j, g, eps, bodies)
+        assert [q for q, _ in sharp_cross(js, g, eps)] \
+            == [oracles.sharp_cross(j, g, eps, bodies) for j in js]
 
 
 @pytest.mark.parametrize("dim,M,N", [(1, 6, 0), (1, 5, -2), (2, 4, 0),
                                      (2, 3, -1)])
 def test_ancestor_chain_matches_the_level_by_level_oracle(dim, M, N):
     # J from the grid itself and from a shifted grid, with their
-    # augmented cubes (no grid handle); level and handle are compared
-    # too, since cube equality ignores them.
+    # augmented cubes (no grid handle); the grid cubes that `holders`
+    # finds holding J are its ancestor chain, coarse to fine
     g = make_grid(dim, M, N, {"kind": "random", "seed": 3})
     h = make_grid(dim, M, N, {"kind": "gamma", "g": [3] * dim})
     js = [j for x in (g, h) for j in list(x.cubes())
           + oracles.augmented_cubes(x)]
+    grid_cubes = list(g.cubes())
+    i, k = holders([c.lo for c in grid_cubes], [c.side for c in grid_cubes],
+                   [j.lo for j in js], [j.side for j in js])
     seen = 0
-    for j in js:
-        live = _ancestor_chain(j, g)
+    for n, j in enumerate(js):
+        live = sorted((grid_cubes[x] for x in k[i == n].tolist()),
+                      key=lambda c: c.level)
         want = oracles.ancestor_chain(j, g)
-        assert [(k.lo, k.side, k.level, k.grid) for k in live] \
-            == [(k.lo, k.side, k.level, k.grid) for k in want]
-        assert all(type(x) is int for k in live for x in k.lo)
+        assert [(c.lo, c.side, c.level) for c in live] \
+            == [(c.lo, c.side, c.level) for c in want]
         seen += bool(want)
     assert 0 < seen < len(js)

@@ -11,9 +11,20 @@ from hypothesis import strategies as st
 
 import twoweight.grid as grid_mod
 import twoweight.harness as harness
-from twoweight.bfamily import make_family
-from twoweight.corona import energy_stopping
+from twoweight.bfamily import make_family, sharp_norm_sq
+from twoweight.corona import (
+    carleson_norm,
+    cz_stopping,
+    energy_stopping,
+    shifted_corona,
+    stopping_data,
+)
 from twoweight.grid import Cube, make_grid, sharp_cross
+from twoweight.energy import (
+    functional_energy_context,
+    functional_energy_estimate,
+    functional_energy_lhs,
+)
 from twoweight.harness import RunConfig, generate_pair, verify_theorem
 from twoweight.levels import Levels, tops
 from twoweight.measure import Measure
@@ -122,29 +133,158 @@ def test_family_walk_matches_the_walk_over_every_subcube(dim, M, kind):
 @pytest.mark.parametrize("dim,M,eps", [(1, 6, 0.9), (2, 4, 0.9)])
 def test_sharp_cross_builds_only_the_cubes_it_looks_at(dim, M, eps,
                                                        monkeypatch):
+    # the crossovers come from integer arrays: no goodness test of one
+    # cube, and a Cube built only for each q and j_flat returned
     g_d = make_grid(dim, M, 0, {"kind": "random", "seed": 9})
     g_g = make_grid(dim, M, 0, {"kind": "gamma", "g": [2 ** M // 3] * dim})
-    built, looked = [], []
-    chain, good = grid_mod._ancestor_chain, grid_mod.is_eps_good
+    js = list(g_g.cubes())
+    built = []
 
-    def counted_chain(j, grid):
-        for k in chain(j, grid):
-            built.append(k)
-            yield k
+    def counted(*args):
+        built.append(Cube(*args))
+        return built[-1]
 
-    def counted_good(j, k, eps, body_k=None):
-        looked.append(k)
-        return good(j, k, eps, body_k)
+    def refused(*args):
+        raise AssertionError("a crossover looked at one cube")
 
-    monkeypatch.setattr(grid_mod, "_ancestor_chain", counted_chain)
-    monkeypatch.setattr(grid_mod, "is_eps_good", counted_good)
-    found = 0
-    for j in g_g.cubes():
-        q, _ = sharp_cross(j, g_d, eps, {})
-        assert q == oracles.sharp_cross(j, g_d, eps, {})
-        found += q is not None
-    assert built == looked
-    assert found > 0 or dim == 2    # 2-D crossovers need a deeper grid
+    monkeypatch.setattr(grid_mod, "Cube", counted)
+    monkeypatch.setattr(grid_mod, "is_eps_good", refused)
+    got = sharp_cross(js, g_d, eps)
+    monkeypatch.undo()
+    assert len(built) == sum(x is not None for pair in got for x in pair)
+    bodies = {}
+    assert [q for q, _ in got] == [oracles.sharp_cross(j, g_d, eps, bodies)
+                                   for j in js]
+    assert any(q is not None for q, _ in got) or dim == 2
+
+
+# --------------------------------------- the cube walks against their loops
+
+def cz_pair(dim, seed):
+    """A pair on every point of the 2^-6 lattice (1-D) or half of the
+    2^-3 lattice (2-D), with a CZ corona of more than one stopping cube."""
+    M = 6 if dim == 1 else 3
+    rng = np.random.default_rng(seed)
+    sigma, omega = (draw(rng, dim, M, 2 ** (dim * M) // dim) for _ in "so")
+    root = std_grid(dim, M).cube(0, (0,) * dim)
+    f = rng.pareto(1.0, sigma.natoms) + 0.1
+    cor = cz_stopping(sigma, f, root, 2.0)
+    assert len(cor.stopping) > 1
+    return sigma, omega, root, f, cor
+
+
+@pytest.mark.parametrize("eps", [0.5, 0.9])
+@pytest.mark.parametrize("dim,M,N", [(1, 7, 0), (1, 5, -1), (2, 4, 0),
+                                     (2, 3, -1)])
+def test_crossovers_equal_the_cube_by_cube_loop(dim, M, N, eps):
+    g_d = make_grid(dim, M, N, {"kind": "random", "seed": M})
+    for shift in (1, 2 ** M // 3, 2 ** (M - N) - 3):
+        g_g = make_grid(dim, M, N, {"kind": "gamma", "g": [shift] * dim})
+        js = list(g_g.cubes()) + list(g_d.cubes())
+        bodies = {}
+        for j, (q, flat) in zip(js, sharp_cross(js, g_d, eps)):
+            want = oracles.sharp_cross(j, g_d, eps, bodies)
+            assert (q, getattr(q, "level", None)) \
+                == (want, getattr(want, "level", None))
+            want = oracles.flat_grandchild(j, want)
+            assert (flat, getattr(flat, "level", None)) \
+                == (want, getattr(want, "level", None))
+
+
+@pytest.mark.parametrize("dim,seed", [(1, 3), (1, 8), (2, 5)])
+def test_coronas_by_code_equal_the_containment_scans(dim, seed):
+    sigma, _, root, f, cor = cz_pair(dim, seed)
+    for top in cor.stopping:
+        assert cor.corona_of(top) == oracles.corona_of(cor, top)
+    for fam in (cor.stopping, cor.stopping[::-1] + cor.stopping[:2]):
+        assert carleson_norm(fam, sigma) == oracles.carleson_norm(fam, sigma)
+    sd = stopping_data(cor, f)
+    assert (sd["avg_control"], sd["avg_control_witness"]) \
+        == oracles.avg_control(cor, f)
+    g = root.grid
+    for shift in (1, 2 ** g.M // 3):
+        g_g = make_grid(dim, g.M, 0, {"kind": "gamma", "g": [shift] * dim})
+        for eps in (0.5, 0.9):
+            assert shifted_corona(cor, g_g, eps) == [
+                oracles.shifted_corona(cor, top, g_g, eps)
+                for top in cor.stopping]
+
+
+@pytest.mark.parametrize("dim,seed", [(1, 3), (1, 8), (2, 5)])
+def test_functional_energy_equals_the_loops(dim, seed):
+    sigma, omega, root, _, cor = cz_pair(dim, seed)
+    g_g = make_grid(dim, root.grid.M, 0,
+                    {"kind": "gamma", "g": [2 ** root.grid.M // 3] * dim})
+    fam = make_family("unit", omega, g_g, g_g.cube(0, (0,) * dim))
+    ctx = functional_energy_context(cor, g_g, fam, 0.9, 0.0)
+    want = oracles.functional_energy_context(cor, g_g, fam, 0.9,
+                                             sharp_norm_sq)
+    assert [(m, m.level, q, type(q)) for m, q in ctx] \
+        == [(m, m.level, q, type(q)) for m, q in want]
+    assert dim == 2 or any(q > 0 for _, q in ctx)
+    rng = np.random.default_rng(seed)
+    hs = rng.standard_normal((5, sigma.natoms))
+    got = functional_energy_lhs(hs, ctx, sigma, 0.5)
+    for h, v in zip(hs, got):
+        assert oracles.close(v, oracles.functional_energy_lhs(h, ctx, sigma,
+                                                              0.5))
+        assert oracles.close(functional_energy_lhs(h, ctx, sigma, 0.5), v)
+    est = functional_energy_estimate(ctx, sigma, 0.5, root, seed=seed)
+    assert oracles.close(est, oracles.functional_energy_estimate(
+        ctx, sigma, 0.5, root, seed=seed))
+
+
+@pytest.mark.parametrize("kind", ["unit", "random", "global", "explicit"])
+@pytest.mark.parametrize("dim,M", [(1, 5), (2, 3)])
+def test_family_equals_the_cube_by_cube_walk(dim, M, kind):
+    rng = np.random.default_rng(dim + M)
+    mu = draw(rng, dim, M, 2 ** (dim * M) // 3)
+    g = make_grid(dim, M, 0, {"kind": "gamma", "g": [2 ** M // 3] * dim})
+    cells = (mu.points - g.off(0)) // g.side_units(0)
+    roots = [g.cube(0, c) for c in sorted(set(map(tuple, cells.tolist())))]
+    extra = {"global": {"global_values": rng.random(mu.natoms) + 0.5},
+             "explicit": {"values": {q: rng.random(mu.natoms) + 0.5
+                                     for q in g.cubes() if q.level != 1}}}
+    fam = make_family(kind, mu, g, roots, seed=7, **extra.get(kind, {}))
+    vals, children, broken, c_b, big_c = oracles.make_family(
+        kind, mu, roots, seed=7, **extra.get(kind, {}))
+    assert list(fam.values) == list(vals)
+    assert all(np.array_equal(fam.values[q], vals[q]) for q in vals)
+    assert {q: fam.children_of(q) for q in vals} == {
+        q: children[q] for q in vals}
+    assert fam.broken_children == broken
+    assert (fam.c_b, fam.C_b) == (c_b, big_c)
+    assert bool(broken) == (kind in ("random", "explicit"))
+
+
+def test_a_verify_finds_containment_by_code(monkeypatch):
+    # one crossover call per functional-energy context and no cube-by-cube
+    # containment test (6,820,138 of them at (2, 7, 1000, 1) before)
+    import twoweight.corona as corona_mod
+    import twoweight.energy as energy_mod
+    calls = {"contains": 0, "cross": 0, "context": 0}
+    real_contains, real_cross = Cube.contains_cube, corona_mod.sharp_cross
+    real_context = harness.functional_energy_context
+
+    def contains(self, other):
+        calls["contains"] += 1
+        return real_contains(self, other)
+
+    def cross(*args):
+        calls["cross"] += 1
+        return real_cross(*args)
+
+    def context(*args):
+        calls["context"] += 1
+        return real_context(*args)
+
+    monkeypatch.setattr(Cube, "contains_cube", contains)
+    monkeypatch.setattr(corona_mod, "sharp_cross", cross)
+    monkeypatch.setattr(harness, "functional_energy_context", context)
+    report = verify_theorem(RunConfig(dim=1, resolution=8, natoms=200))
+    assert float(report["functional_energy"]["value"]) > 0.0
+    assert calls == {"contains": 0, "cross": 1, "context": 1}
+    assert energy_mod.shifted_corona is corona_mod.shifted_corona
 
 
 # --------------------------------------------------- the gamma-grid family
