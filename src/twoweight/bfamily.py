@@ -79,27 +79,25 @@ class BFamily:
                                     else idx].sum())
 
 
-def _classify_broken(fam: BFamily):
-    """Mark the children where b changes or has integral 0.  The b of a
-    family cube is 0 off it, so b changes on a child exactly where it
-    differs from the parent's b on the child's atoms."""
-    for q in list(fam.values):
-        brok = frozenset(c for c in fam.children_of(q) if abs(
-            fam.integral_b(c)) <= _ZERO or not np.array_equal(
-                fam.values[c][fam._atoms[c]], fam.values[q][fam._atoms[c]]))
+def _classify(fam: BFamily):
+    """Set (c_b, C_b) over the nonempty cubes, raising on a cube whose
+    average of b is not positive, and mark the broken children: those
+    where b changes or has integral 0.  The b of a family cube is 0 off
+    it, so b changes on a child exactly where it differs from the
+    parent's b on the child's atoms."""
+    w, values, atoms = fam.mu.masses, fam.values, fam._atoms
+    ints = {q: float(np.dot(w, v)) for q, v in values.items()}
+    c_lo, c_hi = math.inf, 0.0
+    for q, v in values.items():
+        brok = frozenset(c for c in fam.children_of(q)
+                         if abs(ints[c]) <= _ZERO
+                         or (values[c][atoms[c]] != v[atoms[c]]).any())
         if brok:
             fam.broken_children[q] = brok
-
-
-def _accretivity(fam: BFamily):
-    """(c_b, C_b) over nonempty cubes; raises naming a violating cube."""
-    w = fam.mu.masses
-    c_lo, c_hi = math.inf, 0.0
-    for q, v in fam.values.items():
         tot = fam.mass(q)
         if tot <= 0:
             continue
-        avg = float(np.dot(w, v)) / tot
+        avg = ints[q] / tot
         if avg <= 0:
             raise ValueError(f"accretivity fails on cube lo={q.lo} "
                              f"side={q.side}: average {avg}")
@@ -111,7 +109,7 @@ def _accretivity(fam: BFamily):
             c_hi = max(c_hi, pw ** (1.0 / fam.p))
     if not math.isfinite(c_lo):
         raise ValueError("family has no nonempty cube")
-    return c_lo, c_hi
+    fam.c_b, fam.C_b = c_lo, c_hi
 
 
 def make_family(kind: str, mu: Measure, grid: Grid, root,
@@ -136,7 +134,8 @@ def make_family(kind: str, mu: Measure, grid: Grid, root,
             raise ValueError("explicit family needs values")
     if kind == "global" and global_values is None:
         global_values = np.ones(mu.natoms)
-    # depth first off the level table; a parent is the last cube walked
+    # depth first off the level table; above[l] holds the children of the
+    # last cube walked at level l, the parent of the next cube one down
     from .levels import Levels
     lv = Levels(mu, grid)
     above = {}
@@ -148,7 +147,7 @@ def make_family(kind: str, mu: Measure, grid: Grid, root,
             q = root if level == root.level else Cube(
                 mu.resolution, tuple(lo), grid.side_units(level), level,
                 root.grid)
-            fam._children[q], above[level] = [], q
+            fam._children[q] = above[level] = []
             v = np.zeros(mu.natoms)
             if kind == "unit":
                 v[idx] = 1.0
@@ -164,9 +163,8 @@ def make_family(kind: str, mu: Measure, grid: Grid, root,
                 raise ValueError(f"unknown family kind {kind!r}")
             fam.values[q], fam._atoms[q] = v, idx[idx.argsort(kind="stable")]
             if q is not root:
-                fam._children[above[level - 1]].insert(0, q)
-    fam.c_b, fam.C_b = _accretivity(fam)
-    _classify_broken(fam)
+                above[level - 1].insert(0, q)
+    _classify(fam)
     return fam
 
 
@@ -195,8 +193,7 @@ def truncate_family(fam: BFamily, eps: float) -> BFamily:
     out = BFamily(fam.mu, fam.grid, fam.root, new_values, math.inf,
                   0.0, 0.0, kind=fam.kind + "-truncated",
                   _children=fam._children, _atoms=fam._atoms)
-    out.c_b, out.C_b = _accretivity(out)
-    _classify_broken(out)
+    _classify(out)
     w = fam.mu.masses
     for q, v in out.values.items():
         tot = out.mass(q)
