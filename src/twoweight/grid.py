@@ -1,8 +1,8 @@
 """Truncated dyadic grids and their geometry.
 
 All coordinates are integers.  A grid at resolution M works in lattice
-units of 2^-M; regions, bodies and distances use quarter units 2^-(M+2)
-so that centers, thirds-of-corners and dilate endpoints stay exact.
+units of 2^-M; centres, goodness distances and dilates use quarter
+units 2^-(M+2) so that centres and dilate endpoints stay exact.
 
 Two parameterizations of the random grids are supported:
 
