@@ -10,11 +10,12 @@ averaging, sharp and star square functions) keys off that split.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
-from .grid import Cube, Grid
+from .grid import Cube, Grid, cube_arrays, cube_at
 from .measure import Measure, average
 
 __all__ = [
@@ -28,55 +29,99 @@ __all__ = [
     "telescope_check",
     "projection_check",
     "sharp_norm_sq",
+    "sharp_norms_sq",
     "star_norm_sq",
 ]
 
 _ZERO = 1e-14
 _INF_TOL = 1e-13    # certified gap of the broken-child infimum, relative
 _INF_STEPS = 100    # descent steps before the best value is returned
+_DRAWS = 1 << 16    # random values drawn per block of a random family
 
 
-@dataclass
+@dataclass(eq=False)
 class BFamily:
+    """A testing family as arrays over the rows of its level-table walk.
+
+    Family row r is the cube of row rows[r] of mu.levels(grid), depth
+    first below the roots; above[r] is its parent's table row (-1 for a
+    root).  Entries entry[r]:entry[r + 1] of own, pos and bval are the
+    atoms of the cube in table order: owner row, table position and b.
+    Cubes are built only for the Cube-keyed view below.
+    """
+
     mu: Measure
     grid: Grid
     root: Cube
-    values: dict            # Cube -> full-length atom array, zero off Q
     p: float                # accretivity exponent, math.inf allowed
-    c_b: float
-    C_b: float
-    broken_children: dict = field(default_factory=dict)  # Cube -> frozenset
     kind: str = "explicit"
-    # each cube's children in the family and its atoms, from the walk
-    _children: dict = field(default_factory=dict, repr=False)
-    _atoms: dict = field(default_factory=dict, repr=False)
+    rows: np.ndarray = field(default_factory=lambda: np.zeros(0, int))
+    above: np.ndarray = field(default_factory=lambda: np.zeros(0, int))
+    bval: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    c_b: float = field(default=0.0, init=False)
+    C_b: float = field(default=0.0, init=False)
 
-    # ---- plumbing
+    def __post_init__(self):
+        from .levels import flat
+        lv, rows = self.mu.levels(self.grid), self.rows
+        self.lv, self.level, self.corner = lv, lv.level[rows], lv.corner[rows]
+        self.entry = np.r_[0, np.cumsum(lv.en[rows] - lv.st[rows])]
+        self.own, self.pos = flat(lv.st[rows], lv.en[rows])
+        self.masses = np.bincount(self.own, lv.w[self.pos], len(rows))
+        # family row of each table row (-1 at the arrays' ends), of each
+        # row's parent, and each entry's entry in its parent's row
+        self.inv = np.full(len(lv.st), -1)
+        self.inv[rows] = np.arange(len(rows))
+        self.parent = self.inv[self.above]
+        up = self.parent[self.own]
+        self.up = np.where(up >= 0, self.entry[up] + self.pos
+                           - lv.st[rows[up]], -1)
+        self.broken = np.zeros(len(rows), dtype=bool)  # set by _classify
+
+    def cube(self, r: int) -> Cube:
+        return cube_at(self.grid, int(self.level[r]), self.corner[r])
+
+    def rows_of(self, cubes) -> np.ndarray:
+        """Family rows of the cubes, -1 for a cube outside the family."""
+        g, lo = self.grid, cube_arrays(cubes, self.mu.dim)[0]
+        level = np.array([q.level for q in cubes], dtype=np.int64)
+        ok = (level >= g.N) & (level <= g.M)
+        t = self.lv.rows(np.where(ok, level, g.N), lo)
+        return self.inv[np.where(ok & (self.lv.corner[t] == lo).all(axis=1),
+                                 t, -1)]
+
+    # ---- the Cube-keyed view, built on first use
+
+    @cached_property
+    def values(self) -> dict:
+        """{cube: b_Q as a full-length atom array, zero off Q}, walk order."""
+        out = np.zeros((len(self.rows), self.mu.natoms))
+        out[self.own, self.lv.order[self.pos]] = self.bval
+        return {self.cube(r): v for r, v in enumerate(out)}
+
+    @cached_property
+    def broken_children(self) -> dict:
+        """{cube: frozenset of its broken children}: those where b changes
+        or has integral 0."""
+        cubes, out = list(self.values), {}
+        for r in np.flatnonzero(self.broken).tolist():
+            out.setdefault(cubes[self.parent[r]], set()).add(cubes[r])
+        return {q: frozenset(c) for q, c in out.items()}
 
     def cubes(self):
         """Nonempty cubes of the family, coarse to fine."""
         return sorted(self.values, key=lambda q: (-q.side, q.lo))
 
     def b(self, q: Cube) -> np.ndarray:
-        v = self.values.get(q)
-        if v is None:
-            return np.zeros(self.mu.natoms)
-        return v
-
-    def integral_b(self, q: Cube) -> float:
-        return float(np.dot(self.mu.masses, self.b(q)))
+        return self.values.get(q, np.zeros(self.mu.natoms))
 
     def children_of(self, q: Cube):
         if q.level >= self.grid.M:
             return []
-        if q not in self._children:
-            self._children[q] = [c for c in q.children() if c in self.values]
-        return self._children[q]
+        return [c for c in q.children() if c in self.values]
 
     def mass(self, q: Cube) -> float:
-        idx = self._atoms.get(q)
-        return float(self.mu.masses[self.mu.atoms(q) if idx is None
-                                    else idx].sum())
+        return float(self.mu.masses[self.mu.atoms(q)].sum())
 
 
 def _classify(fam: BFamily):
@@ -85,31 +130,24 @@ def _classify(fam: BFamily):
     where b changes or has integral 0.  The b of a family cube is 0 off
     it, so b changes on a child exactly where it differs from the
     parent's b on the child's atoms."""
-    w, values, atoms = fam.mu.masses, fam.values, fam._atoms
-    ints = {q: float(np.dot(w, v)) for q, v in values.items()}
-    c_lo, c_hi = math.inf, 0.0
-    for q, v in values.items():
-        brok = frozenset(c for c in fam.children_of(q)
-                         if abs(ints[c]) <= _ZERO
-                         or (values[c][atoms[c]] != v[atoms[c]]).any())
-        if brok:
-            fam.broken_children[q] = brok
-        tot = fam.mass(q)
-        if tot <= 0:
-            continue
-        avg = ints[q] / tot
-        if avg <= 0:
-            raise ValueError(f"accretivity fails on cube lo={q.lo} "
-                             f"side={q.side}: average {avg}")
-        c_lo = min(c_lo, avg)
-        if math.isinf(fam.p):
-            c_hi = max(c_hi, float(np.abs(v).max(initial=0.0)))
-        else:
-            pw = float(np.dot(w, np.abs(v) ** fam.p)) / tot
-            c_hi = max(c_hi, pw ** (1.0 / fam.p))
-    if not math.isfinite(c_lo):
+    n, own, v, w = len(fam.rows), fam.own, fam.bval, fam.lv.w[fam.pos]
+    ints = np.bincount(own, w * v, n)
+    kid = fam.up >= 0
+    changes = np.bincount(own[kid], v[kid] != v[fam.up[kid]], n) > 0
+    fam.broken = (fam.parent >= 0) & ((np.abs(ints) <= _ZERO) | changes)
+    ok = fam.masses > 0
+    tot = np.where(ok, fam.masses, 1.0)
+    fam.avg = np.where(ok, ints / tot, np.nan)      # average of b per row
+    if len(bad := np.flatnonzero(fam.avg <= 0)):
+        q = fam.cube(bad[0])
+        raise ValueError(f"accretivity fails on cube lo={q.lo} "
+                         f"side={q.side}: average {fam.avg[bad[0]]}")
+    if not ok.any():
         raise ValueError("family has no nonempty cube")
-    fam.c_b, fam.C_b = c_lo, c_hi
+    top = np.maximum.reduceat(np.abs(v), fam.entry[:-1]) if math.isinf(
+        fam.p) else (np.bincount(own, w * np.abs(v) ** fam.p, n) / tot) ** (
+        1.0 / fam.p)
+    fam.c_b, fam.C_b = float(fam.avg[ok].min()), float(top[ok].max())
 
 
 def make_family(kind: str, mu: Measure, grid: Grid, root,
@@ -126,44 +164,47 @@ def make_family(kind: str, mu: Measure, grid: Grid, root,
     """
     if not (p > 2):
         raise ValueError("accretivity exponent must exceed 2")
+    if kind not in ("unit", "random", "global", "explicit"):
+        raise ValueError(f"unknown family kind {kind!r}")
+    if kind == "explicit" and values is None:
+        raise ValueError("explicit family needs values")
     roots = [root] if isinstance(root, Cube) else list(root)
-    fam = BFamily(mu, grid, roots[0], {}, p, 0.0, 0.0, kind=kind)
-    rng = np.random.default_rng(seed)
+    lv = mu.levels(grid)
+    walk = [lv.subtree(q) for q in roots]
+    rows = np.concatenate(walk) if walk else np.zeros(0, dtype=np.int64)
+    level = lv.level[rows]
+    # the table row of each row's parent: the cell one level up that
+    # holds its corner; none for a root
+    top = np.repeat([q.level for q in roots], [len(x) for x in walk])
+    up = np.where(level > top, lv.rows(np.maximum(level - 1, grid.N),
+                                       lv.corner[rows]), -1)
     if kind == "explicit":
-        if values is None:
-            raise ValueError("explicit family needs values")
-    if kind == "global" and global_values is None:
-        global_values = np.ones(mu.natoms)
-    # depth first off the level table; above[l] holds the children of the
-    # last cube walked at level l, the parent of the next cube one down
-    from .levels import Levels
-    lv = Levels(mu, grid)
-    above = {}
-    for root in roots:
-        rows = lv.subtree(root)
-        for r, level, lo in zip(rows.tolist(), lv.level[rows].tolist(),
-                                lv.corner[rows].tolist()):
-            idx = lv.order[lv.st[r]:lv.en[r]]
-            q = root if level == root.level else Cube(
-                mu.resolution, tuple(lo), grid.side_units(level), level,
-                root.grid)
-            fam._children[q] = above[level] = []
-            v = np.zeros(mu.natoms)
-            if kind == "unit":
-                v[idx] = 1.0
-            elif kind == "random":
-                v[idx] = rng.uniform(0.5, 2.0, mu.natoms)[idx]
-            elif kind == "global":
-                v[idx] = np.asarray(global_values, dtype=np.float64)[idx]
-            elif kind == "explicit":
-                if q not in values:
-                    continue
-                v[idx] = np.asarray(values[q], dtype=np.float64)[idx]
-            else:
-                raise ValueError(f"unknown family kind {kind!r}")
-            fam.values[q], fam._atoms[q] = v, idx[idx.argsort(kind="stable")]
-            if q is not root:
-                above[level - 1].insert(0, q)
+        cubes = [cube_at(grid, lev, lo) for lev, lo in
+                 zip(level.tolist(), lv.corner[rows].tolist())]
+        keep = np.array([q in values for q in cubes], dtype=bool)
+        rows, up = rows[keep], up[keep]
+    fam = BFamily(mu, grid, roots[0], p, kind, rows, up)
+    atom = lv.order[fam.pos]
+    if kind == "unit":
+        fam.bval = np.ones(len(atom))
+    elif kind == "random":
+        # one draw over all atoms per cube, in walk order, a block of
+        # cubes at a time
+        rng = np.random.default_rng(seed)
+        step, fam.bval = max(1, _DRAWS // max(mu.natoms, 1)), np.zeros(
+            len(atom))
+        for a in range(0, len(rows), step):
+            e = slice(fam.entry[a], fam.entry[min(a + step, len(rows))])
+            fam.bval[e] = rng.uniform(0.5, 2.0, (
+                min(step, len(rows) - a), mu.natoms))[fam.own[e] - a, atom[e]]
+    elif kind == "global":
+        fam.bval = np.asarray(global_values if global_values is not None
+                              else np.ones(mu.natoms), dtype=np.float64)[atom]
+    else:
+        fam.bval = np.zeros(len(atom))
+        for r, q in enumerate(q for q, k in zip(cubes, keep) if k):
+            e = slice(fam.entry[r], fam.entry[r + 1])
+            fam.bval[e] = np.asarray(values[q], dtype=np.float64)[atom[e]]
     _classify(fam)
     return fam
 
@@ -182,30 +223,20 @@ def truncate_family(fam: BFamily, eps: float) -> BFamily:
         raise ValueError("eps must lie in (0, 1/4]")
     if math.isinf(fam.p):
         raise ValueError("family is already infinity-accretive")
-    p, cb = fam.p, fam.C_b
+    p, cb, v = fam.p, fam.C_b, fam.bval
     lam = (p / (p - 2) * cb ** p / eps) ** (1.0 / (p - 2))
-    new_values = {}
-    for q, v in fam.values.items():
-        absv = np.abs(v)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            capped = np.where(absv <= lam, v, lam * np.sign(v))
-        new_values[q] = 2.0 * capped
-    out = BFamily(fam.mu, fam.grid, fam.root, new_values, math.inf,
-                  0.0, 0.0, kind=fam.kind + "-truncated",
-                  _children=fam._children, _atoms=fam._atoms)
+    with np.errstate(invalid="ignore"):
+        capped = np.where(np.abs(v) <= lam, v, lam * np.sign(v))
+    out = replace(fam, p=math.inf, kind=fam.kind + "-truncated",
+                  bval=2.0 * capped)
     _classify(out)
-    w = fam.mu.masses
-    for q, v in out.values.items():
-        tot = out.mass(q)
-        if tot <= 0:
-            continue
-        avg = abs(float(np.dot(w, v))) / tot
-        if avg < 1.0 - 1e-12:
-            raise ValueError(f"truncated average {avg} below 1 on cube "
-                             f"lo={q.lo} side={q.side}; input averages must "
-                             "be at least 1")
-        if np.abs(v).max() > 2 * lam + 1e-12:
-            raise ValueError("truncation failed to cap the family")
+    if len(bad := np.flatnonzero(np.abs(out.avg) < 1.0 - 1e-12)):
+        q = out.cube(bad[0])
+        raise ValueError(f"truncated average {abs(out.avg[bad[0]])} below 1"
+                         f" on cube lo={q.lo} side={q.side}; input averages "
+                         "must be at least 1")
+    if np.abs(out.bval).max(initial=0.0) > 2 * lam + 1e-12:
+        raise ValueError("truncation failed to cap the family")
     out.trunc_lambda = lam
     return out
 
@@ -438,11 +469,6 @@ def frame_and_riesz(fam: BFamily, f, collection=None):
 # sharp and star square functions (vector argument allowed)
 
 
-def _coordwise(fam: BFamily, op: str, q: Cube, coords) -> list:
-    return [mart_apply(fam, op, q, coords[:, a])
-            for a in range(coords.shape[1])]
-
-
 def _broken_inf_term(fam: BFamily, q: Cube, coords: np.ndarray,
                      extra_candidates=()) -> tuple:
     """(value, gap): inf over z of sum_{J' broken} |J'| (E_{J'} |x - z|)^2.
@@ -543,18 +569,38 @@ def _certified_min(pts: np.ndarray, member: np.ndarray, cands) -> tuple:
     return best, max(best - low, 0.0)
 
 
+def sharp_norms_sq(fam: BFamily, cubes, coords=None) -> np.ndarray:
+    """Squared sharp norm of the pseudoprojection of x onto each cube
+    alone, 0 for a cube outside the family.  Delta_Q x, E_P x - E_Q x on
+    a child P of Q in the family and -E_Q x elsewhere on Q, comes from
+    row sums for all cubes at once; the broken-child infimum is searched
+    cube by cube."""
+    coords = np.asarray(fam.mu.coords_float() if coords is None else coords,
+                        dtype=np.float64)
+    n, own, w = len(fam.rows), fam.own, fam.lv.w[fam.pos]
+    x, wb = coords[fam.lv.order[fam.pos]], w * fam.bval
+    den = np.bincount(own, wb, n)[:, None]
+    num = np.column_stack([np.bincount(own, wb * x[:, a], n)
+                           for a in range(x.shape[1])])
+    e = np.divide(num, den, out=np.zeros_like(num),
+                  where=np.abs(den) > _ZERO)
+    kid = np.full(len(own), -1)
+    kid[fam.up[fam.up >= 0]] = own[fam.up >= 0]
+    d = np.where(kid[:, None] >= 0, e[kid], 0.0) - e[own]
+    delta = np.bincount(own, w * (d * d).sum(axis=1), n)
+    delta[fam.level >= fam.grid.M] = 0.0
+    r = fam.rows_of(cubes)
+    out = np.r_[delta, 0.0][r]
+    split = np.r_[np.bincount(fam.parent[fam.broken], minlength=n) > 0,
+                  False]
+    for i in np.flatnonzero(split[r]).tolist():
+        out[i] += _broken_inf_term(fam, fam.cube(r[i]), coords)[0]
+    return out
+
+
 def sharp_norm_sq(fam: BFamily, cubes, coords=None) -> float:
     """Squared sharp norm of the pseudoprojection of x onto the cubes."""
-    if coords is None:
-        coords = fam.mu.coords_float()
-    coords = np.asarray(coords, dtype=np.float64)
-    total = 0.0
-    for q in cubes:
-        if q not in fam.values:
-            continue
-        total += sum(_l2(fam, g) for g in _coordwise(fam, "Delta", q, coords))
-        total += _broken_inf_term(fam, q, coords)[0]
-    return total
+    return float(sharp_norms_sq(fam, cubes, coords).sum())
 
 
 def star_norm_sq(fam: BFamily, cubes, psi) -> float:

@@ -188,10 +188,10 @@ def energy_stopping(sigma: Measure, omega: Measure, root: Cube,
     """
     if c_en <= 1.0:
         raise ValueError("c_en must exceed 1")
-    from .levels import Levels, strong_terms, subpartition
+    from .levels import strong_terms, subpartition
     tau = c_en * (e2 * e2 + a2)
     grid = root.grid
-    amb, mom = Levels(sigma, grid), Levels(omega, grid)
+    amb, mom = sigma.levels(grid), omega.levels(grid)
     energies = {}
 
     def criterion(top: Cube):

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bfamily import mart_apply, sharp_norm_sq, star_norm_sq
+from .bfamily import mart_apply, sharp_norm_sq, sharp_norms_sq, \
+    star_norm_sq
 from .corona import Corona, HalfSpaceMeasure, shifted_corona
 from .grid import Cube, cube_arrays, cube_at, cube_dict, holders, \
     scaled_box4, whitney
@@ -120,12 +121,12 @@ def strong_energy(sigma: Measure, omega: Measure, grids, alpha: float,
         raise ValueError("depth must be at least 1 (or None)")
     if not 0 <= alpha < sigma.dim:
         raise ValueError("alpha must lie in [0, n)")
-    from .levels import Levels, tops
+    from .levels import tops
     cubes = tops(grids, sigma, omega)
-    tabs = {g: (Levels(sigma, g), Levels(omega, g)) for g in grids}
-    s, w, p = _strong_one_direction(grids, cubes, tabs.get, alpha, depth)
-    s2, w2, _ = _strong_one_direction(grids, cubes, lambda g: tabs[g][::-1],
-                                      alpha, depth)
+    s, w, p = _strong_one_direction(grids, cubes, lambda g: (
+        sigma.levels(g), omega.levels(g)), alpha, depth)
+    s2, w2, _ = _strong_one_direction(grids, cubes, lambda g: (
+        omega.levels(g), sigma.levels(g)), alpha, depth)
     return EnergyReport(strong=s, strong_star=s2, depth=depth,
                         strong_witness=w, strong_partition=p,
                         strong_star_witness=w2)
@@ -157,12 +158,12 @@ def whitney_energy(sigma: Measure, omega: Measure, grids, alpha: float,
     for name in names:
         if name not in _WHITNEY_VARIANTS:
             raise ValueError(f"unknown Whitney variant {name!r}")
-    from .levels import Levels, subpartition, tops, whitney_terms
+    from .levels import subpartition, tops, whitney_terms
     cubes = tops(grids, sigma, omega)
     gi, lev, aug, lo = cubes
     ratio = np.zeros((len(names), len(gi)))
     for grid, (amb, mom), rows, qs, d in _groups(
-            grids, cubes, lambda g: (Levels(sigma, g), Levels(omega, g)),
+            grids, cubes, lambda g: (sigma.levels(g), omega.levels(g)),
             depth, by_level=True):
         terms = whitney_terms(amb, mom, int(lev[rows[0]]), lo[rows],
                               aug[rows], d, alpha, gamma, names)
@@ -247,13 +248,14 @@ def functional_energy_context(corona: Corona, grid_g, fam_omega, eps: float,
     them in `grid_g.cubes()` order (the int 0 when there are none).
     """
     out, n = [], corona.root.dim
-    for f_cube, shift in zip(corona.stopping,
-                             shifted_corona(corona, grid_g, eps)):
+    shifts = shifted_corona(corona, grid_g, eps)
+    norms = sharp_norms_sq(fam_omega, sum(shifts, []))
+    at = np.cumsum([0] + [len(s) for s in shifts])
+    for f_cube, shift, a in zip(corona.stopping, shifts, at.tolist()):
         ms = sum(whitney(f_cube), [])       # chosen, then residual
         i, k = holders(*cube_arrays(ms, n), *cube_arrays(shift, n))
         o = np.argsort(i, kind="stable")    # each sum in shift order
-        v = np.bincount(k[o], [sharp_norm_sq(fam_omega, [shift[j]])
-                               for j in i[o].tolist()], len(ms))
+        v = np.bincount(k[o], norms[a + i[o]], len(ms))
         count = np.bincount(k, minlength=len(ms))
         out += [(m, x if c else 0) for m, x, c in zip(ms, v.tolist(),
                                                       count.tolist())]
@@ -294,9 +296,8 @@ def functional_energy_estimate(context, sigma: Measure, alpha: float,
     unit L2(sigma) norm of h.  The indicators are of the nonempty cubes
     below root, depth first, off the level table of root's grid.
     """
-    from .levels import Levels
     rng = np.random.default_rng(seed)
-    lv = Levels(sigma, root.grid)
+    lv = sigma.levels(root.grid)
     walk = lv.subtree(root).tolist()
     stack = np.zeros((len(walk) + n_sign, sigma.natoms))
     for d, r in enumerate(walk):

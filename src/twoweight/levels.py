@@ -104,6 +104,14 @@ def partition(terms, best, n: int, t: int) -> list:
     return out
 
 
+def flat(starts: np.ndarray, ends: np.ndarray) -> tuple:
+    """(owner, position) of the atoms of the slices [start, end), in order."""
+    lens = ends - starts
+    own = np.repeat(np.arange(len(lens)), lens)
+    return own, np.arange(len(own)) + np.repeat(starts - np.cumsum(lens)
+                                                + lens, lens)
+
+
 def ragged(starts: np.ndarray, ends: np.ndarray):
     """Blocks of rows over row-wise slices (rows, r): yields (rows,
     owner within the block, atom position), each row's atoms in order."""
@@ -113,11 +121,9 @@ def ragged(starts: np.ndarray, ends: np.ndarray):
     while i < len(cum):
         base = cum[i - 1] if i else 0
         j = max(i + 1, int(np.searchsorted(cum, base + _BLOCK, "right")))
-        ln, st = lens[i:j].ravel(), starts[i:j].ravel()
-        c = np.cumsum(ln)
-        owner = np.repeat(np.arange(j - i).repeat(lens.shape[1]), ln)
-        yield slice(i, j), owner, np.arange(c[-1]) + np.repeat(st - c + ln,
-                                                               ln)
+        st = starts[i:j].ravel()
+        own, pos = flat(st, st + lens[i:j].ravel())
+        yield slice(i, j), own // lens.shape[1], pos
         i = j
 
 
@@ -169,17 +175,20 @@ class Levels:
         return np.where(((rel >= 0) & (rel < span)).all(axis=-1),
                         self.base[li] + code, -2)
 
-    def slices(self, level, corners) -> tuple:
-        """[start, end) of the grid cubes at level (one or one per cube)
-        with the given corners (..., n) in grid lattice units; (0, 0) when
-        empty."""
+    def rows(self, level, corners) -> np.ndarray:
+        """Rows of the grid cubes at level (one or one per cube) holding
+        the corners (..., n); -1, the arrays' ends, where empty."""
         off, sides = self.grid.level_arrays
         li = np.asarray(level) - self.grid.N
         code = self._code(li, (np.asarray(corners) - off[li])
                           // sides[li, 0][..., None])
         i = np.searchsorted(self.codes[:-1], code)
-        hit = self.codes[i] == code
-        return np.where(hit, self.st[i], 0), np.where(hit, self.en[i], 0)
+        return np.where(self.codes[i] == code, i, -1)
+
+    def slices(self, level, corners) -> tuple:
+        """[start, end) of the cubes of `rows`; (0, 0) when empty."""
+        i = self.rows(level, corners)
+        return self.st[i], self.en[i]
 
     def subtree(self, root) -> np.ndarray:
         """Rows of the nonempty cubes below the grid cube root as a depth

@@ -45,6 +45,8 @@ class Measure:
     masses: np.ndarray
     # (side, phase) -> {cell: ascending atom indices}, built by atoms()
     _index: dict = field(default_factory=dict, init=False, repr=False)
+    # grid -> the measure's level table on it, built by levels()
+    _levels: dict = field(default_factory=dict, init=False, repr=False)
 
     @staticmethod
     def from_atoms(dim, resolution, atoms) -> "Measure":
@@ -113,6 +115,13 @@ class Measure:
         cuts = np.flatnonzero((cell[1:] != cell[:-1]).any(axis=1)) + 1
         keys = map(tuple, cell[np.r_[0, cuts]].tolist())
         return dict(zip(keys, np.split(order, cuts)))
+
+    def levels(self, grid):
+        """The measure's `levels.Levels` table on the grid, built once."""
+        if grid not in self._levels:
+            from .levels import Levels
+            self._levels[grid] = Levels(self, grid)
+        return self._levels[grid]
 
     def in_cube(self, q) -> np.ndarray:
         """Boolean mask of atoms in the cube q: the view of atoms(q)."""

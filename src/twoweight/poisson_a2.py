@@ -180,7 +180,7 @@ def a2_constants(sigma: Measure, omega: Measure, grids,
     n = sigma.dim
     if not 0 <= alpha < n:
         raise ValueError("alpha must lie in [0, n)")
-    from .levels import Levels, ragged, tops
+    from .levels import ragged, tops
     pts = common_points(sigma, omega)
     rep = A2Report(classicalA2_diverges=bool(pts))
     gi, lev, aug, lo = tops(grids, sigma, omega)
@@ -193,7 +193,7 @@ def a2_constants(sigma: Measure, omega: Measure, grids,
         side = 2 ** (grid.M - lev[rows])
         ell[rows] = side / 2.0 ** grid.M
         for k, mu in enumerate((sigma, omega)):
-            lv = Levels(mu, grid)
+            lv = mu.levels(grid)
             common = np.array([tuple(p) in pts for p in mu.points],
                               dtype=bool)[lv.order]
             s, e = lv.cube_slices(lev[rows], lo[rows], aug[rows])

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Cube, cube_dict
+from .grid import Cube, cube_at, cube_dict
 from .measure import Measure
 from .poisson_a2 import A2Report
 
@@ -61,7 +61,17 @@ class TestingReport:
     norm: float = 0.0
     forward_witness: Cube | None = None
     dual_witness: Cube | None = None
-    table: list = field(default_factory=list)  # per-cube quotients
+    # (direction, grid, levels, corners, quotients), coarse to fine
+    quotients: list = field(default_factory=list, repr=False)
+
+    @property
+    def table(self) -> list:
+        """Per-cube quotients, forward then dual, built on each read."""
+        return [{"direction": name, "cube": cube_at(grid, lev, lo),
+                 "quotient": v}
+                for name, grid, level, corner, quot in self.quotients
+                for lev, lo, v in zip(level.tolist(), corner.tolist(),
+                                      quot.tolist())]
 
     def as_dict(self) -> dict:
         return {
@@ -344,12 +354,16 @@ def operator_norm(kernel: KernelSpec, sigma: Measure, omega: Measure) -> float:
 # testing constants
 
 
-def _test_integrals(vals: np.ndarray, dst: Measure):
-    """Callable q -> integral over q of |vals|^2 against dst, for vals
-    an operator's values at the dst atoms."""
-    sq = vals * vals
-    if sq.ndim == 2:
-        sq = sq.sum(axis=1)
+def local_test_integrals(kernel: KernelSpec, sigma: Measure, omega: Measure,
+                         b, transpose: bool = False):
+    """Callable q -> integral over q of |T(b)|^2 against omega.
+
+    With transpose=True the roles swap: b lives on the omega atoms and
+    the result integrates against sigma.
+    """
+    vals, dst = (apply(kernel, omega, b, sigma, True), sigma) if transpose \
+        else (apply(kernel, sigma, b, omega), omega)
+    sq = (vals * vals).reshape(len(vals), -1).sum(axis=1)
 
     def integral(q: Cube) -> float:
         idx = dst.atoms(q)
@@ -358,31 +372,31 @@ def _test_integrals(vals: np.ndarray, dst: Measure):
     return integral
 
 
-def local_test_integrals(kernel: KernelSpec, sigma: Measure, omega: Measure,
-                         b, transpose: bool = False):
-    """Callable q -> integral over q of |T(b)|^2 against omega.
-
-    With transpose=True the roles swap: b lives on the omega atoms and
-    the result integrates against sigma.
-    """
-    if transpose:
-        return _test_integrals(apply(kernel, omega, b, sigma, True), sigma)
-    return _test_integrals(apply(kernel, sigma, b, omega), omega)
-
-
 def _one_direction(k: np.ndarray, src: Measure, dst: Measure,
                    fam) -> tuple:
-    best, witness, rows = 0.0, None, []
-    for q in fam.cubes():
-        qs = fam.mass(q)
-        if qs <= 0.0:
-            continue
-        vals = _matvec(k, src.masses * _over_atoms(fam.b(q), src))
-        quot = _test_integrals(vals, dst)(q) / qs
-        rows.append((q, quot))
-        if quot > best:
-            best, witness = quot, q
-    return math.sqrt(best), witness, rows
+    """(constant, witness, (levels, corners, quotients) coarse to fine).
+    T(b_Q) is summed at the dst atoms of Q only, over the src atoms of Q
+    only: the kernel entries of all (cube, dst atom) pairs, in ragged
+    blocks, and each integral a slice of dst's level table."""
+    from .levels import flat, ragged
+    if fam.mu.natoms != src.natoms:
+        raise ValueError("f must be an array over the sigma atoms")
+    lv, atom = dst.levels(fam.grid), fam.lv.order[fam.pos]
+    yrow, ypos = flat(*lv.slices(fam.level, fam.corner))
+    wb, sq = src.masses[atom] * fam.bval, np.zeros(len(yrow))
+    for blk, own, e in ragged(fam.entry[yrow][:, None],
+                              fam.entry[yrow + 1][:, None]):
+        y = k[lv.order[ypos[blk]][own], atom[e]].reshape(len(e), -1)
+        sq[blk] = sum(np.bincount(own, y[:, a] * wb[e], len(sq[blk])) ** 2
+                      for a in range(y.shape[1]))
+    order = np.lexsort((*fam.corner.T[::-1], fam.level))
+    order = order[fam.masses[order] > 0]
+    quot = np.bincount(yrow, lv.w[ypos] * sq, len(fam.rows))[order] \
+        / fam.masses[order]
+    i = int(np.argmax(quot)) if len(quot) else 0
+    best = quot[i] if len(quot) and quot[i] > 0.0 else 0.0
+    return (math.sqrt(best), fam.cube(order[i]) if best else None,
+            (fam.level[order], fam.corner[order], quot))
 
 
 def testing_constants(kernel: KernelSpec, sigma: Measure, omega: Measure,
@@ -400,12 +414,10 @@ def testing_constants(kernel: KernelSpec, sigma: Measure, omega: Measure,
     dual, dw, dt = _one_direction(np.swapaxes(k, 0, 1), omega, sigma,
                                   bstar_fam)
     nrm = _matrix_norm(kernel, k, sigma, omega)
-    table = [{"direction": "forward", "cube": q, "quotient": v}
-             for q, v in ft]
-    table += [{"direction": "dual", "cube": q, "quotient": v}
-              for q, v in dt]
     return TestingReport(forward=fwd, dual=dual, norm=nrm,
-                         forward_witness=fw, dual_witness=dw, table=table)
+                         forward_witness=fw, dual_witness=dw,
+                         quotients=[("forward", bfam.grid, *ft),
+                                    ("dual", bstar_fam.grid, *dt)])
 
 
 def ntv(testing: TestingReport, a2: A2Report, e2: float) -> dict:

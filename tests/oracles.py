@@ -6,13 +6,15 @@ share: the cube lookup as a scan of every atom, the A2 loop over
 restricted measures, the body and the goodness distance face by face,
 the crossover cube by cube, the stopping-time constructions as three
 separate loops, the family walk cube by cube and over every subcube,
-the coronas, the Carleson sums and the functional energy by
-containment scans and one Poisson call per cube, the best-subpartition
-recursion, one energy pass per Whitney variant and per strong
-direction, the kernel matrix and operator applied in one shot with the
-coordinates last, the ancestor chain walked level by level, the
-broken-child infimum by scipy's Nelder-Mead, and the kernel validation
-sweep one pair at a time.  Tests compare the live code with them.
+its classification cube by cube, the testing constants with one kernel
+product per cube, the sharp norms with one martingale difference per
+cube and coordinate, the coronas, the Carleson sums and the functional
+energy by containment scans and one Poisson call per cube, the
+best-subpartition recursion, one energy pass per Whitney variant and
+per strong direction, the kernel matrix and operator applied in one
+shot with the coordinates last, the ancestor chain walked level by
+level, the broken-child infimum by scipy's Nelder-Mead, and the kernel
+validation sweep one pair at a time.  Tests compare the live code with them.
 """
 
 import math
@@ -180,6 +182,30 @@ def make_family(kind, mu, roots, p=4.0, seed=None, values=None,
             c_hi = max(c_hi, (float(np.dot(w, np.abs(v) ** p)) / tot)
                        ** (1.0 / p))
     return vals, children, broken, c_lo, c_hi
+
+
+def classify(fam):
+    """(c_b, C_b, broken children) of a family's Cube-keyed view, cube by
+    cube: one dot product over all atoms per cube, and the children
+    compared with the parent on the child's atoms."""
+    w, values = fam.mu.masses, fam.values
+    ints = {q: float(np.dot(w, v)) for q, v in values.items()}
+    c_lo, c_hi, broken = math.inf, 0.0, {}
+    for q, v in values.items():
+        brok = frozenset(c for c in fam.children_of(q)
+                         if abs(ints[c]) <= 1e-14
+                         or (values[c][fam.mu.atoms(c)]
+                             != v[fam.mu.atoms(c)]).any())
+        if brok:
+            broken[q] = brok
+        tot = _mass(fam.mu, q)
+        c_lo = min(c_lo, ints[q] / tot)
+        if math.isinf(fam.p):
+            c_hi = max(c_hi, float(np.abs(v).max(initial=0.0)))
+        else:
+            c_hi = max(c_hi, (float(np.dot(w, np.abs(v) ** fam.p)) / tot)
+                       ** (1.0 / fam.p))
+    return c_lo, c_hi, broken
 
 
 def family_values(kind, mu, root, seed=None):
@@ -649,6 +675,42 @@ def apply(kernel, sigma, f, omega, transpose=False):
 
 # ---------------------------------------------------------------------------
 # the broken-child infimum by Nelder-Mead
+
+
+def sharp_norm_sq(fam, cubes, coords=None):
+    """The squared sharp norm cube by cube: Delta_Q applied to each
+    coordinate by mart_apply, plus the broken-child infimum."""
+    from twoweight.bfamily import _broken_inf_term, mart_apply
+    coords = fam.mu.coords_float() if coords is None else coords
+    total = 0.0
+    for q in cubes:
+        if q not in fam.values:
+            continue
+        for a in range(coords.shape[1]):
+            g = mart_apply(fam, "Delta", q, coords[:, a])
+            total += float(np.dot(fam.mu.masses, g * g))
+        total += _broken_inf_term(fam, q, coords)[0]
+    return total
+
+
+def one_direction(k, src, dst, fam):
+    """(constant, witness, [(cube, quotient)] coarse to fine) of one
+    testing direction: one product of the kernel matrix (dst x src) with
+    the full-length b_Q per cube, each integral over dst.atoms(Q)."""
+    best, witness, rows = 0.0, None, []
+    for q in fam.cubes():
+        qs = fam.mass(q)
+        if qs <= 0.0:
+            continue
+        vals = singular._matvec(k, src.masses * fam.b(q))
+        sq = vals * vals
+        sq = sq.sum(axis=1) if sq.ndim == 2 else sq
+        idx = dst.atoms(q)
+        quot = float(np.dot(dst.masses[idx], sq[idx])) / qs
+        rows.append((q, quot))
+        if quot > best:
+            best, witness = quot, q
+    return math.sqrt(best), witness, rows
 
 
 def broken_inf_term(fam, q, coords, extra_candidates=()):

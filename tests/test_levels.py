@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import twoweight.grid as grid_mod
 import twoweight.harness as harness
-from twoweight.bfamily import make_family, sharp_norm_sq
+from twoweight.bfamily import make_family, sharp_norm_sq, sharp_norms_sq
 from twoweight.corona import (
     carleson_norm,
     cz_stopping,
@@ -218,9 +218,10 @@ def test_functional_energy_equals_the_loops(dim, seed):
     fam = make_family("unit", omega, g_g, g_g.cube(0, (0,) * dim))
     ctx = functional_energy_context(cor, g_g, fam, 0.9, 0.0)
     want = oracles.functional_energy_context(cor, g_g, fam, 0.9,
-                                             sharp_norm_sq)
-    assert [(m, m.level, q, type(q)) for m, q in ctx] \
-        == [(m, m.level, q, type(q)) for m, q in want]
+                                             oracles.sharp_norm_sq)
+    assert [(m, m.level, type(q)) for m, q in ctx] \
+        == [(m, m.level, type(q)) for m, q in want]
+    assert oracles.close([q for _, q in ctx], [q for _, q in want])
     assert dim == 2 or any(q > 0 for _, q in ctx)
     rng = np.random.default_rng(seed)
     hs = rng.standard_normal((5, sigma.natoms))
@@ -253,8 +254,87 @@ def test_family_equals_the_cube_by_cube_walk(dim, M, kind):
     assert {q: fam.children_of(q) for q in vals} == {
         q: children[q] for q in vals}
     assert fam.broken_children == broken
-    assert (fam.c_b, fam.C_b) == (c_b, big_c)
+    # c_b and C_b sum each cube's atoms in table order, not all atoms
+    assert oracles.close([fam.c_b, fam.C_b], [c_b, big_c], rel=1e-15)
+    loop = oracles.classify(fam)
+    assert oracles.close([fam.c_b, fam.C_b], list(loop[:2]), rel=1e-15)
+    assert loop[2] == broken
     assert bool(broken) == (kind in ("random", "explicit"))
+
+
+@pytest.mark.parametrize("kind", ["unit", "random", "explicit"])
+@pytest.mark.parametrize("dim,M", [(1, 5), (2, 3)])
+def test_sharp_norms_equal_the_cube_by_cube_loop(dim, M, kind):
+    # every cube of a gamma grid, empty ones and one off the grid
+    # included; the explicit family leaves out level 1, so Delta meets
+    # atoms in no family child
+    rng = np.random.default_rng(3 * dim + M)
+    mu = draw(rng, dim, M, 2 ** (dim * M) // 3)
+    g = make_grid(dim, M, 0, {"kind": "gamma", "g": [2 ** M // 3] * dim})
+    cells = (mu.points - g.off(0)) // g.side_units(0)
+    roots = [g.cube(0, c) for c in sorted(set(map(tuple, cells.tolist())))]
+    vals = {q: rng.random(mu.natoms) + 0.5 for q in g.cubes()
+            if q.level != 1}
+    fam = make_family(kind, mu, g, roots, seed=2, values=vals)
+    cubes = list(g.cubes()) + [std_grid(dim, M).cube(1, (1,) * dim)]
+    got = sharp_norms_sq(fam, cubes)
+    want = [oracles.sharp_norm_sq(fam, [q]) for q in cubes]
+    # where Delta_Q x vanishes (one child holding all of Q's mass) the
+    # loop leaves a rounding residue of about 1e-33
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-28)
+    assert any(v > 0 for v in want) and got[-1] == 0.0
+    assert oracles.close(sharp_norm_sq(fam, cubes),
+                         oracles.sharp_norm_sq(fam, cubes))
+
+
+def test_a_verify_builds_each_level_table_once(monkeypatch):
+    # one table per (measure, grid): sigma and omega on the grid, omega
+    # on the gamma grid
+    calls = []
+    real = Levels.__init__
+
+    def counted(self, mu, grid):
+        calls.append((mu, grid))
+        real(self, mu, grid)
+
+    monkeypatch.setattr(Levels, "__init__", counted)
+    verify_theorem(RunConfig(dim=1, resolution=8, natoms=200))
+    assert 0 < len(calls) <= 3
+
+
+def test_a_verify_finds_no_family_atoms_by_cube(monkeypatch):
+    # the families, the testing constants and the functional-energy
+    # context read the level tables: no Measure.atoms call, and no Cube
+    # view of a family
+    calls, inside, families = [], [], []
+    real_atoms = Measure.atoms
+
+    def atoms(self, q):
+        calls.append(bool(inside))
+        return real_atoms(self, q)
+
+    def watched(name):
+        real = getattr(harness, name)
+
+        def run(*args, **kwargs):
+            inside.append(name)
+            try:
+                out = real(*args, **kwargs)
+            finally:
+                inside.pop()
+            if name == "make_family":
+                families.append(out)
+            return out
+        monkeypatch.setattr(harness, name, run)
+
+    monkeypatch.setattr(Measure, "atoms", atoms)
+    for name in ("make_family", "testing_constants",
+                 "functional_energy_context"):
+        watched(name)
+    report = verify_theorem(RunConfig(dim=1, resolution=8, natoms=200))
+    assert float(report["functional_energy"]["value"]) > 0.0
+    assert len(families) == 3 and calls and not any(calls)
+    assert not any("values" in vars(f) for f in families)
 
 
 def test_a_verify_finds_containment_by_code(monkeypatch):

@@ -45,11 +45,11 @@ CORPUS = {
     "d1_common_atoms_random_family": (
         dict(dim=1, resolution=4, seed=1, generator="common_atoms",
              family_kind="random"),
-        "d410f7f0a9c89eb96698a0b328786d0e4c5250bbbc2be5dc6c83f3ebe52142fa"),
+        "1c88c169c49567fed4a170da364561429e1a2bc0604e6b01075d498c248d24eb"),
     "d1_doubling_like_alpha": (
         dict(dim=1, resolution=3, seed=2, alpha=0.5,
              generator="doubling_like"),
-        "4e9658b444033068c345a135d440c29b3f3e7436c4c96a36a27b26ce5e3fd8fe"),
+        "7ab2f690f77c2eaede06c271684b8ab1a3b65cf2feedaa2156a8c7549ad72fbb"),
     "d1_cantor_like": (
         dict(dim=1, resolution=4, seed=3, generator="cantor_like"),
         "c1030b002f8a095189eebf373dbf98e0a6c8f2abe45a5e3de5beba83f1d97696"),
@@ -65,7 +65,7 @@ CORPUS = {
     # both half-space checks fail (exit 2 from the CLI)
     "d1_failing_halfspace_budget": (
         dict(dim=1, resolution=7, natoms=100, seed=1, budget_ratio=1e-6),
-        "73a23a7ff6c116e262bbce4af770799052dcf7da60189e2f77db52235b4adc50"),
+        "cabe7e2125256dc980d9ed4066a9519ef286c1b0562b3ccdf32c48088c03a225"),
     "d2_random_atomic_random_family": (
         dict(dim=2, resolution=3, seed=1, family_kind="random"),
         "d561d30dbc955eb505d7e00913c82e2407b0f67753787ab969b3f5779b843106"),
@@ -90,7 +90,7 @@ CORPUS = {
         "c4de5b457c3c790aeb32309a6bc0a738f4323613009a6b309e925c6ce93f93f6"),
     "d1_global_family": (
         dict(dim=1, resolution=5, seed=2, family_kind="global"),
-        "f410231aab130ae56a60ff32aee8868ae67ad8a7f437a47a3e6312472b2a8c4a"),
+        "27bf002c454d19bdaa3dce8cac8098fafea9df3afc20a12b99b954c47e645ad1"),
 }
 
 

@@ -482,16 +482,32 @@ def _sparse_measure(rng, dim, M, natoms):
 
 
 def _no_cubes(mu, g, root):
-    return BFamily(mu, g, root, {}, 4.0, 0.0, 0.0, kind="unit")
+    return BFamily(mu, g, root, 4.0, "unit")
 
 
 def _assert_matches_loop(kernel, sigma, omega, bf, bs):
+    # the quotients sum each cube's kernel entries alone, so they match
+    # the loops to rounding; the order of the table and the witnesses
+    # match exactly
     rep = testing_constants(kernel, sigma, omega, bf, bs)
     fwd, dual, nrm, fw, dw, rows = _loop_testing_constants(
         kernel, sigma, omega, bf, bs)
-    assert rep.forward == fwd and rep.dual == dual and rep.norm == nrm
+    assert oracles.close([rep.forward, rep.dual], [fwd, dual])
+    assert rep.norm == nrm
     assert rep.forward_witness == fw and rep.dual_witness == dw
-    assert rep.table == rows
+    table = rep.table
+    assert [(r["direction"], r["cube"]) for r in table] \
+        == [(r["direction"], r["cube"]) for r in rows]
+    assert oracles.close([r["quotient"] for r in table],
+                         [r["quotient"] for r in rows])
+    k = sg._eval_matrix(kernel, omega.coords_float(), sigma.coords_float())
+    for name, args, want in (
+            ("forward", (k, sigma, omega, bf), (fwd, fw)),
+            ("dual", (np.swapaxes(k, 0, 1), omega, sigma, bs), (dual, dw))):
+        best, witness, loop = oracles.one_direction(*args)
+        assert oracles.close(best, want[0]) and witness == want[1]
+        assert oracles.close(loop, [(r["cube"], r["quotient"]) for r in table
+                                    if r["direction"] == name])
 
 
 @pytest.mark.parametrize("dim,M,kw", [
