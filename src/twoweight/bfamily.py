@@ -67,7 +67,7 @@ class BFamily:
         self.lv, self.level, self.corner = lv, lv.level[rows], lv.corner[rows]
         self.entry = np.r_[0, np.cumsum(lv.en[rows] - lv.st[rows])]
         self.own, self.pos = flat(lv.st[rows], lv.en[rows])
-        self.masses = np.bincount(self.own, lv.w[self.pos], len(rows))
+        self.masses = lv.mass[rows]
         # family row of each table row (-1 at the arrays' ends), of each
         # row's parent, and each entry's entry in its parent's row
         self.inv = np.full(len(lv.st), -1)

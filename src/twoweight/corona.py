@@ -3,8 +3,8 @@
 A corona decomposition is a forest of stopping cubes inside a root cube
 together with the criterion each stopping cube satisfied.  Everything
 below works with exact finite recursions: averages and tent masses are
-finite sums, and stopping cubes come from depth-first scans of the
-dyadic tree.
+finite sums, and stopping cubes come from one array pass per corona top
+over the rows of the measure's level table.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Cube, Grid, cube_arrays, dilate4, holders, kids, \
+from .grid import Cube, Grid, cube_arrays, cube_at, dilate4, holders, \
     morton_index, sharp_cross
 from .measure import Measure, average, mass
 
@@ -47,19 +47,21 @@ class Corona:
     params: dict = field(default_factory=dict)
     criteria: dict = field(default_factory=dict)   # cube -> firing record
     energies: dict = field(default_factory=dict)   # top -> stopping energy^2
+    # rows of mu.levels(root.grid): each stopping cube's, and each row's
+    # top as an index into stopping (-1 outside the root)
+    rows: np.ndarray = field(default_factory=lambda: np.zeros(0, int))
+    top_of: np.ndarray = field(default_factory=lambda: np.zeros(0, int))
 
     def forest_children(self, f: Cube) -> list:
         return [g for g in self.stopping if self.parent.get(g) == f]
 
     def corona_of(self, f: Cube) -> list:
-        """Cubes of the restricted corona below f, coarse to fine; the
-        walk stops at f's forest children, found by key."""
-        below, out, stack = set(self.forest_children(f)), [], [f]
-        while stack:
-            q = stack.pop()
-            out.append(q)
-            stack.extend(c for c in kids(q) if c not in below)
-        return sorted(out, key=lambda q: (-q.side, q.lo))
+        """Nonempty cubes of the restricted corona below f, coarse to
+        fine: the rows whose top is f."""
+        lv = self.mu.levels(self.root.grid)
+        rows = np.flatnonzero(self.top_of == self.stopping.index(f))
+        return sorted((_cube(lv, r) for r in rows.tolist()),
+                      key=lambda q: (-q.side, q.lo))
 
     def depth(self, f: Cube) -> int:
         d, cur = 0, f
@@ -72,36 +74,51 @@ class Corona:
 # the stopping-time driver
 
 
-def _stop(mu: Measure, root: Cube, criterion) -> tuple:
-    """One stopping-time construction below root.
+def _cube(lv, r: int) -> Cube:
+    return cube_at(lv.grid, int(lv.level[r]), lv.corner[r])
 
-    criterion(top) returns test(q, qs) for the corona of top: the record
-    of the criteria that the cube q, of mu-mass qs > 0, fires, empty when
-    q stays in the corona.  Each corona is scanned depth first from the
-    children of its top; zero-mass cubes are skipped, and every stopping
-    cube becomes a new top.  Returns (stopping cubes coarse to fine,
-    forest parents, records of the non-root stopping cubes).
+
+def _stopping_time(kind: str, mu: Measure, root: Cube, criterion,
+                   **fields) -> Corona:
+    """One stopping-time construction below root on mu's level table.
+
+    criterion(top, t, rows) returns {name: (fires, value)}, arrays over
+    the rows below the top, of row t (`Levels.below` order; the nonempty
+    cubes).  A row is tested when no row strictly between it and its top
+    fired, and the tested rows that fire, with the values of the names
+    they fire, become the next tops: one array pass per top.
     """
-    stopping, parents, crit = [root], {root: None}, {}
-    queue = [root]
+    lv = mu.levels(root.grid)
+    r0 = int(lv.rows(root.level, np.array(root.lo)))
+    cube, parent, crit = {r0: root}, {root: None}, {}
+    top = np.full(len(lv.level), -1)                # each row's top row
+    queue = [r0]
     while queue:
-        top = queue.pop()
-        test = criterion(top)
-        stack = kids(top)
-        while stack:
-            q = stack.pop()
-            qs = float(mu.masses[mu.atoms(q)].sum())
-            if qs <= 0.0:
-                continue
-            rec = test(q, qs)
-            if rec:
-                stopping.append(q)
-                parents[q] = top
-                crit[q] = rec
-                queue.append(q)
-            else:
-                stack.extend(kids(q))
-    return sorted(stopping, key=lambda q: (-q.side, q.lo)), parents, crit
+        t = queue.pop()
+        sub = lv.below(t) if t >= 0 else np.full(1, t)     # an empty root
+        rows = sub[1:]
+        tests = criterion(cube[t], t, rows)
+        fires = np.any([hit for hit, _ in tests.values()], axis=0)
+        # the rows below a fired row follow it in the walk, up to the
+        # first that ends at or before its start
+        f, n = np.flatnonzero(fires), len(rows) + 1
+        end = np.searchsorted(-lv.en[rows], -lv.st[rows[f]])
+        under = np.cumsum(np.bincount(f + 1, minlength=n)
+                          - np.bincount(end, minlength=n))[:-1] > 0
+        top[sub[np.r_[True, ~(fires | under)]]] = t
+        for i in f[~under[f]].tolist():
+            r = int(rows[i])
+            q = cube[r] = _cube(lv, r)
+            parent[q] = cube[t]
+            crit[q] = {name: float(v[i]) for name, (hit, v) in tests.items()
+                       if hit[i]}
+            queue.append(r)
+    order = sorted(cube, key=lambda r: (-cube[r].side, cube[r].lo))
+    place = np.zeros(len(lv.level), dtype=np.int64)
+    place[order] = np.arange(len(order))
+    return Corona(kind, mu, root, [cube[r] for r in order], parent,
+                  criteria=crit, rows=np.array(order),
+                  top_of=np.where(top >= 0, place[top], -1), **fields)
 
 
 # ---------------------------------------------------------------------------
@@ -117,20 +134,16 @@ def cz_stopping(mu: Measure, f, root: Cube, c0: float) -> Corona:
     if c0 <= 1.0:
         raise ValueError("c0 must exceed 1")
     f_abs = np.abs(np.asarray(f, dtype=np.float64))
+    lv = mu.levels(root.grid)
+    avg = lv.averages(f_abs)
     alphas = {}
 
-    def criterion(top: Cube):
-        a_top = alphas[top] = average(top, mu, f_abs)
+    def criterion(top: Cube, t: int, rows) -> dict:
+        a_top = alphas[top] = average(lv.atoms(t), mu, f_abs)
+        return {"cz": ((a_top > 0.0) & (avg[rows] > c0 * a_top), avg[rows])}
 
-        def test(q: Cube, qs: float) -> dict:
-            a = average(q, mu, f_abs)
-            return {"cz": a} if a_top > 0.0 and a > c0 * a_top else {}
-
-        return test
-
-    order, parents, crit = _stop(mu, root, criterion)
-    return Corona("cz", mu, root, order, parents, alphas,
-                  params={"c0": c0}, criteria=crit)
+    return _stopping_time("cz", mu, root, criterion, alpha_bound=alphas,
+                          params={"c0": c0})
 
 
 # ---------------------------------------------------------------------------
@@ -149,27 +162,18 @@ def accretive_stopping(fam, t_diag, root: Cube, gamma: float,
     if not 0.0 < gamma < 1.0 < big_gamma:
         raise ValueError("need 0 < gamma < 1 < big_gamma")
     mu = fam.mu
+    lv = mu.levels(root.grid)
     thresh = big_gamma * t_const * t_const
 
-    def criterion(top: Cube):
-        b_top = fam.b(top)
+    def criterion(top: Cube, t: int, rows) -> dict:
+        a, qs = lv.averages(fam.b(top))[rows], lv.mass[rows]
+        ti = np.array([t_diag(_cube(lv, r), top) for r in rows.tolist()])
+        return {"accretive": (np.abs(a) < gamma, a),
+                "weak_testing": (ti > thresh * qs, ti / qs)}
 
-        def test(q: Cube, qs: float) -> dict:
-            rec = {}
-            a = average(q, mu, b_top)
-            if abs(a) < gamma:
-                rec["accretive"] = a
-            ti = t_diag(q, top)
-            if ti > thresh * qs:
-                rec["weak_testing"] = ti / qs
-            return rec
-
-        return test
-
-    order, parents, crit = _stop(mu, root, criterion)
-    return Corona("accretive", mu, root, order, parents,
-                  params={"gamma": gamma, "big_gamma": big_gamma,
-                          "t_const": t_const}, criteria=crit)
+    return _stopping_time("accretive", mu, root, criterion,
+                          params={"gamma": gamma, "big_gamma": big_gamma,
+                                  "t_const": t_const})
 
 
 # ---------------------------------------------------------------------------
@@ -192,32 +196,29 @@ def energy_stopping(sigma: Measure, omega: Measure, root: Cube,
     tau = c_en * (e2 * e2 + a2)
     grid = root.grid
     amb, mom = sigma.levels(grid), omega.levels(grid)
-    energies = {}
+    val = np.zeros(len(amb.level))      # each row's quotient under its top
 
-    def criterion(top: Cube):
-        lo, d = np.array([top.lo]), grid.M - top.level
-        terms = strong_terms(amb, mom, top.level, lo, np.zeros(1, bool), d,
-                             alpha)
+    def criterion(top: Cube, t: int, rows) -> dict:
+        d = grid.M - top.level
+        terms = strong_terms(amb, mom, top.level, np.array([top.lo]),
+                             np.zeros(1, bool), d, alpha)
         best = subpartition(terms, grid.dim,
                             d if depth is None else min(depth, d))
-        energies[top] = 0.0
+        k = amb.level[rows] - top.level
+        rel = (amb.corner[rows] - top.lo) >> (grid.M - amb.level[rows, None])
+        for lev in sorted(set(k.tolist())):
+            at = k == lev
+            val[rows[at]] = best[lev][0, morton_index(rel[at].T, lev)]
+        val[rows] /= amb.mass[rows]
+        return {"energy": ((val[rows] >= tau) & (tau > 0.0), val[rows])}
 
-        def test(q: Cube, qs: float) -> dict:
-            k = q.level - top.level
-            rel = [(a - b) // q.side for a, b in zip(q.lo, top.lo)]
-            val = float(best[k][0, morton_index(rel, k)]) / qs
-            if val >= tau and tau > 0.0:
-                return {"energy": val}
-            energies[top] = max(energies[top], val)
-            return {}
-
-        return test
-
-    order, parents, crit = _stop(sigma, root, criterion)
-    return Corona("energy", sigma, root, order, parents,
-                  params={"c_en": c_en, "e2": e2, "a2": a2, "alpha": alpha,
-                          "depth": depth, "tau": tau},
-                  criteria=crit, energies=energies)
+    cor = _stopping_time("energy", sigma, root, criterion,
+                         params={"c_en": c_en, "e2": e2, "a2": a2,
+                                 "alpha": alpha, "depth": depth, "tau": tau})
+    val[cor.rows] = 0.0                 # a top is no inner cube
+    cor.energies = {q: float(val[cor.top_of == i].max(initial=0.0))
+                    for i, q in enumerate(cor.stopping)}
+    return cor
 
 
 # ---------------------------------------------------------------------------
@@ -231,30 +232,31 @@ def stopping_data(corona: Corona, f) -> dict:
     with witnesses for any failure.
     """
     mu = corona.mu
+    lv = mu.levels(corona.root.grid)
     f = np.asarray(f, dtype=np.float64)
-    f_abs = np.abs(f)
     c0 = corona.params.get("c0", 1.0)
     norm_sq = float(np.dot(mu.masses, f * f))
+    alpha = np.array([corona.alpha_bound.get(top, 0.0)
+                      for top in corona.stopping])
 
-    # (1) corona control of averages
+    # (1) corona control of averages, the first largest ratio in the
+    # order of the tops and each corona coarse to fine
     prop1, wit1 = 0.0, None
-    for top in corona.stopping:
-        a = corona.alpha_bound.get(top, 0.0)
-        if a <= 0.0:
-            continue
-        for q in corona.corona_of(top):
-            if float(mu.masses[mu.atoms(q)].sum()) <= 0.0:
-                continue
-            r = average(q, mu, f_abs) / a
-            if r > prop1:
-                prop1, wit1 = r, (top, q)
+    rows = np.flatnonzero(corona.top_of >= 0)
+    top = corona.top_of[rows]
+    ratio = np.divide(lv.averages(np.abs(f))[rows], alpha[top],
+                      out=np.zeros(len(rows)), where=alpha[top] > 0.0)
+    o = np.lexsort((*lv.corner[rows].T[::-1], lv.level[rows], top))
+    if len(o) and ratio[i := o[np.argmax(ratio[o])]] > 0.0:
+        prop1 = float(ratio[i])
+        wit1 = (corona.stopping[top[i]], _cube(lv, rows[i]))
 
     # (2) sigma-Carleson of the stopping family
     carleson = carleson_norm(corona.stopping, mu)
 
     # (3) quasi-orthogonality sum
-    quasi = sum(corona.alpha_bound.get(top, 0.0) ** 2
-                * mass(top, mu) for top in corona.stopping)
+    quasi = sum(a * a * mass(lv.atoms(r), mu)
+                for a, r in zip(alpha.tolist(), corona.rows.tolist()))
     quasi_ratio = quasi / norm_sq if norm_sq > 0 else 0.0
 
     # (4) monotonicity of the alpha bounds along the forest
@@ -267,8 +269,8 @@ def stopping_data(corona: Corona, f) -> dict:
 
     # pointwise quasi-orthogonal sum against f
     g = np.zeros(mu.natoms)
-    for top in corona.stopping:
-        g[mu.atoms(top)] += corona.alpha_bound.get(top, 0.0)
+    for a, r in zip(alpha.tolist(), corona.rows.tolist()):
+        g[lv.atoms(r)] += a
     qorth = float(np.dot(mu.masses, g * g)) / norm_sq if norm_sq > 0 else 0.0
 
     a0 = max(c0, carleson, math.sqrt(quasi_ratio) if quasi_ratio > 0 else 0.0)
@@ -405,22 +407,28 @@ def shifted_corona(corona: Corona, grid_g: Grid, eps: float) -> list:
 
 
 def carleson_norm(cube_family, mu: Measure) -> float:
-    """Largest quotient sum of member masses inside S over |S|_mu."""
+    """Largest quotient sum of member masses inside S over |S|_mu, for
+    cubes of one grid."""
     fam = list(cube_family)
+    if not fam:
+        return 0.0
     uniq = list(dict.fromkeys(fam))
-    m = np.array([mass(s, mu) for s in uniq])
+    lv = mu.levels(fam[0].grid)
+    rows = lv.rows([q.level for q in uniq], cube_arrays(uniq, mu.dim)[0])
+    m = np.array([mass(lv.atoms(r), mu) for r in rows.tolist()])
     i, k = holders(*cube_arrays(uniq, mu.dim),
                    *cube_arrays(fam, mu.dim))       # uniq[k] holds fam[i]
     o = np.argsort(i, kind="stable")                # each sum in fam order
-    tot = np.bincount(k[o], np.array([mass(f, mu) for f in fam])[i[o]],
-                      len(uniq))
+    at = {q: j for j, q in enumerate(uniq)}
+    tot = np.bincount(k[o], m[[at[f] for f in fam]][i[o]], len(uniq))
     return float((tot[m > 0] / m[m > 0]).max(initial=0.0))
 
 
 def generation_masses(corona: Corona) -> list:
     """Total stopping-cube mass per forest depth, depth 0 first."""
+    lv = corona.mu.levels(corona.root.grid)
     by_depth = {}
-    for f in corona.stopping:
+    for f, r in zip(corona.stopping, corona.rows.tolist()):
         by_depth.setdefault(corona.depth(f), 0.0)
-        by_depth[corona.depth(f)] += mass(f, corona.mu)
+        by_depth[corona.depth(f)] += mass(lv.atoms(r), corona.mu)
     return [by_depth[k] for k in sorted(by_depth)]

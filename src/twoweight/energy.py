@@ -301,9 +301,7 @@ def functional_energy_estimate(context, sigma: Measure, alpha: float,
     walk = lv.subtree(root).tolist()
     stack = np.zeros((len(walk) + n_sign, sigma.natoms))
     for d, r in enumerate(walk):
-        idx = lv.order[lv.st[r]:lv.en[r]]
-        idx = idx[np.argsort(idx, kind="stable")]    # summed as atoms() is
-        stack[d, idx] = 1.0 / math.sqrt(float(sigma.masses[idx].sum()))
+        stack[d, lv.atoms(r)] = 1.0 / math.sqrt(mass(lv.atoms(r), sigma))
     for d in range(len(walk), len(stack)):
         signs = rng.choice([-1.0, 1.0], size=sigma.natoms)
         stack[d] = signs / math.sqrt(float(sigma.masses.sum()))
@@ -339,7 +337,9 @@ def halfspace_testing(i_cube: Cube, mu_bar: HalfSpaceMeasure,
     right side vanishes).
     """
     n = sigma.dim
-    sel_i = sigma.in_cube(i_cube)
+    lv = sigma.levels(i_cube.grid)
+    sel_i = np.zeros(sigma.natoms, dtype=bool)
+    sel_i[lv.atoms(lv.rows(i_cube.level, np.array(i_cube.lo)))] = True
     sigma_i = sigma.subset(sel_i)
     qs = float(sigma.masses[sel_i].sum())
 

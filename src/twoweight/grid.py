@@ -29,7 +29,6 @@ __all__ = [
     "Grid",
     "Cube",
     "cube_dict",
-    "kids",
     "make_grid",
     "whitney",
     "is_eps_good",
@@ -198,13 +197,6 @@ def cube_at(grid: Grid, level: int, lo, aug: bool = False) -> Cube:
     cube (aug) carries no grid handle."""
     return Cube(grid.M, tuple(map(int, lo)), grid.side_units(level),
                 int(level), None if aug else grid)
-
-
-def kids(q: Cube) -> list:
-    """Dyadic children of q, none at the finest level."""
-    if q.level >= q.resolution:
-        return []
-    return q.children()
 
 
 # ---------------------------------------------------------------------------

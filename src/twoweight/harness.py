@@ -100,6 +100,8 @@ class RunConfig:
         if self.resolution < 1 or self.resolution > (8 if self.dim == 1
                                                      else 5):
             raise ValueError("resolution out of the supported range")
+        if self.levels != 0:        # the grids get resolution scale bits
+            raise ValueError(f"levels must be 0, got {self.levels!r}")
         if self.c0 <= 1:
             raise ValueError("c0 must exceed 1")
         if not 1 < self.gamma <= 5:
@@ -314,11 +316,11 @@ def verify_theorem(cfg: RunConfig, pair=None) -> dict:
     coronas = {}
     if sigma.natoms:
         cz = cz_stopping(sigma, f, root, cfg.c0)
-        cz_car = carleson_norm(cz.stopping, sigma)
+        sd = stopping_data(cz, f)
+        cz_car = sd["carleson"]
         cz_bound = cfg.c0 / (cfg.c0 - 1.0)
         check("cz_carleson", cz_car <= cz_bound + tol,
               f"carleson={cz_car!r} bound={cz_bound!r}")
-        sd = stopping_data(cz, f)
         coronas["cz"] = {
             "stopping_count": len(cz.stopping),
             "carleson": cz_car,

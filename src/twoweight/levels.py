@@ -17,6 +17,8 @@ one call.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .grid import dilate4, morton_cells, whitney_cells
@@ -139,7 +141,7 @@ class Levels:
         cells = (mu.points[None] - off[:, None]) // sides[:, None]
         self.order = np.lexsort(
             cells.transpose(0, 2, 1).reshape(len(cells) * self.n, -1)[::-1])
-        self.w = mu.masses[self.order]
+        self.masses, self.w = mu.masses, mu.masses[self.order]
         self.x = mu.coords_float()[self.order]
         self.p4 = 4 * mu.points[self.order]     # quarter units
         # the nonempty cubes of all levels under one sorted code: level
@@ -164,6 +166,7 @@ class Levels:
         self.level = grid.N + np.repeat(np.arange(len(cells)),
                                         [len(x) for x in st])[o]
         self.corner = np.concatenate(lo).reshape(-1, self.n)[o]
+        self.mass = self.sums(mu.masses)
 
     def _code(self, li, cells):
         """Codes of cells (..., n) of the levels li - N (broadcast), -2
@@ -190,18 +193,47 @@ class Levels:
         i = self.rows(level, corners)
         return self.st[i], self.en[i]
 
+    @cached_property
+    def walk(self) -> tuple:
+        """(rows, place, -end): all rows in the order of a depth first
+        walk that stacks children in child order, by end (down), level;
+        each row's place in it; minus the end along it."""
+        w = np.lexsort((self.level, -self.en[:-1]))
+        place = np.empty_like(w)
+        place[w] = np.arange(len(w))
+        return w, place, -self.en[w]
+
+    def below(self, r: int) -> np.ndarray:
+        """Rows of the nonempty cubes below row r, r first, in walk order:
+        up to the first row that ends at or before r's start."""
+        w, place, key = self.walk
+        return w[place[r]:np.searchsorted(key, -self.st[r])]
+
     def subtree(self, root) -> np.ndarray:
-        """Rows of the nonempty cubes below the grid cube root as a depth
-        first walk that stacks children in child order visits them: a
-        slice ends where its last child's does, so by end (down), level."""
+        """`below` the row of the grid cube root; empty if root is."""
         g = self.grid
         if not g.N <= root.level <= g.M or root != g.cube_containing(
                 root.level, root.lo):
             raise ValueError(f"{root} is not a cube of the grid")
-        st, en = self.slices(root.level, np.array(root.lo))
-        inside = np.flatnonzero((self.st[:-1] >= st) & (self.en[:-1] <= en)
-                                & (self.level >= root.level))
-        return inside[np.lexsort((self.level[inside], -self.en[inside]))]
+        r = int(self.rows(root.level, np.array(root.lo)))
+        return self.below(r) if r >= 0 else np.zeros(0, dtype=np.int64)
+
+    def atoms(self, r: int) -> np.ndarray:
+        """Ascending indices of row r's atoms (none for -1), as
+        `Measure.atoms` gives them, so that a sum over them adds as there."""
+        idx = self.order[self.st[r]:self.en[r]]
+        return idx[np.argsort(idx, kind="stable")]
+
+    def sums(self, v) -> np.ndarray:
+        """Each row's sum of v, one value per atom of the measure, in
+        table order; 0 at the arrays' ends."""
+        own, pos = flat(self.st[:-1], self.en[:-1])
+        return np.append(np.bincount(own, v[self.order[pos]]), 0.0)
+
+    def averages(self, f) -> np.ndarray:
+        """Each row's average of f under the measure; 0 at the ends."""
+        tot = self.sums(self.masses * f)
+        return np.divide(tot, self.mass, out=tot, where=self.mass > 0)
 
     def cube_slices(self, level, corners, aug) -> tuple:
         """(cubes, 2^n) slices: a grid cube in the first column, an

@@ -153,17 +153,20 @@ PointSet = frozenset  # of integer coordinate tuples at a shared resolution
 
 
 def mass(q, mu: Measure) -> float:
-    """Total mu-mass of a cube or an (lo, hi) box in mu's units."""
-    idx = mu.atoms(q) if hasattr(q, "lo") else np.flatnonzero(mu.in_box(*q))
+    """Total mu-mass of a cube, an (lo, hi) box in mu's units or the
+    ascending indices of some atoms."""
+    idx = mu.atoms(q) if hasattr(q, "lo") else q if isinstance(
+        q, np.ndarray) else np.flatnonzero(mu.in_box(*q))
     return float(mu.masses[idx].sum())
 
 
 def average(q, mu: Measure, f: np.ndarray) -> float:
-    """E_Q f under mu, for f an array of values over the atoms of mu.
+    """E_Q f under mu, for f an array of values over the atoms of mu and
+    Q a cube or the ascending indices of its atoms.
 
     A cube of zero mu-mass has average 0.
     """
-    idx = mu.atoms(q)
+    idx = mu.atoms(q) if hasattr(q, "lo") else q
     tot = float(mu.masses[idx].sum())
     if tot <= 0.0:
         return 0.0

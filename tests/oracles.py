@@ -4,9 +4,10 @@ These are earlier forms of code under test, kept apart from the package
 so that a refactor is checked against an implementation it does not
 share: the cube lookup as a scan of every atom, the A2 loop over
 restricted measures, the body and the goodness distance face by face,
-the crossover cube by cube, the stopping-time constructions as three
-separate loops, the family walk cube by cube and over every subcube,
-its classification cube by cube, the testing constants with one kernel
+the crossover cube by cube, the stopping-time driver as the depth
+first walk cube by cube that it was before it read level-table rows
+(`stop`), the family walk cube by cube and over every subcube, its
+classification cube by cube, the testing constants with one kernel
 product per cube, the sharp norms with one martingale difference per
 cube and coordinate, the coronas, the Carleson sums and the functional
 energy by containment scans and one Poisson call per cube, the
@@ -225,55 +226,30 @@ def family_values(kind, mu, root, seed=None):
 
 
 # ---------------------------------------------------------------------------
-# stopping times, one loop each
+# stopping times, cube by cube
 
 
-def cz_stopping(mu, f, root, c0):
-    f = np.asarray(f, dtype=np.float64)
-    stopping, parents, alphas, crit = [root], {root: None}, {}, {}
-    queue = [root]
-    while queue:
-        top = queue.pop()
-        a_top = _avg_abs(mu, f, top)
-        alphas[top] = a_top
-        stack = list(_kids(top))
-        while stack:
-            q = stack.pop()
-            if _mass(mu, q) <= 0.0:
-                continue
-            a = _avg_abs(mu, f, q)
-            if a_top > 0.0 and a > c0 * a_top:
-                stopping.append(q)
-                parents[q] = top
-                crit[q] = {"cz": a}
-                queue.append(q)
-            else:
-                stack.extend(_kids(q))
-    return {"stopping": _coarse_to_fine(stopping), "parent": parents,
-            "criteria": crit, "alpha_bound": alphas}
+def stop(mu, root, criterion):
+    """One stopping-time construction below root, walked cube by cube.
 
-
-def accretive_stopping(fam, t_diag, root, gamma, big_gamma, t_const):
-    mu = fam.mu
-    thresh = big_gamma * t_const * t_const
+    criterion(top) returns test(q, qs) for the corona of top: the record
+    of the criteria that the cube q, of mu-mass qs > 0, fires, empty when
+    q stays in the corona.  Each corona is scanned depth first from the
+    children of its top; zero-mass cubes are skipped, and every stopping
+    cube becomes a new top.
+    """
     stopping, parents, crit = [root], {root: None}, {}
     queue = [root]
     while queue:
         top = queue.pop()
-        b_top = fam.b(top)
+        test = criterion(top)
         stack = list(_kids(top))
         while stack:
             q = stack.pop()
             qs = _mass(mu, q)
             if qs <= 0.0:
                 continue
-            rec = {}
-            a = _avg(mu, b_top, q)
-            if abs(a) < gamma:
-                rec["accretive"] = a
-            ti = t_diag(q, top)
-            if ti > thresh * qs:
-                rec["weak_testing"] = ti / qs
+            rec = test(q, qs)
             if rec:
                 stopping.append(q)
                 parents[q] = top
@@ -285,33 +261,58 @@ def accretive_stopping(fam, t_diag, root, gamma, big_gamma, t_const):
             "criteria": crit}
 
 
+def cz_stopping(mu, f, root, c0):
+    alphas = {}
+
+    def criterion(top):
+        a_top = alphas[top] = _avg_abs(mu, f, top)
+
+        def test(q, qs):
+            a = _avg_abs(mu, f, q)
+            return {"cz": a} if a_top > 0.0 and a > c0 * a_top else {}
+        return test
+
+    return {**stop(mu, root, criterion), "alpha_bound": alphas}
+
+
+def accretive_stopping(fam, t_diag, root, gamma, big_gamma, t_const):
+    thresh = big_gamma * t_const * t_const
+
+    def criterion(top):
+        b_top = fam.b(top)
+
+        def test(q, qs):
+            rec = {}
+            a = _avg(fam.mu, b_top, q)
+            if abs(a) < gamma:
+                rec["accretive"] = a
+            ti = t_diag(q, top)
+            if ti > thresh * qs:
+                rec["weak_testing"] = ti / qs
+            return rec
+        return test
+
+    return stop(fam.mu, root, criterion)
+
+
 def energy_stopping(sigma, omega, root, c_en, e2, a2, alpha, depth=None):
     tau = c_en * (e2 * e2 + a2)
-    stopping, parents, crit, energies = [root], {root: None}, {}, {}
-    queue = [root]
-    while queue:
-        top = queue.pop()
+    energies = {}
+
+    def criterion(top):
         amb = sigma.subset(atoms_in(sigma, top))
         best = best_subpartition(top, amb, omega, alpha, depth)
-        x_sq = 0.0
-        stack = list(_kids(top))
-        while stack:
-            q = stack.pop()
-            qs = _mass(sigma, q)
-            if qs <= 0.0:
-                continue
+        energies[top] = 0.0
+
+        def test(q, qs):
             val = best[q] / qs
             if val >= tau and tau > 0.0:
-                stopping.append(q)
-                parents[q] = top
-                crit[q] = {"energy": val}
-                queue.append(q)
-            else:
-                x_sq = max(x_sq, val)
-                stack.extend(_kids(q))
-        energies[top] = x_sq
-    return {"stopping": _coarse_to_fine(stopping), "parent": parents,
-            "criteria": crit, "energies": energies}
+                return {"energy": val}
+            energies[top] = max(energies[top], val)
+            return {}
+        return test
+
+    return {**stop(sigma, root, criterion), "energies": energies}
 
 
 # ---------------------------------------------------------------------------

@@ -265,8 +265,11 @@ def test_stopping_data_on_random_cz():
 
 
 # ------------------------------------- stopping times against the oracle
-# tests/oracles.py keeps the three stopping loops as they were written
-# before the one driver; every recorded field must come out equal.
+# tests/oracles.py keeps the stopping-time driver as the walk cube by
+# cube (`stop`) that it was before it read level-table rows.  Stopping
+# cubes and parents must be equal.  The live records are row sums, in
+# table order, so they agree to 1e-12; the alpha bounds of the tops are
+# summed as before and agree exactly.
 
 
 def sparse_measure(rng, dim, M, natoms):
@@ -289,11 +292,22 @@ def oracle_instance(dim, seed):
     return sigma, omega, g, root, f
 
 
-def assert_same_corona(cor, want, rel=0.0):
-    # rel > 0 where the live code adds the same terms in another order
-    for key in ("stopping", "parent", "criteria", "alpha_bound", "energies"):
+def assert_same_corona(cor, want):
+    assert cor.stopping == want["stopping"] and cor.parent == want["parent"]
+    for key in ("criteria", "alpha_bound", "energies"):
         if key in want:
-            assert oracles.close(getattr(cor, key), want[key], rel), key
+            assert oracles.close(getattr(cor, key), want[key]), key
+
+
+@pytest.mark.parametrize("c0", [1.2, 2.0, 4.0])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_cz_stopping_matches_oracle(dim, c0):
+    sigma, omega, g, root, f = oracle_instance(dim, 63)
+    cor = cz_stopping(sigma, f, root, c0)
+    want = oracles.cz_stopping(sigma, f, root, c0)
+    assert_same_corona(cor, want)
+    assert cor.alpha_bound == want["alpha_bound"]
+    assert len(generation_masses(cor)) >= (3 if c0 < 2.0 else 2)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -319,6 +333,17 @@ def test_cz_and_accretive_match_oracle(dim):
         fam, t_diag, root, 0.9, 1.5, 0.5 * t))
 
 
+def test_stopping_below_an_empty_root_matches_oracle():
+    sigma = Measure.from_atoms(1, 3, [((k,), 1.0 + k) for k in range(4)])
+    root, f = std_grid().cube(1, (1,)), np.arange(4.0)
+    assert_same_corona(cz_stopping(sigma, f, root, 2.0),
+                       oracles.cz_stopping(sigma, f, root, 2.0))
+    cor = energy_stopping(sigma, sigma, root, 2.0, 0.5, 0.0, 0.0)
+    assert_same_corona(cor, oracles.energy_stopping(sigma, sigma, root, 2.0,
+                                                    0.5, 0.0, 0.0))
+    assert cor.corona_of(root) == [] and generation_masses(cor) == [0.0]
+
+
 @pytest.mark.parametrize("depth", [1, None])
 @pytest.mark.parametrize("dim", [1, 2])
 def test_energy_stopping_matches_oracle(dim, depth):
@@ -328,7 +353,7 @@ def test_energy_stopping_matches_oracle(dim, depth):
     cor = energy_stopping(sigma, omega, root, 2.0, e2, 0.0, 0.0, depth)
     assert len(cor.stopping) > 1
     assert_same_corona(cor, oracles.energy_stopping(
-        sigma, omega, root, 2.0, e2, 0.0, 0.0, depth), 1e-12)
+        sigma, omega, root, 2.0, e2, 0.0, 0.0, depth))
 
 
 # ----------------------------------------------------- half-space measures

@@ -42,7 +42,7 @@ def test_config_rejects_bad_fields():
     for kwargs in ({"dim": 3}, {"alpha": 2.0}, {"eps": 1.5},
                    {"resolution": 9}, {"c0": 1.0}, {"gamma": 6.0},
                    {"c_en": 0.5}, {"delta_trunc": 5.0, "radius": 1.0},
-                   {"generator": "bogus"}):
+                   {"generator": "bogus"}, {"levels": -1}, {"levels": 1}):
         with pytest.raises(ValueError):
             RunConfig(**kwargs)
 

@@ -106,17 +106,23 @@ def test_energy_stopping_matches_the_loop(dim, kind, depth):
 # ------------------------------------------------------------ object churn
 
 def test_a_verify_builds_few_children(monkeypatch):
-    # 18,890 Cube.children calls before the level tables
-    calls = []
-    real = Cube.children
+    # before the level tables a (2, 5, 200, 1) verify made 18,890
+    # Cube.children calls; before the coronas read table rows a
+    # (1, 8, 200, 1) verify made 751, and 2,450 Measure.atoms calls
+    calls = {"children": 0, "atoms": 0}
 
-    def counted(self):
-        calls.append(self)
-        return real(self)
+    def counted(name, real):
+        def run(*args):
+            calls[name] += 1
+            return real(*args)
+        return run
 
-    monkeypatch.setattr(Cube, "children", counted)
-    verify_theorem(RunConfig(dim=2, resolution=5, natoms=200, seed=1))
-    assert 0 < len(calls) <= 1889
+    monkeypatch.setattr(Cube, "children", counted("children", Cube.children))
+    monkeypatch.setattr(Measure, "atoms", counted("atoms", Measure.atoms))
+    for dim, M in ((2, 5), (1, 8)):
+        calls.update(children=0, atoms=0)
+        verify_theorem(RunConfig(dim=dim, resolution=M, natoms=200, seed=1))
+        assert calls["children"] == 0 and calls["atoms"] <= 20
 
 
 @pytest.mark.parametrize("kind", ["unit", "random"])
@@ -193,14 +199,19 @@ def test_crossovers_equal_the_cube_by_cube_loop(dim, M, N, eps):
 
 @pytest.mark.parametrize("dim,seed", [(1, 3), (1, 8), (2, 5)])
 def test_coronas_by_code_equal_the_containment_scans(dim, seed):
+    # the coronas are read off table rows, so they hold the nonempty
+    # cubes only; the averages are row sums, in another order than the
+    # scans' sums
     sigma, _, root, f, cor = cz_pair(dim, seed)
     for top in cor.stopping:
-        assert cor.corona_of(top) == oracles.corona_of(cor, top)
+        assert cor.corona_of(top) == [q for q in oracles.corona_of(cor, top)
+                                      if oracles.atoms_in(sigma, q).any()]
     for fam in (cor.stopping, cor.stopping[::-1] + cor.stopping[:2]):
         assert carleson_norm(fam, sigma) == oracles.carleson_norm(fam, sigma)
     sd = stopping_data(cor, f)
-    assert (sd["avg_control"], sd["avg_control_witness"]) \
-        == oracles.avg_control(cor, f)
+    value, witness = oracles.avg_control(cor, f)
+    assert oracles.close(sd["avg_control"], value)
+    assert sd["avg_control_witness"] == witness
     g = root.grid
     for shift in (1, 2 ** g.M // 3):
         g_g = make_grid(dim, g.M, 0, {"kind": "gamma", "g": [shift] * dim})
@@ -333,7 +344,7 @@ def test_a_verify_finds_no_family_atoms_by_cube(monkeypatch):
         watched(name)
     report = verify_theorem(RunConfig(dim=1, resolution=8, natoms=200))
     assert float(report["functional_energy"]["value"]) > 0.0
-    assert len(families) == 3 and calls and not any(calls)
+    assert len(families) == 3 and not any(calls)
     assert not any("values" in vars(f) for f in families)
 
 

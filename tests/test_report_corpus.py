@@ -79,7 +79,7 @@ CORPUS = {
     # the verify_2d benchmark size: deep bodies and 85-piece subpartitions
     "d2_res4_hundred_atoms": (
         dict(dim=2, resolution=4, natoms=100, seed=1),
-        "1ad09be64a2e07cb03d5e2e4adb25f87dd6943b4da82bf94719847ffc064093a"),
+        "deac096702d183379e2c8475689ee9225fe6e4fab28947b5fe0b253ca0b8e8a1"),
     # omega has no atom in gg.cube(0, 0), the one root the gamma-grid
     # family had before it covered omega (the CLI exited 1 on both)
     "d2_res3_seed0_omega_off_the_first_root": (
