@@ -511,12 +511,14 @@ def _certified_min(pts: np.ndarray, member: np.ndarray, cands) -> tuple:
     """
     mass = member.sum(axis=1)
     eye = np.eye(pts.shape[1])
+    # about one atom: the same f, without cancellation far from 0
+    o, pts = pts[0], pts - pts[0]
 
     def value(z):
         g = member @ np.sqrt(((pts - z) ** 2).sum(axis=1))
         return float((g * g / mass).sum())
 
-    z = min(cands, key=value)
+    z = min((c - o for c in cands), key=value)
     f = best = value(z)
     low = 0.0
     for step in range(_INF_STEPS + 1):

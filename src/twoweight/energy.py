@@ -76,8 +76,7 @@ def _groups(grids, cubes, tables, depth, by_level=False):
     for g, grid in enumerate(grids):
         tabs = tables(grid)
         rows = np.flatnonzero(gi == g)
-        qs = tabs[0].stats(*tabs[0].cube_slices(lev[rows], lo[rows],
-                                                aug[rows]))[0]
+        qs = tabs[0].cube_stats(lev[rows], lo[rows], aug[rows])[0]
         rows, qs = rows[qs > 0], qs[qs > 0]
         d = grid.M - lev[rows]
         d = d if depth is None else np.minimum(d, depth)

@@ -274,13 +274,15 @@ def morton_index(rel, k: int):
     return m
 
 
+@lru_cache(maxsize=None)
 def whitney_cells(depth: int, dim: int) -> tuple:
     """Whitney cubes of the cube [0, 2^depth)^n, in finest lattice units.
 
     Returns (corners, sides, chosen): the maximal subcubes S with 3S
     inside the cube (chosen), then the finest tiles none of them covers,
     each depth first in child order.  The scan runs coarse to fine, so a
-    candidate overlapping a chosen cube never arises.
+    candidate overlapping a chosen cube never arises.  The arrays are
+    built once per (depth, dim) and read-only.
     """
     big = 1 << depth
     found = [] if depth else [(np.zeros((1, dim), dtype=np.int64), 1, False)]
@@ -298,7 +300,10 @@ def whitney_cells(depth: int, dim: int) -> tuple:
     sides = np.concatenate([np.full(len(c), s) for c, s, _ in found])
     chosen = np.concatenate([np.full(len(c), f) for c, _, f in found])
     order = np.lexsort((morton_index(corners.T, depth), ~chosen))
-    return corners[order], sides[order], chosen[order]
+    out = corners[order], sides[order], chosen[order]
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 def whitney(k: Cube):

@@ -3,16 +3,18 @@
 Sorting the atoms once by their path of grid cells, coarse to fine (the
 hashed oct-tree of Warren and Salmon, SC'93, on exact integer dyadic
 coordinates), makes every grid cube a contiguous slice [start, end) of
-that order, an augmented cube its 2^n child slices and a complement the
-slices between them.  Every sum over a cube adds up its atoms directly,
-slice by slice, never a total minus the part left out.  The energy layer
-imports this module on first use, so importing the package does not
-compile it.
+that order and an augmented cube its 2^n child slices.  A table is
+built once per measure and grid (`Measure.levels`), with the (mass,
+second moment) of every row (`Levels.moments`).  Every sum over a cube
+adds up its atoms directly, never a total minus the part left out: an
+A2 hole takes the kernel on all atoms in dense (cubes x atoms) blocks,
+0 on the cube's own slices, and adds each row left to right.  The
+energy layer imports this module on first use, so importing the
+package does not compile it.
 
 The subpartitions below a set of tops are (tops x 2^(nk)) arrays, the
 pieces k levels down in Morton (child) order: the children of piece m
-are pieces 2^n m .. 2^n m + 2^n - 1 one level down.  The tables live for
-one call.
+are pieces 2^n m .. 2^n m + 2^n - 1 one level down.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 from .grid import dilate4, morton_cells, whitney_cells
 from .poisson_a2 import poisson_kernel
 
-_BLOCK = 1 << 12        # atoms per block of a ragged sum, to bound memory
+_BLOCK = 1 << 14        # entries per block of a ragged or dense sum
 
 
 def _one_lattice(mu, grid):
@@ -238,26 +240,14 @@ class Levels:
     def cube_slices(self, level, corners, aug) -> tuple:
         """(cubes, 2^n) slices: a grid cube in the first column, an
         augmented cube (aug) as its children one level down."""
-        level = np.broadcast_to(level, aug.shape)
-        s = np.zeros((len(corners), 1 << self.n), dtype=np.int64)
-        e = s.copy()
-        s[~aug, 0], e[~aug, 0] = self.slices(level[~aug], corners[~aug])
-        if aug.any():
-            half = 2 ** (self.grid.M - 1 - level[aug])
-            s[aug], e[aug] = self.slices(
-                (level[aug] + 1)[:, None], corners[aug][:, None]
-                + half[:, None, None] * morton_cells(self.n, 1))
-        return s, e
-
-    def complement(self, starts, ends) -> tuple:
-        """Slices of the atoms outside each row's disjoint slices."""
-        top = len(self.w)   # disjoint slices: starts and ends sort alike
-        row = np.arange(len(starts)).repeat(starts.shape[1])
-        s, e = (y.ravel()[np.lexsort((y.ravel(), row))].reshape(starts.shape)
-                for y in (np.where(ends > starts, x, top)
-                          for x in (starts, ends)))
-        edge = np.full((len(s), 1), top)
-        return np.hstack([0 * edge, e]), np.hstack([s, edge])
+        level, g = np.broadcast_to(level, aug.shape), self.grid
+        # one lookup: a grid cube's corner fills every column, and all
+        # but its first are emptied
+        half = aug * 2 ** (g.M - 1 - np.minimum(level, g.M - 1))
+        r = self.rows((level + aug)[:, None], corners[:, None]
+                      + half[:, None, None] * morton_cells(self.n, 1))
+        r[~aug, 1:] = -1
+        return self.st[r], self.en[r]
 
     def stats(self, starts, ends) -> tuple:
         """(mass, second moment about the barycentre) of each row's atoms,
@@ -274,28 +264,67 @@ class Levels:
             mom[rows] = np.bincount(own, w * (d * d).sum(axis=1), k)
         return mass, mom
 
+    @cached_property
+    def moments(self) -> tuple:
+        """`stats` of every row in one pass, each with the bits of a `stats`
+        call on its cube alone; 0 at the arrays' ends."""
+        return tuple(np.append(m, 0.0) for m in self.stats(
+            self.st[:-1, None], self.en[:-1, None]))
+
+    def cube_stats(self, level, corners, aug) -> tuple:
+        """`stats` of the cubes of `cube_slices`, level one per cube: a
+        grid cube's read from `moments` by row, an augmented cube's (aug)
+        summed again."""
+        r = self.rows(level, corners)
+        out = tuple(m[r] for m in self.moments)
+        if aug.any():
+            out[0][aug], out[1][aug] = self.stats(*self.cube_slices(
+                level[aug], corners[aug], aug[aug]))
+        return out
+
+    def _kernel(self, kind, at, lo, side, alpha: float):
+        """w times the Poisson kernel at the atoms `at` of the grid cubes
+        (corners lo, sides side), for any broadcast of atoms and cubes."""
+        centre = (4 * lo + 2 * side[..., None]) / 2.0 ** (self.grid.M + 2)
+        d2 = 0.0
+        for a in range(self.n):
+            d = self.x[at, a] - centre[..., a]
+            d2 = d2 + d * d
+        return self.w[at] * poisson_kernel(kind, side / 2.0 ** self.grid.M,
+                                           np.sqrt(d2), self.n, alpha)
+
     def poisson(self, starts, ends, lo, side, alpha: float,
                 kind: str = "standard", holes=(None,)) -> np.ndarray:
         """Poisson integrals of each row's atoms at grid cubes (corners lo,
         sides side), one row per hole: without the atoms in the box
         hole = (lo4, hi4), grid quarter units per cube, or all of them
         where hole is None."""
-        n, res = self.n, self.grid.M
-        ell = side / 2.0 ** res
-        centre = (4 * lo + 2 * side[:, None]) / 2.0 ** (res + 2)
         out = np.zeros((len(holes), len(starts)))
         for rows, own, pos in ragged(starts, ends):
             k = rows.stop - rows.start
-            d = self.x[pos] - centre[rows][own]
-            dist = np.sqrt((d * d).sum(axis=1))
-            v = self.w[pos] * poisson_kernel(kind, ell[rows][own], dist, n,
-                                             alpha)
+            v = self._kernel(kind, pos, lo[rows][own], side[rows][own], alpha)
             p4 = self.p4[pos]
             for h, box in enumerate(holes):
                 out[h, rows] = np.bincount(own, v if box is None else np.where(
                     ((p4 >= box[0][rows][own])
                      & (p4 < box[1][rows][own])).all(axis=1),
                     0.0, v), k)
+        return out
+
+    def outside(self, starts, ends, lo, side, alpha: float,
+                kind: str) -> np.ndarray:
+        """Poisson integrals of the atoms outside each row's slices at
+        grid cubes (corners lo, sides side), in (rows x atoms) blocks of
+        at most _BLOCK entries: the kept atoms in the order of the slices
+        around the row's."""
+        out, pos = np.zeros(len(starts)), np.arange(len(self.w))
+        step = max(1, _BLOCK // max(len(pos), 1))
+        for i in range(0, len(starts) if len(pos) else 0, step):
+            b = slice(i, i + step)
+            v = self._kernel(kind, pos, lo[b, None], side[b, None], alpha)
+            v[((pos >= starts[b, :, None])
+               & (pos < ends[b, :, None])).any(axis=1)] = 0.0
+            out[b] = np.cumsum(v, axis=1)[:, -1]
         return out
 
 
@@ -321,15 +350,13 @@ def strong_terms(amb: Levels, mom: Levels, level, lo, aug, depth: int,
     for k in range(depth + 1):
         corners = pieces(g, level, lo, k).reshape(-1, n)
         lev = np.repeat(level + k, 1 << (n * k))
-        s, e = mom.cube_slices(lev, corners, aug.repeat(1 << (n * k)) & (
-            k == 0))
-        sel = np.flatnonzero((e - s).sum(axis=1) > 0)
-        m2 = mom.stats(s[sel], e[sel])[1]
-        sel, m2 = sel[m2 > 0], m2[m2 > 0]
+        m2 = mom.cube_stats(lev, corners, aug.repeat(1 << (n * k)) & (
+            k == 0))[1]
+        sel = np.flatnonzero(m2 > 0)
         top, side = sel >> (n * k), 2 ** (g.M - lev[sel])
         p = amb.poisson(a_s[top], a_e[top], corners[sel], side, alpha)[0]
         term = np.zeros(len(corners))
-        term[sel] = (p / (side / 2.0 ** g.M)) ** 2 * m2
+        term[sel] = (p / (side / 2.0 ** g.M)) ** 2 * m2[sel]
         terms.append(term.reshape(len(lo), -1))
     return terms
 
@@ -349,13 +376,9 @@ def whitney_terms(amb: Levels, mom: Levels, level: int, lo, aug, depth: int,
         wc, ws, _ = whitney_cells(g.M - level - k, n)
         corners = (pieces(g, level, lo, k)[:, :, None] + wc).reshape(-1, n)
         side = np.tile(ws, len(corners) // len(ws))
-        s, e = np.zeros((2, len(corners)), dtype=np.int64)
-        for sd in sorted(set(ws.tolist())):
-            at = side == sd
-            s[at], e[at] = mom.slices(g.M - sd.bit_length() + 1, corners[at])
-        sel = np.flatnonzero(e > s)
-        m2 = mom.stats(s[sel, None], e[sel, None])[1]
-        sel, m2 = sel[m2 > 0], m2[m2 > 0]
+        m2 = mom.moments[1][mom.rows(g.M - np.log2(side).astype(np.int64),
+                                     corners)]
+        sel = np.flatnonzero(m2 > 0)
         c, sd = corners[sel], side[sel]
         top = sel // (len(ws) << (n * k))
         box = {"plug": None, "partial": (4 * c, 4 * (c + sd[:, None]))}
@@ -369,7 +392,7 @@ def whitney_terms(amb: Levels, mom: Levels, level: int, lo, aug, depth: int,
                         holes=[box[name] for name in names])
         for name, v in zip(names, p):
             term = np.bincount(sel // len(ws), (v / (sd / 2.0 ** g.M)) ** 2
-                               * m2, len(corners) // len(ws))
+                               * m2[sel], len(corners) // len(ws))
             terms[name].append(term.reshape(len(lo), -1))
     return terms
 

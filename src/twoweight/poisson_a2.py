@@ -172,41 +172,40 @@ def a2_constants(sigma: Measure, omega: Measure, grids,
     The energy variants are evaluated with the plain martingale projection
     (unit testing functions), for which the sharp-norm square of x/l(Q)
     collapses to the normalized second moment of omega (resp. sigma) on Q.
-    A hole (the reproducing Poisson integral off Q) adds up the atoms of
-    the slices around Q's.
+    A hole (the reproducing Poisson integral off Q) is summed only where
+    the other measure has mass in Q, the only cubes that read it, in
+    dense blocks that add the atoms around Q's left to right.
     """
     if sigma.dim != omega.dim or sigma.resolution != omega.resolution:
         raise ValueError("weight pair must share dimension and resolution")
     n = sigma.dim
     if not 0 <= alpha < n:
         raise ValueError("alpha must lie in [0, n)")
-    from .levels import ragged, tops
+    from .levels import tops
     pts = common_points(sigma, omega)
     rep = A2Report(classicalA2_diverges=bool(pts))
     gi, lev, aug, lo = tops(grids, sigma, omega)
     # per measure (sigma, omega) and cube: mass, moment, hole, the
-    # heaviest atom at a common point
+    # heaviest atom at a common point (the largest over the cube's slices)
     cols = np.zeros((4, 2, len(gi)))
     ell = np.zeros(len(gi))
     for g, grid in enumerate(grids):
         rows = np.flatnonzero(gi == g)
         side = 2 ** (grid.M - lev[rows])
         ell[rows] = side / 2.0 ** grid.M
-        for k, mu in enumerate((sigma, omega)):
-            lv = mu.levels(grid)
-            common = np.array([tuple(p) in pts for p in mu.points],
-                              dtype=bool)[lv.order]
-            s, e = lv.cube_slices(lev[rows], lo[rows], aug[rows])
-            cols[:2, k, rows] = lv.stats(s, e)
-            for r, own, pos in ragged(s, e):
-                v = np.where(common[pos], lv.w[pos], 0.0)
-                o = np.lexsort((v, own))    # each row's largest last
-                last = o[np.flatnonzero(np.r_[own[o][1:] != own[o][:-1],
-                                              True])[:len(o)]]
-                cols[3, k, rows[r][own[last]]] = v[last]
-            s, e = lv.complement(s, e)
-            cols[2, k, rows] = lv.poisson(s, e, lo[rows], side, alpha,
-                                          "reproducing")[0]
+        tabs = [mu.levels(grid) for mu in (sigma, omega)]
+        sl = [lv.cube_slices(lev[rows], lo[rows], aug[rows]) for lv in tabs]
+        for k, (mu, lv, (s, e)) in enumerate(zip((sigma, omega), tabs, sl)):
+            cols[:2, k, rows] = lv.cube_stats(lev[rows], lo[rows], aug[rows])
+            v = np.where([tuple(p) in pts for p in mu.points], mu.masses, 0.0)
+            top = np.maximum.reduceat(np.append(v[lv.order], 0.0),
+                                      np.stack([s, e], -1).ravel())[::2]
+            cols[3, k, rows] = np.where(e > s, top.reshape(s.shape),
+                                        0.0).max(axis=1)
+        for k, (lv, (s, e)) in enumerate(zip(tabs, sl)):
+            on = cols[0, 1 - k, rows] > 0.0
+            cols[2, k, rows[on]] = lv.outside(s[on], e[on], lo[rows[on]],
+                                              side[on], alpha, "reproducing")
     (qs, qw), (ms, mw), (hs, hw), (bs, bw) = cols
     size = ell ** (n - alpha)  # |Q|^(1 - alpha/n)
     cands = {

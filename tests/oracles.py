@@ -14,8 +14,10 @@ energy by containment scans and one Poisson call per cube, the
 best-subpartition recursion, one energy pass per Whitney variant and
 per strong direction, the kernel matrix and operator applied in one
 shot with the coordinates last, the ancestor chain walked level by
-level, the broken-child infimum by scipy's Nelder-Mead, and the kernel
-validation sweep one pair at a time.  Tests compare the live code with them.
+level, the broken-child infimum by scipy's Nelder-Mead, the kernel
+validation sweep one pair at a time, and the A2 hole as a ragged sum
+over the slices around a cube's (`complement`, `hole_sum`).  Tests
+compare the live code with them.
 """
 
 import math
@@ -337,6 +339,24 @@ def puncture(q, mu, pts):
         if tuple(mu.points[i]) in pts:
             best = max(best, float(mu.masses[i]))
     return float(mu.masses[sel].sum()) - best
+
+
+def complement(lv, starts, ends):
+    """Slices of the table lv's atoms outside each row's disjoint slices."""
+    top = len(lv.w)   # disjoint slices: starts and ends sort alike
+    row = np.arange(len(starts)).repeat(starts.shape[1])
+    s, e = (y.ravel()[np.lexsort((y.ravel(), row))].reshape(starts.shape)
+            for y in (np.where(ends > starts, x, top)
+                      for x in (starts, ends)))
+    edge = np.full((len(s), 1), top)
+    return np.hstack([0 * edge, e]), np.hstack([s, edge])
+
+
+def hole_sum(lv, starts, ends, lo, side, alpha, kind):
+    """Poisson integrals of the atoms off each row's slices: the ragged
+    sum over the complement's slices that `Levels.outside` replaced."""
+    return lv.poisson(*complement(lv, starts, ends), lo, side, alpha,
+                      kind)[0]
 
 
 def a2_constants(sigma, omega, grids, alpha, include_augmented=True):

@@ -493,6 +493,17 @@ def test_broken_inf_certified_on_heavy_atom_clouds():
         assert value - gap <= atoms * (1 + 4 * eps), seed
 
 
+def test_broken_inf_certified_on_tight_clouds_far_from_zero():
+    # clouds 1e-6 wide about 0.5: searched on absolute coordinates the
+    # differences x_i - z lost about six digits and the worst gap read
+    # 6.2e-8 of the value; about one atom it reads below 1e-13
+    for seed in range(300):
+        pts, member, cands = _point_cloud(seed)
+        value, gap = _certified_min(0.5 + 1e-6 * pts, member,
+                                    [0.5 + 1e-6 * c for c in cands])
+        assert 0.0 <= gap <= 1e-12 * value, seed
+
+
 @pytest.mark.parametrize("steps", [0, 1])
 def test_broken_inf_cut_short_keeps_a_valid_gap(monkeypatch, steps):
     # stopped before it converges, the search still returns without

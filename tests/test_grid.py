@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from twoweight.grid import (
@@ -12,6 +13,7 @@ from twoweight.grid import (
     make_grid,
     sharp_cross,
     whitney,
+    whitney_cells,
 )
 
 import oracles
@@ -148,6 +150,22 @@ def test_whitney_pairwise_disjoint():
     cubes, _ = whitney(g.cube(0, (0, 0)))
     for a, b in itertools.combinations(cubes, 2):
         assert not meet(a, b)
+
+
+@pytest.mark.parametrize("depth,dim", [(0, 1), (3, 1), (4, 2), (2, 3)])
+def test_whitney_templates_are_shared_and_read_only(depth, dim):
+    # one template per (depth, dim), shared by every caller, so no caller
+    # may write to it
+    got = whitney_cells(depth, dim)
+    assert whitney_cells(depth, dim) is got
+    fresh = whitney_cells.__wrapped__(depth, dim)
+    assert all(np.array_equal(a, b) and a.dtype == b.dtype
+               for a, b in zip(got, fresh))
+    for a in got:
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            a += 1
 
 
 # ---------------------------------------------------------------- body

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import twoweight.grid as grid_mod
 import twoweight.harness as harness
+import twoweight.levels as levels_mod
 from twoweight.bfamily import make_family, sharp_norm_sq, sharp_norms_sq
 from twoweight.corona import (
     carleson_norm,
@@ -57,11 +58,23 @@ def pair(dim, kind, seed, natoms=14):
 
 # ------------------------------------------------------------ level tables
 
+GRIDS = [(1, 5, 0, {"kind": "beta", "bits": [[0] * 5]}),
+         (1, 4, -2, {"kind": "random", "seed": 3}),
+         (2, 3, 0, {"kind": "gamma", "g": [3, 5]}),
+         (2, 3, -1, {"kind": "random", "seed": 4})]
+
+
+def every_cube(g):
+    """(level, corner, augmented) arrays of every grid and augmented cube
+    of g."""
+    cubes = list(g.cubes()) + oracles.augmented_cubes(g)
+    return (np.array([q.level for q in cubes]),
+            np.array([q.lo for q in cubes]),
+            np.array([q.grid is None for q in cubes]))
+
+
 @pytest.mark.parametrize("dim,M,N,param,finer", [
-    (1, 5, 0, {"kind": "beta", "bits": [[0] * 5]}, 0),
-    (1, 4, -2, {"kind": "random", "seed": 3}, 1),
-    (2, 3, 0, {"kind": "gamma", "g": [3, 5]}, 0),
-    (2, 3, -1, {"kind": "random", "seed": 4}, 1)])
+    grid + (finer,) for grid, finer in zip(GRIDS, (0, 1, 0, 1))])
 def test_slices_hold_the_atoms_of_every_cube(dim, M, N, param, finer):
     # a measure on the grid's lattice; one on a finer lattice is refused
     g = make_grid(dim, M, N, param)
@@ -81,9 +94,51 @@ def test_slices_hold_the_atoms_of_every_cube(dim, M, N, param, finer):
         inside = np.concatenate([lv.order[a:b] for a, b in zip(s[0], e[0])])
         want = oracles.atoms_in(mu, q)
         assert sorted(inside) == list(np.flatnonzero(want))
-        s, e = lv.complement(s, e)
+        s, e = oracles.complement(lv, s, e)
         outside = np.concatenate([lv.order[a:b] for a, b in zip(s[0], e[0])])
         assert sorted(outside) == list(np.flatnonzero(~want))
+
+
+@pytest.mark.parametrize("block", [None, 7])
+@pytest.mark.parametrize("kind", ["standard", "reproducing"])
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+@pytest.mark.parametrize("dim,M,N,param", GRIDS)
+def test_dense_hole_is_the_ragged_sum_bit_for_bit(dim, M, N, param, alpha,
+                                                  kind, block, monkeypatch):
+    # the kernel on all atoms with the cube's own slices set to 0, summed
+    # left to right, adds the kept atoms in the ragged sum's order, so
+    # the values are equal, not close; a block of 7 entries holds one
+    # cube, so every row is its own block
+    if block:
+        monkeypatch.setattr(levels_mod, "_BLOCK", block)
+    g = make_grid(dim, M, N, param)
+    level, lo, aug = every_cube(g)
+    side = 2 ** (M - level)
+    for natoms in (3 * 2 ** dim, 0):
+        lv = Levels(draw(np.random.default_rng(M), dim, M, natoms), g)
+        s, e = lv.cube_slices(level, lo, aug)
+        got = lv.outside(s, e, lo, side, alpha, kind)
+        want = oracles.hole_sum(lv, s, e, lo, side, alpha, kind)
+        assert got.tolist() == want.tolist()
+        assert (got > 0).any() == bool(natoms)
+
+
+@pytest.mark.parametrize("dim,M,N,param", GRIDS)
+def test_row_moments_are_the_stats_of_each_row(dim, M, N, param):
+    g = make_grid(dim, M, N, param)
+    lv = Levels(draw(np.random.default_rng(M), dim, M, 3 * 2 ** dim), g)
+    mass, mom = lv.moments
+    for r in range(len(lv.st) - 1):
+        want = lv.stats(lv.st[r:r + 1, None], lv.en[r:r + 1, None])
+        assert (mass[r], mom[r]) == (want[0][0], want[1][0])
+    assert mass[-1] == mom[-1] == 0.0 and (mom > 0).any()
+    assert mass.tolist() == lv.mass.tolist()
+    # a grid cube's row, an augmented cube's children, an empty cube's 0
+    level, lo, aug = every_cube(g)
+    got = lv.cube_stats(level, lo, aug)
+    want = lv.stats(*lv.cube_slices(level, lo, aug))
+    assert [x.tolist() for x in got] == [x.tolist() for x in want]
+    assert aug.any() and (got[0] == 0).any()
 
 
 # ------------------------------------------------ energy stopping, alpha > 0
@@ -296,6 +351,24 @@ def test_sharp_norms_equal_the_cube_by_cube_loop(dim, M, kind):
     assert any(v > 0 for v in want) and got[-1] == 0.0
     assert oracles.close(sharp_norm_sq(fam, cubes),
                          oracles.sharp_norm_sq(fam, cubes))
+
+
+def test_a_verify_sums_the_moments_of_few_cubes_again(monkeypatch):
+    # grid cubes read their (mass, moment) from the table's rows; stats
+    # runs once per table and for the augmented cubes of each energy
+    # pass (49 calls per (1, 8, 200, 1) verify before the row moments)
+    calls = []
+    real = Levels.stats
+
+    def counted(self, *args):
+        calls.append(self)
+        return real(self, *args)
+
+    monkeypatch.setattr(Levels, "stats", counted)
+    for dim, M in ((1, 8), (2, 5)):
+        calls.clear()
+        verify_theorem(RunConfig(dim=dim, resolution=M, natoms=200, seed=1))
+        assert 0 < len(calls) <= 16
 
 
 def test_a_verify_builds_each_level_table_once(monkeypatch):
