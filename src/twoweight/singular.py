@@ -4,6 +4,13 @@ Everything acts on atomic measures, so the truncated operator is a finite
 sum and the two-weight norm is the largest singular value of an explicit
 mass-weighted kernel matrix.  Truncation is a hard cutoff: atom pairs at
 distance outside the open interval (delta, R) contribute nothing.
+
+Kernel matrices are produced in row blocks.  A Riesz kernel depends only
+on x - y, and atoms sit on a dyadic lattice, so for the Riesz kinds each
+entry of a large matrix is looked up by its lattice offset in a stencil
+evaluated once per call; custom kernels, and the cases `_stencil` lists,
+are evaluated pair by pair.  Both give the same bits, so the matrix and
+every sum over it are the same either way.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ __all__ = [
 
 _SVD_CUTOFF = 2000     # largest matrix side for the dense SVD
 _BLOCK = 1 << 15       # kernel entries evaluated per row block
+_STENCIL = 1 << 18     # most lattice offsets a kernel stencil holds
 _LANCZOS_STEPS = 128   # bidiagonalisation steps before a restart
 _LANCZOS_CYCLES = 50   # restarts before the best estimate is returned
 _LANCZOS_TOL = 1e-13   # top Ritz residual, relative to the value
@@ -121,21 +129,84 @@ def _kernel_values(spec: KernelSpec, xs: np.ndarray, ys: np.ndarray):
     return np.moveaxis(np.where(keep, diff * scale, 0.0), 0, -1)
 
 
+def _stencil(spec: KernelSpec, xs: np.ndarray, ys: np.ndarray):
+    """(values, ia, ib) with K(xs[i], ys[j]) = values[..., ia[i] + ib[j]],
+    or None where the kernel is evaluated per pair instead:
+
+    - custom kernels, whose func is called once per kept pair
+    - matrices of at most _BLOCK entries, empty ones included: one row
+      block, which the stencil's own evaluation would not save
+    - points off every lattice 2^-m Z^n with m <= 1000 and integer
+      coordinates below 2^52
+    - offset boxes of more than len(xs) * len(ys) or _STENCIL entries
+
+    A Riesz kernel depends only on x - y.  On the coarsest such lattice
+    the offsets x - y fill a box; values holds the kernel at each offset
+    of the box, flat in C order, with a leading dim axis for vector
+    kernels.  An offset times 2^-m is x - y to the bit, so the values
+    are the per-pair ones.
+    """
+    if spec.kind == "custom" or len(xs) * len(ys) <= _BLOCK:
+        return None
+    pts = np.concatenate((xs, ys))
+    mant, expo = np.frexp(np.abs(pts))
+    sig = (mant * 2.0 ** 53).astype(np.int64)   # |pts| = sig 2^(expo - 53)
+    zeros = np.frexp((sig & -sig).astype(np.float64))[1] - 1   # trailing
+    m = int(np.max(np.where(sig > 0, 53 - expo - zeros, 0)))
+    if m > 1000 or int(expo.max()) + m > 52:
+        return None
+    pts = np.ldexp(pts, m).astype(np.int64)     # exact: below 2^52
+    a, b = pts[:len(xs)], pts[len(xs):]
+    amin, bmax = a.min(axis=0), b.max(axis=0)
+    lo = amin - bmax
+    shape = tuple((a.max(axis=0) - b.min(axis=0) - lo + 1).tolist())
+    size = math.prod(shape)
+    if size > min(_STENCIL, len(xs) * len(ys)):
+        return None
+    values = np.empty((spec.dim,) * spec.vector_valued + (size,))
+    # chunks of _BLOCK / 2 coordinates: the temporaries stay below those
+    # of a row block evaluated per pair
+    origin, step = np.zeros((1, spec.dim)), _BLOCK // (2 * spec.dim)
+    for s in range(0, size, step):
+        d = np.array(np.unravel_index(np.arange(s, min(s + step, size)),
+                                      shape))
+        v = _kernel_values(spec, np.ldexp(d + lo[:, None], -m).T, origin)
+        values[..., s:s + len(v)] = np.moveaxis(v, -1, 0) \
+            if spec.vector_valued else v
+    # a_i - b_j - lo = (a_i - min a) + (max b - b_j), both inside the box
+    return (values, np.ravel_multi_index((a - amin).T, shape),
+            np.ravel_multi_index((bmax - b).T, shape))
+
+
 def _row_blocks(spec: KernelSpec, xs: np.ndarray, ys: np.ndarray):
     """(lo, vals), vals[i - lo, j] = K(xs[i], ys[j]), in row blocks of
-    about _BLOCK entries; custom kernels are called in row-major order."""
+    about _BLOCK entries: gathered from the stencil through one reused
+    index buffer, or evaluated per pair, custom kernels in row-major
+    order."""
     step = max(1, _BLOCK // max(len(ys), 1))
+    stencil = _stencil(spec, xs, ys)
+    if stencil is None:
+        for lo in range(0, len(xs), step):
+            yield lo, _kernel_values(spec, xs[lo:lo + step, None, :],
+                                     ys[None, :, :])
+        return
+    values, ia, ib = stencil
+    buf = np.empty((min(step, len(xs)), len(ys)), dtype=np.intp)
     for lo in range(0, len(xs), step):
-        yield lo, _kernel_values(spec, xs[lo:lo + step, None, :],
-                                 ys[None, :, :])
+        rows = ia[lo:lo + step, None]
+        vals = values.take(np.add(rows, ib, out=buf[:len(rows)]), axis=-1)
+        yield lo, np.moveaxis(vals, 0, -1) if spec.vector_valued else vals
 
 
 def _eval_matrix(spec: KernelSpec, xs: np.ndarray, ys: np.ndarray):
     """Truncated kernel values for every x in xs against every y in ys.
 
     Shape (len(xs), len(ys)), with a trailing dim axis for vector kernels;
-    at most 10^4 points a side.  A vector kernel's matrix is a view of a
-    (dim, len(xs), len(ys)) array, as _kernel_values lays it out.
+    at most 10^4 points a side, refused before any value is computed.  A
+    vector kernel's matrix is a view of a (dim, len(xs), len(ys)) array,
+    as _kernel_values lays it out.  The rows come from _row_blocks: looked
+    up by lattice offset for the Riesz kinds, evaluated per pair for
+    custom kernels (see _stencil).
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
     ys = np.atleast_2d(np.asarray(ys, dtype=np.float64))
@@ -259,7 +330,11 @@ def apply(kernel: KernelSpec, sigma: Measure, f, omega: Measure,
     f is an array over the sigma atoms.  With transpose=True the kernel
     arguments are swapped, giving the dual operator.  Vector kernels
     return shape (omega.natoms, dim).  The kernel is streamed in row
-    blocks of omega atoms, or of sigma atoms summed with transpose=True.
+    blocks of omega atoms, or of sigma atoms summed with transpose=True,
+    each of about _BLOCK entries.  So besides O(N) arrays over the atoms
+    it holds one row block and, for the Riesz kinds, a stencil of at most
+    _STENCIL offsets (dim values each for a vector kernel), never the
+    whole matrix.
     """
     wf = sigma.masses * _over_atoms(f, sigma)
     xs, ys = omega.coords_float(), sigma.coords_float()

@@ -238,6 +238,137 @@ def test_custom_kernel_called_once_per_kept_pair(monkeypatch, transpose):
     assert streamed == whole and blocked == whole
 
 
+# ------------------------------------------------------ the kernel stencil
+
+DELTA, RADIUS = 2 / 32, 20 / 32     # lattice distances at resolution 5
+
+
+def _signed_measure(rng, dim, M, half, natoms):
+    """natoms distinct atoms of [-half, half)^dim at resolution M."""
+    side = np.arange(-half, half)
+    grid = np.stack(np.meshgrid(*[side] * dim, indexing="ij"),
+                    axis=-1).reshape(-1, dim)
+    pts = grid[rng.choice(len(grid), natoms, replace=False)]
+    return Measure.from_atoms(dim, M, [(tuple(p), float(rng.random() + 0.2))
+                                       for p in pts.tolist()])
+
+
+def _stencil_pair(dim):
+    """sigma at resolution 3, omega at resolution 5, both about the
+    origin, with pairs at exactly DELTA and exactly RADIUS apart."""
+    rng = np.random.default_rng(30 + dim)
+    sigma = _signed_measure(rng, dim, 3, 8 // dim, 14 if dim == 1 else 40)
+    omega = _signed_measure(rng, dim, 5, 32 // dim, 60 if dim == 1 else 300)
+    lifted = sigma.points * 4
+    d2 = ((omega.points[:, None, :] - lifted[None, :, :]) ** 2).sum(axis=-1)
+    assert (d2 == 4).any() and (d2 == 400).any()
+    return sigma, omega
+
+
+STENCIL_KERNELS = [(1, "riesz", 0), (1, "riesz_vector", None),
+                   (2, "riesz", 0), (2, "riesz", 1),
+                   (2, "riesz_vector", None)]
+
+
+def _stencil_kernel(dim, kind, component, alpha):
+    return make_kernel(dim, alpha, kind, component=component or 0,
+                       delta_trunc=DELTA, radius=RADIUS)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+@pytest.mark.parametrize("dim,kind,component", STENCIL_KERNELS)
+def test_stencil_matrix_is_the_per_pair_matrix(monkeypatch, dim, kind,
+                                               component, alpha):
+    kernel = _stencil_kernel(dim, kind, component, alpha)
+    sigma, omega = _stencil_pair(dim)
+    # 64-entry blocks: one- to four-row blocks and a stencil built in
+    # chunks of 16 or 32 offsets
+    monkeypatch.setattr(sg, "_BLOCK", 64)
+    for xs, ys in ((omega.coords_float(), sigma.coords_float()),
+                   (sigma.coords_float(), omega.coords_float())):
+        assert sg._stencil(kernel, xs, ys) is not None
+        got = sg._eval_matrix(kernel, xs, ys)
+        want = oracles.eval_matrix(kernel, xs, ys)
+        assert np.array_equal(got, want)
+        # the strict inequalities of the truncation bite at both ends
+        r = np.sqrt(((xs[:, None, :] - ys[None, :, :]) ** 2).sum(axis=-1))
+        edge = (r == DELTA) | (r == RADIUS)
+        assert edge.any() and not want[edge].any()
+        assert np.moveaxis(got, -1, 0).flags.c_contiguous \
+            or not kernel.vector_valued
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+@pytest.mark.parametrize("dim,kind,component", STENCIL_KERNELS)
+def test_stencil_apply_is_the_per_pair_apply(monkeypatch, dim, kind,
+                                             component, alpha, transpose):
+    # the same row blocks of the same bits go through the same products;
+    # the whole-matrix oracle sums in another order, so it agrees to
+    # rounding only
+    kernel = _stencil_kernel(dim, kind, component, alpha)
+    sigma, omega = _stencil_pair(dim)
+    src, dst = (omega, sigma) if transpose else (sigma, omega)
+    f = np.random.default_rng(dim).standard_normal(src.natoms)
+    monkeypatch.setattr(sg, "_BLOCK", 64)
+    got = apply(kernel, src, f, dst, transpose=transpose)
+    monkeypatch.setattr(sg, "_STENCIL", 0)
+    assert np.array_equal(got, apply(kernel, src, f, dst,
+                                     transpose=transpose))
+    want = oracles.apply(kernel, src, f, dst, transpose)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("kind", ["riesz", "riesz_vector"])
+def test_stencil_of_an_empty_measure(monkeypatch, kind):
+    kernel = make_kernel(2, 0.0, kind)
+    full = _stencil_pair(2)[1]
+    empty = Measure(2, 5, np.zeros((0, 2), dtype=np.int64), np.zeros(0))
+    # an empty matrix never reaches the lattice, whatever the block size
+    monkeypatch.setattr(sg, "_BLOCK", 0)
+    for xs, ys in ((full.coords_float(), empty.coords_float()),
+                   (empty.coords_float(), full.coords_float())):
+        assert sg._stencil(kernel, xs, ys) is None
+        got = sg._eval_matrix(kernel, xs, ys)
+        assert np.array_equal(got, oracles.eval_matrix(kernel, xs, ys))
+    for src, dst, tr in ((full, empty, False), (empty, full, False),
+                         (full, empty, True), (empty, full, True)):
+        f = np.ones(src.natoms)
+        assert np.array_equal(apply(kernel, src, f, dst, transpose=tr),
+                              oracles.apply(kernel, src, f, dst, tr))
+
+
+def test_custom_kernel_takes_the_per_pair_path():
+    kernel, calls = _counting_custom()
+    xs = np.arange(300, dtype=np.float64)[:, None] / 64
+    ys = np.arange(-200, 200, 2, dtype=np.float64)[:, None] / 64
+    # a Riesz kernel on these points takes the stencil
+    assert sg._stencil(make_kernel(1, 0.0), xs, ys) is not None
+    assert sg._stencil(kernel, xs, ys) is None
+    got = sg._eval_matrix(kernel, xs, ys)
+    assert len(calls) == np.count_nonzero(got) == 300 * 200 - 100
+    assert np.array_equal(got, oracles.eval_matrix(kernel, xs, ys))
+
+
+def test_box_over_the_cap_takes_the_per_pair_path(monkeypatch):
+    import tracemalloc
+    kernel = make_kernel(2, 0.5, "riesz_vector")
+    rng = np.random.default_rng(31)
+    xs, ys = (_signed_measure(rng, 2, 7, 64, 300).coords_float()
+              for _ in range(2))
+    values = sg._stencil(kernel, xs, ys)[0]      # about 255^2 offsets
+    monkeypatch.setattr(sg, "_STENCIL", values.shape[1] - 1)
+    tracemalloc.start()
+    try:
+        assert sg._stencil(kernel, xs, ys) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < values.nbytes // 4
+    assert np.array_equal(sg._eval_matrix(kernel, xs, ys),
+                          oracles.eval_matrix(kernel, xs, ys))
+
+
 # ---------------------------------------------------------- operator_norm
 
 def test_norm_empty_sigma():
@@ -350,12 +481,17 @@ def test_reorthogonalisation_holds_for_a_vector_near_the_span():
     assert np.abs(basis @ out).max() <= 1e-14 * np.linalg.norm(out)
 
 
-def test_atom_cap_refuses_before_evaluating():
+def test_atom_cap_refuses_before_evaluating(monkeypatch):
     k = make_kernel(1, 0.0, "riesz")
     big = Measure(1, 14, np.arange(10_001, dtype=np.int64)[:, None],
                   np.ones(10_001))
+    calls = []
+    kernel_values = sg._kernel_values
+    monkeypatch.setattr(sg, "_kernel_values", lambda *a: calls.append(a)
+                        or kernel_values(*a))
     with pytest.raises(ValueError, match="10\\^4"):
         operator_norm(k, big, single_atom(1, 14, (3,)))
+    assert calls == []
 
 
 def test_lanczos_norm_just_above_the_cutoff(monkeypatch):
@@ -548,6 +684,28 @@ def test_testing_constants_with_an_empty_measure_match_loop(kind):
     assert rep.forward == 0.0 and rep.norm == 0.0 and len(rep.table) > 0
     # empty sigma: dual quotients integrate over no atoms
     _assert_matches_loop(kernel, empty, full, _no_cubes(empty, g, root), fam)
+
+
+@pytest.mark.parametrize("kind", ["riesz", "riesz_vector"])
+def test_testing_constants_through_the_stencil_are_the_per_pair_ones(
+        monkeypatch, kind):
+    kernel = make_kernel(2, 0.5, kind)
+    rng = np.random.default_rng(32)
+    sigma = _sparse_measure(rng, 2, 3, 40)
+    omega = _sparse_measure(rng, 2, 3, 45)
+    g = std_grid(dim=2, M=3)
+    root = g.cube(0, (0, 0))
+    bf = make_family("random", sigma, g, root, seed=6)
+    bs = make_family("random", omega, g, root, seed=7)
+    monkeypatch.setattr(sg, "_BLOCK", 64)
+    assert sg._stencil(kernel, omega.coords_float(),
+                       sigma.coords_float()) is not None
+    got = testing_constants(kernel, sigma, omega, bf, bs)
+    monkeypatch.setattr(sg, "_STENCIL", 0)
+    want = testing_constants(kernel, sigma, omega, bf, bs)
+    assert got.as_dict() == want.as_dict()
+    for a, b in zip(got.quotients, want.quotients):
+        assert all(np.array_equal(x, y) for x, y in zip(a[2:], b[2:]))
 
 
 def test_apply_transpose_is_the_swapped_forward_matrix():
