@@ -199,9 +199,11 @@ def energy_stopping(sigma: Measure, omega: Measure, root: Cube,
     val = np.zeros(len(amb.level))      # each row's quotient under its top
 
     def criterion(top: Cube, t: int, rows) -> dict:
-        d = grid.M - top.level
-        terms = strong_terms(amb, mom, top.level, np.array([top.lo]),
-                             np.zeros(1, bool), d, alpha)
+        d, lo, aug = grid.M - top.level, np.array([top.lo]), np.zeros(1, bool)
+        r = amb.cube_rows(top.level, lo, aug)[0]
+        terms = strong_terms(amb, mom, top.level, lo, d, alpha,
+                             (amb.st[r], amb.en[r]),
+                             mom.cube_rows(top.level, lo, aug)[2])
         best = subpartition(terms, grid.dim,
                             d if depth is None else min(depth, d))
         k = amb.level[rows] - top.level

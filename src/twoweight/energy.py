@@ -68,43 +68,40 @@ class EnergyReport:
         }
 
 
-def _groups(grids, cubes, tables, depth, by_level=False):
-    """(grid, its tables, rows, masses, DP depth) of the enumerated cubes
-    of positive mass in the first table, by grid and DP depth (and by
-    level with by_level)."""
-    gi, lev, aug, lo = cubes
+def _strong_ratios(tp, grids, k: int, alpha: float, depth) -> tuple:
+    """Each top's best subpartition sum over its mass, measure k of the
+    pair the ambient and the other the moments, and a function giving
+    top i's best subpartition as (depth, index) pairs."""
+    from .levels import best_sums, partition, strong_terms
+    ratio, runs = np.zeros(len(tp.gi)), {}
     for g, grid in enumerate(grids):
-        tabs = tables(grid)
-        rows = np.flatnonzero(gi == g)
-        qs = tabs[0].cube_stats(lev[rows], lo[rows], aug[rows])[0]
-        rows, qs = rows[qs > 0], qs[qs > 0]
-        d = grid.M - lev[rows]
-        d = d if depth is None else np.minimum(d, depth)
-        key = lev[rows] if by_level else d
-        for v in sorted(set(key.tolist())):
-            yield grid, tabs, rows[key == v], qs[key == v], int(d[key == v][0])
+        rows, d = tp.by_depth(g, k, depth)
+        amb, mom = tp.tables[g][k], tp.tables[g][1 - k]
+        terms = strong_terms(amb, mom, tp.lev[rows], tp.lo[rows], d, alpha,
+                             tp.slices(g, k, rows), tp.moment[1 - k, rows])
+        best, found = best_sums(terms, d, grid.dim)
+        ratio[rows] = best / tp.mass[k, rows]
+        runs[g] = rows, found
+
+    def parts(i: int) -> list:
+        rows, found = runs[tp.gi[i]]
+        t = int(np.flatnonzero(rows == i)[0])
+        a, terms, best = [r for r in found if r[0] <= t][-1]
+        return partition(terms, best, grids[tp.gi[i]].dim, t - a)
+    return ratio, parts
 
 
-def _strong_one_direction(grids, cubes, tables, alpha, depth):
-    from .levels import partition, pieces, strong_terms, subpartition
-    gi, lev, aug, lo = cubes
-    ratio = np.zeros(len(gi))
-    for grid, (amb, mom), rows, qs, d in _groups(grids, cubes, tables,
-                                                 depth):
-        terms = strong_terms(amb, mom, lev[rows], lo[rows], aug[rows], d,
-                             alpha)
-        ratio[rows] = subpartition(terms, grid.dim, d)[0][:, 0] / qs
+def _strong_one_direction(tp, grids, k, alpha, depth):
+    from .levels import pieces
+    ratio, parts = _strong_ratios(tp, grids, k, alpha, depth)
     i = int(np.argmax(ratio)) if len(ratio) else 0
     if not len(ratio) or ratio[i] <= 0.0:
         return 0.0, None, []
-    grid, level, top = grids[gi[i]], int(lev[i]), lo[i:i + 1]
-    d = grid.M - level if depth is None else min(depth, grid.M - level)
-    amb, mom = tables(grid)
-    terms = strong_terms(amb, mom, level, top, aug[i:i + 1], d, alpha)
-    best = subpartition(terms, grid.dim, d)
-    parts = [cube_at(grid, level + k, pieces(grid, level, top, k)[0, m],
-                     aug[i]) for k, m in partition(terms, best, grid.dim, 0)]
-    return math.sqrt(ratio[i]), cube_at(grid, level, lo[i], aug[i]), parts
+    grid, level, aug = grids[tp.gi[i]], int(tp.lev[i]), tp.aug[i]
+    top = tp.lo[i:i + 1]
+    return math.sqrt(ratio[i]), cube_at(grid, level, tp.lo[i], aug), [
+        cube_at(grid, level + d, pieces(grid, level, top, d)[0, m], aug)
+        for d, m in parts(i)]
 
 
 def strong_energy(sigma: Measure, omega: Measure, grids, alpha: float,
@@ -120,12 +117,9 @@ def strong_energy(sigma: Measure, omega: Measure, grids, alpha: float,
         raise ValueError("depth must be at least 1 (or None)")
     if not 0 <= alpha < sigma.dim:
         raise ValueError("alpha must lie in [0, n)")
-    from .levels import tops
-    cubes = tops(grids, sigma, omega)
-    s, w, p = _strong_one_direction(grids, cubes, lambda g: (
-        sigma.levels(g), omega.levels(g)), alpha, depth)
-    s2, w2, _ = _strong_one_direction(grids, cubes, lambda g: (
-        omega.levels(g), sigma.levels(g)), alpha, depth)
+    tp = sigma.tops(grids, omega)
+    s, w, p = _strong_one_direction(tp, grids, 0, alpha, depth)
+    s2, w2, _ = _strong_one_direction(tp, grids, 1, alpha, depth)
     return EnergyReport(strong=s, strong_star=s2, depth=depth,
                         strong_witness=w, strong_partition=p,
                         strong_star_witness=w2)
@@ -136,6 +130,21 @@ def strong_energy(sigma: Measure, omega: Measure, grids, alpha: float,
 
 
 _WHITNEY_VARIANTS = ("hole", "partial", "plug")
+
+
+def _whitney_ratios(tp, grids, alpha: float, gamma: float, names,
+                    depth) -> np.ndarray:
+    """(variants, tops) best subpartition sums over the sigma-masses."""
+    from .levels import best_sums, whitney_terms
+    ratio = np.zeros((len(names), len(tp.gi)))
+    for g, grid in enumerate(grids):
+        rows, d = tp.by_depth(g, 0, depth)
+        terms = whitney_terms(*tp.tables[g], tp.lev[rows], tp.lo[rows], d,
+                              alpha, gamma, names, tp.slices(g, 0, rows))
+        for r, name in enumerate(names):
+            ratio[r, rows] = best_sums(terms[name], d, grid.dim)[0] \
+                / tp.mass[0, rows]
+    return ratio
 
 
 def whitney_energy(sigma: Measure, omega: Measure, grids, alpha: float,
@@ -157,23 +166,13 @@ def whitney_energy(sigma: Measure, omega: Measure, grids, alpha: float,
     for name in names:
         if name not in _WHITNEY_VARIANTS:
             raise ValueError(f"unknown Whitney variant {name!r}")
-    from .levels import subpartition, tops, whitney_terms
-    cubes = tops(grids, sigma, omega)
-    gi, lev, aug, lo = cubes
-    ratio = np.zeros((len(names), len(gi)))
-    for grid, (amb, mom), rows, qs, d in _groups(
-            grids, cubes, lambda g: (sigma.levels(g), omega.levels(g)),
-            depth, by_level=True):
-        terms = whitney_terms(amb, mom, int(lev[rows[0]]), lo[rows],
-                              aug[rows], d, alpha, gamma, names)
-        for r, name in enumerate(names):
-            ratio[r, rows] = subpartition(terms[name], grid.dim,
-                                          d)[0][:, 0] / qs
+    tp = sigma.tops(grids, omega)
     found = {}
-    for r, name in zip(ratio, names):
+    for r, name in zip(_whitney_ratios(tp, grids, alpha, gamma, names,
+                                       depth), names):
         i = int(np.argmax(r)) if len(r) else 0
-        found[name] = (math.sqrt(r[i]), cube_at(grids[gi[i]], int(lev[i]),
-                                                lo[i], aug[i])) \
+        found[name] = (math.sqrt(r[i]), cube_at(
+            grids[tp.gi[i]], int(tp.lev[i]), tp.lo[i], tp.aug[i])) \
             if len(r) and r[i] > 0.0 else (0.0, None)
     return found
 

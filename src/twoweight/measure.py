@@ -20,6 +20,7 @@ __all__ = [
     "mass",
     "average",
     "common_points",
+    "at_points_of",
 ]
 
 
@@ -47,6 +48,8 @@ class Measure:
     _index: dict = field(default_factory=dict, init=False, repr=False)
     # grid -> the measure's level table on it, built by levels()
     _levels: dict = field(default_factory=dict, init=False, repr=False)
+    # (grids, other measure) -> the pair's enumerated cubes, built by tops()
+    _tops: dict = field(default_factory=dict, init=False, repr=False)
 
     @staticmethod
     def from_atoms(dim, resolution, atoms) -> "Measure":
@@ -123,6 +126,16 @@ class Measure:
             self._levels[grid] = Levels(self, grid)
         return self._levels[grid]
 
+    def tops(self, grids, other):
+        """The `levels.Tops` of the pair (self, other) on the grids: the
+        enumerated cubes with their slices and (mass, moment) in both
+        measures' level tables, built once."""
+        key = (tuple(grids), other)
+        if key not in self._tops:
+            from .levels import Tops
+            self._tops[key] = Tops(grids, self, other)
+        return self._tops[key]
+
     def in_cube(self, q) -> np.ndarray:
         """Boolean mask of atoms in the cube q: the view of atoms(q)."""
         mask = np.zeros(self.natoms, dtype=bool)
@@ -173,11 +186,24 @@ def average(q, mu: Measure, f: np.ndarray) -> float:
     return float(np.dot(mu.masses[idx], f[idx])) / tot
 
 
+def at_points_of(mu: Measure, other: Measure) -> np.ndarray:
+    """Mask of the atoms of mu that sit where other has an atom: one
+    sort of both measures' points, other's first among equal points."""
+    both = np.concatenate([other.points, mu.points])
+    own = np.arange(len(both)) - other.natoms     # below 0: other's atoms
+    o = np.lexsort((own, *both.T[::-1]))
+    p, own = both[o], own[o]
+    first = np.r_[True, (p[1:] != p[:-1]).any(axis=1)]
+    lead = own[first][np.cumsum(first) - 1]     # the first of each point
+    out = np.zeros(mu.natoms, dtype=bool)
+    out[own[own >= 0]] = lead[own >= 0] < 0
+    return out
+
+
 def common_points(sigma: Measure, omega: Measure) -> PointSet:
     """Common atom locations of two measures at the same resolution."""
     if sigma.resolution != omega.resolution:
         raise ValueError("measures must share a resolution")
-    a = {tuple(p) for p in sigma.points}
-    b = {tuple(p) for p in omega.points}
-    return frozenset(a & b)
+    shared = sigma.points[at_points_of(sigma, omega)].tolist()
+    return frozenset(map(tuple, shared))
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import Cube, cube_at, cube_dict
-from .measure import Measure, common_points
+from .measure import Measure, at_points_of
 
 __all__ = [
     "A2Report",
@@ -181,28 +181,26 @@ def a2_constants(sigma: Measure, omega: Measure, grids,
     n = sigma.dim
     if not 0 <= alpha < n:
         raise ValueError("alpha must lie in [0, n)")
-    from .levels import tops
-    pts = common_points(sigma, omega)
-    rep = A2Report(classicalA2_diverges=bool(pts))
-    gi, lev, aug, lo = tops(grids, sigma, omega)
+    tp = sigma.tops(grids, omega)
+    gi, lev, aug, lo = tp.gi, tp.lev, tp.aug, tp.lo
+    common = [at_points_of(sigma, omega), at_points_of(omega, sigma)]
+    rep = A2Report(classicalA2_diverges=bool(common[0].any()))
     # per measure (sigma, omega) and cube: mass, moment, hole, the
     # heaviest atom at a common point (the largest over the cube's slices)
     cols = np.zeros((4, 2, len(gi)))
+    cols[:2] = tp.mass, tp.moment
     ell = np.zeros(len(gi))
     for g, grid in enumerate(grids):
-        rows = np.flatnonzero(gi == g)
+        rows = tp.at[g]
         side = 2 ** (grid.M - lev[rows])
         ell[rows] = side / 2.0 ** grid.M
-        tabs = [mu.levels(grid) for mu in (sigma, omega)]
-        sl = [lv.cube_slices(lev[rows], lo[rows], aug[rows]) for lv in tabs]
-        for k, (mu, lv, (s, e)) in enumerate(zip((sigma, omega), tabs, sl)):
-            cols[:2, k, rows] = lv.cube_stats(lev[rows], lo[rows], aug[rows])
-            v = np.where([tuple(p) in pts for p in mu.points], mu.masses, 0.0)
+        for k, (mu, lv) in enumerate(zip((sigma, omega), tp.tables[g])):
+            s, e = tp.slices(g, k, rows)
+            v = np.where(common[k], mu.masses, 0.0)
             top = np.maximum.reduceat(np.append(v[lv.order], 0.0),
                                       np.stack([s, e], -1).ravel())[::2]
             cols[3, k, rows] = np.where(e > s, top.reshape(s.shape),
                                         0.0).max(axis=1)
-        for k, (lv, (s, e)) in enumerate(zip(tabs, sl)):
             on = cols[0, 1 - k, rows] > 0.0
             cols[2, k, rows[on]] = lv.outside(s[on], e[on], lo[rows[on]],
                                               side[on], alpha, "reproducing")

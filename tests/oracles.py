@@ -15,9 +15,12 @@ best-subpartition recursion, one energy pass per Whitney variant and
 per strong direction, the kernel matrix and operator applied in one
 shot with the coordinates last, the ancestor chain walked level by
 level, the broken-child infimum by scipy's Nelder-Mead, the kernel
-validation sweep one pair at a time, and the A2 hole as a ragged sum
-over the slices around a cube's (`complement`, `hole_sum`).  Tests
-compare the live code with them.
+validation sweep one pair at a time, the A2 hole as a ragged sum
+over the slices around a cube's (`complement`, `hole_sum`), the row
+lookup as a search of one sorted code array (`rows`), and the strong
+and Whitney terms built once per grid and DP depth (or level) group
+(`strong_groups`, `whitney_groups`).  Tests compare the live code with
+them.
 """
 
 import math
@@ -27,9 +30,12 @@ import numpy as np
 from scipy.optimize import minimize
 
 from twoweight import singular
-from twoweight.grid import cube_at, scaled_box4, whitney
+from twoweight.grid import cube_at, dilate4, scaled_box4, whitney, \
+    whitney_cells
+from twoweight.levels import partition, pieces, subpartition
 from twoweight.measure import Measure, common_points
-from twoweight.poisson_a2 import A2Report, enumerate_cubes, poisson
+from twoweight.poisson_a2 import A2Report, enumerate_cubes, poisson, \
+    poisson_kernel
 
 
 def atoms_in(mu, q):
@@ -802,3 +808,171 @@ def loop_sweep(spec, samples, rng):
         if grad2 >= 0.0:
             worst_grad = max(worst_grad, math.sqrt(grad2))
     return worst_size, worst_grad, worst_pair
+
+
+# ---------------------------------------------------------------------------
+# the level table's row lookup by a sorted code array, and the energy
+# terms built per grid and DP depth (strong) or level (Whitney)
+
+
+def rows(lv, level, corners):
+    """`Levels.rows` by one sorted code array: level l's cells, offset by
+    the low corner of the box of its nonempty cells (and 0), in mixed
+    radix, plus the sizes of the boxes before; searchsorted, then an
+    equality check (-2 codes a cell outside its level's box)."""
+    g, n = lv.grid, lv.n
+    off, sides = g.level_arrays
+    own = lv.level
+    cells = (lv.corner - off[own - g.N]) // sides[own - g.N]
+    lo = np.zeros((len(off), n), dtype=np.int64)
+    span = np.ones((len(off), n), dtype=np.int64)
+    for li in range(len(off)):
+        c = cells[own - g.N == li]
+        lo[li] = c.min(axis=0, initial=0)
+        span[li] = c.max(axis=0, initial=0) - lo[li] + 1
+    base = np.cumsum(np.r_[0, span.prod(axis=1)[:-1]])
+
+    def code(li, c):
+        rel, sp = c - lo[li], span[li]
+        out = rel[..., 0]
+        for a in range(1, n):
+            out = out * sp[..., a] + rel[..., a]
+        return np.where(((rel >= 0) & (rel < sp)).all(axis=-1),
+                        base[li] + out, -2)
+
+    codes = np.append(code(own - g.N, cells), -1)
+    assert (np.diff(codes[:-1]) > 0).all()      # rows in code order
+    li = np.asarray(level) - g.N
+    c = code(li, (np.asarray(corners) - off[li]) // sides[li, 0][..., None])
+    i = np.searchsorted(codes[:-1], c)
+    return np.where(codes[i] == c, i, -1)
+
+
+def poisson_rows(lv, starts, ends, lo, side, alpha, kind, holes):
+    """`Levels.poisson` one row at a time: the row's atoms in slice order,
+    the kernel at the cube's centre, the atoms in a hole box dropped, the
+    rest added left to right."""
+    out = np.zeros((len(holes), len(starts)))
+    for r in range(len(starts)):
+        at = np.concatenate([np.arange(s, e, dtype=np.int64)
+                             for s, e in zip(starts[r], ends[r])])
+        d = lv.x[at] - (4 * lo[r] + 2 * side[r]) / 2.0 ** (lv.grid.M + 2)
+        d2 = 0.0
+        for a in range(lv.n):
+            d2 = d2 + d[:, a] * d[:, a]
+        ell = np.full(len(at), side[r] / 2.0 ** lv.grid.M)
+        v = lv.w[at] * poisson_kernel(kind, ell, np.sqrt(d2), lv.n, alpha)
+        for h, box in enumerate(holes):
+            if box is not None:
+                v_h = np.where(((lv.p4[at] >= box[0][r])
+                                & (lv.p4[at] < box[1][r])).all(axis=1),
+                               0.0, v)
+            out[h, r] = np.cumsum(np.r_[0.0, v if box is None else v_h])[-1]
+    return out
+
+
+def strong_terms(amb, mom, level, lo, aug, depth, alpha):
+    """terms[k] (tops, 2^(nk)) of the strong energy below tops at level,
+    one `Levels.poisson` call per depth for one group of tops."""
+    g, n = amb.grid, amb.n
+    level = np.broadcast_to(level, aug.shape)
+    r = amb.cube_rows(level, lo, aug)[0]
+    a_s, a_e = amb.st[r], amb.en[r]
+    terms = []
+    for k in range(depth + 1):
+        corners = pieces(g, level, lo, k).reshape(-1, n)
+        lev = np.repeat(level + k, 1 << (n * k))
+        m2 = mom.cube_rows(lev, corners,
+                           aug.repeat(1 << (n * k)) & (k == 0))[2]
+        sel = np.flatnonzero(m2 > 0)
+        top, side = sel >> (n * k), 2 ** (g.M - lev[sel])
+        p = amb.poisson(a_s[top], a_e[top], corners[sel], side, alpha)[0]
+        term = np.zeros(len(corners))
+        term[sel] = (p / (side / 2.0 ** g.M)) ** 2 * m2[sel]
+        terms.append(term.reshape(len(lo), -1))
+    return terms
+
+
+def whitney_terms(amb, mom, level, lo, aug, depth, alpha, gamma, names):
+    """{variant: terms[k]} of the Whitney energies below tops at one
+    level, one template per depth shifted to every piece."""
+    g, n = amb.grid, amb.n
+    r = amb.cube_rows(level, lo, aug)[0]
+    a_s, a_e = amb.st[r], amb.en[r]
+    terms = {name: [] for name in names}
+    for k in range(depth + 1):
+        wc, ws, _ = whitney_cells(g.M - level - k, n)
+        corners = (pieces(g, level, lo, k)[:, :, None] + wc).reshape(-1, n)
+        side = np.tile(ws, len(corners) // len(ws))
+        m2 = mom.moments[1][mom.rows(g.M - np.log2(side).astype(np.int64),
+                                     corners)]
+        sel = np.flatnonzero(m2 > 0)
+        c, sd = corners[sel], side[sel]
+        top = sel // (len(ws) << (n * k))
+        box = {"plug": None, "partial": (4 * c, 4 * (c + sd[:, None]))}
+        if "hole" in names:
+            t = sel % len(ws)
+            base = 4 * (c - wc[t])
+            box["hole"] = tuple(base + x[t] for x in dilate4(wc, ws, gamma))
+        p = amb.poisson(a_s[top], a_e[top], c, sd, alpha,
+                        holes=[box[name] for name in names])
+        for name, v in zip(names, p):
+            term = np.bincount(sel // len(ws), (v / (sd / 2.0 ** g.M)) ** 2
+                               * m2[sel], len(corners) // len(ws))
+            terms[name].append(term.reshape(len(lo), -1))
+    return terms
+
+
+def _groups(grids, cubes, tables, depth, by_level=False):
+    """(grid, its tables, rows, masses, DP depth) of the enumerated cubes
+    of positive mass in the first table, by grid and DP depth (and by
+    level with by_level)."""
+    gi, lev, aug, lo = cubes
+    for g, grid in enumerate(grids):
+        tabs = tables(grid)
+        rows = np.flatnonzero(gi == g)
+        qs = tabs[0].cube_rows(lev[rows], lo[rows], aug[rows])[1]
+        rows, qs = rows[qs > 0], qs[qs > 0]
+        d = grid.M - lev[rows]
+        d = d if depth is None else np.minimum(d, depth)
+        key = lev[rows] if by_level else d
+        for v in sorted(set(key.tolist())):
+            yield grid, tabs, rows[key == v], qs[key == v], int(d[key == v][0])
+
+
+def strong_groups(grids, cubes, tables, alpha, depth):
+    """Each top's best subpartition sum over its mass, the strong terms
+    built once per grid and DP depth, and the partition of the first
+    largest, its terms built again: (ratios, [(depth, index), ...])."""
+    gi, lev, aug, lo = cubes
+    ratio = np.zeros(len(gi))
+    for grid, (amb, mom), rows, qs, d in _groups(grids, cubes, tables,
+                                                 depth):
+        terms = strong_terms(amb, mom, lev[rows], lo[rows], aug[rows], d,
+                             alpha)
+        ratio[rows] = subpartition(terms, grid.dim, d)[0][:, 0] / qs
+    i = int(np.argmax(ratio)) if len(ratio) else 0
+    if not len(ratio) or ratio[i] <= 0.0:
+        return ratio, []
+    grid, level = grids[gi[i]], int(lev[i])
+    d = grid.M - level if depth is None else min(depth, grid.M - level)
+    amb, mom = tables(grid)
+    terms = strong_terms(amb, mom, level, lo[i:i + 1], aug[i:i + 1], d,
+                         alpha)
+    best = subpartition(terms, grid.dim, d)
+    return ratio, partition(terms, best, grid.dim, 0)
+
+
+def whitney_groups(grids, cubes, tables, alpha, gamma, names, depth):
+    """(variants, tops) best subpartition sums over the masses, the
+    Whitney terms built once per grid and level."""
+    gi, lev, aug, lo = cubes
+    ratio = np.zeros((len(names), len(gi)))
+    for grid, (amb, mom), rows, qs, d in _groups(grids, cubes, tables,
+                                                 depth, by_level=True):
+        terms = whitney_terms(amb, mom, int(lev[rows[0]]), lo[rows],
+                              aug[rows], d, alpha, gamma, names)
+        for r, name in enumerate(names):
+            ratio[r, rows] = subpartition(terms[name], grid.dim,
+                                          d)[0][:, 0] / qs
+    return ratio

@@ -217,6 +217,76 @@ def test_strong_one_pass_matches_oracle(dim, alpha, gamma, kind, depth):
     assert (rep.strong > 0.0) == ("empty" not in kind)
 
 
+# ------------------------------------------------- batched energy terms
+# The batched calls add every piece's atoms, and every piece's Whitney
+# cells, in the order of the per-group loops of oracles.py, so the
+# per-top ratios are equal, not close.
+
+BATCH_GRIDS = {
+    "beta": lambda dim, m: [std_grid(dim=dim, M=m)],
+    "gamma": lambda dim, m: [make_grid(dim, m, 0, {
+        "kind": "gamma", "g": [2 ** m // 3 + 1] * dim})],
+    "random": lambda dim, m: [make_grid(dim, m, -1,
+                                        {"kind": "random", "seed": 5})],
+    "two": lambda dim, m: BATCH_GRIDS["beta"](dim, m)
+    + BATCH_GRIDS["gamma"](dim, m),
+}
+
+
+@pytest.mark.parametrize("grid", sorted(BATCH_GRIDS))
+@pytest.mark.parametrize("dim,kind", [(1, "random"), (1, "common_atoms"),
+                                      (2, "random"), (2, "common_atoms"),
+                                      (1, "empty_sigma"), (2, "empty_omega")])
+def test_batched_energy_terms_are_the_per_group_loop(dim, kind, grid):
+    import twoweight.energy as energy_mod
+    from twoweight.levels import tops
+    sigma, omega = oracle_pair(dim, kind, 9)
+    grids = BATCH_GRIDS[grid](dim, sigma.resolution)
+    tp = sigma.tops(grids, omega)
+    assert sigma.tops(grids, omega) is tp and tp.aug.any()
+    # the shared tops are the enumerated cubes that hold an atom
+    cubes = tops(grids, sigma, omega)
+    keep = np.array([(oracles.atoms_in(sigma, q).any()
+                      or oracles.atoms_in(omega, q).any())
+                     for q in enumerate_cubes(grids, sigma, omega)])
+    assert not keep.all()
+    for x, y in zip(cubes, (tp.gi, tp.lev, tp.aug, tp.lo)):
+        assert x[keep].tolist() == y.tolist()
+    directions = [lambda g: (sigma.levels(g), omega.levels(g)),
+                  lambda g: (omega.levels(g), sigma.levels(g))]
+    names = ("hole", "partial", "plug")
+    for alpha in (0.0, 0.5):
+        for depth in (1, 2, None):
+            for k, tables in enumerate(directions):
+                got, parts = energy_mod._strong_ratios(tp, grids, k, alpha,
+                                                       depth)
+                want, want_parts = oracles.strong_groups(grids, cubes,
+                                                         tables, alpha, depth)
+                assert got.tolist() == want[keep].tolist()
+                assert not want[~keep].any()
+                i = int(np.argmax(got))
+                assert (parts(i) if got[i] > 0 else []) == want_parts
+                assert (got > 0).any() == ("empty" not in kind)
+            got = energy_mod._whitney_ratios(tp, grids, alpha, 2.5, names,
+                                             depth)
+            want = oracles.whitney_groups(grids, cubes, directions[0], alpha,
+                                          2.5, names, depth)
+            assert got.tolist() == want[:, keep].tolist()
+            assert not want[:, ~keep].any()
+            assert (got > 0).any() == ("empty" not in kind)
+
+
+def test_the_hole_checks_every_whitney_side():
+    # a dilate off the quarter lattice is refused whichever cells hold
+    # omega-moment, as when each level's template was dilated
+    sigma, omega = oracle_pair(2, "random", 9)
+    with pytest.raises(ValueError, match="dilate 1.25 of side 1"):
+        whitney_energy(sigma, omega, [std_grid(dim=2, M=3)], 0.0, 1.25,
+                       ("partial", "hole"), depth=1)
+    assert whitney_energy(sigma, omega, [std_grid(dim=2, M=3)], 0.0, 1.25,
+                          ("partial",), depth=1)["partial"][0] > 0
+
+
 # ------------------------------------------------------------ monotonicity
 
 def _mono_setup(seed, psi=None, kind="unit"):

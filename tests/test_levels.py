@@ -89,14 +89,53 @@ def test_slices_hold_the_atoms_of_every_cube(dim, M, N, param, finer):
     cubes = list(g.cubes()) + oracles.augmented_cubes(g)
     assert any(q.grid is None for q in cubes)
     for q in cubes:
-        s, e = lv.cube_slices(q.level, np.array([q.lo]),
-                              np.array([q.grid is None]))
+        r = lv.cube_rows(q.level, np.array([q.lo]),
+                         np.array([q.grid is None]))[0]
+        s, e = lv.st[r], lv.en[r]
         inside = np.concatenate([lv.order[a:b] for a, b in zip(s[0], e[0])])
         want = oracles.atoms_in(mu, q)
         assert sorted(inside) == list(np.flatnonzero(want))
         s, e = oracles.complement(lv, s, e)
         outside = np.concatenate([lv.order[a:b] for a, b in zip(s[0], e[0])])
         assert sorted(outside) == list(np.flatnonzero(~want))
+
+
+@pytest.mark.parametrize("dim,M,N,param", GRIDS)
+def test_dense_rows_are_the_sorted_search(dim, M, N, param):
+    # lattice points inside and outside every level's box of nonempty
+    # cells, one level for all and one per point, and 0-d lookups
+    g = make_grid(dim, M, N, param)
+    rng = np.random.default_rng(M - N)
+    far = rng.integers(-2 ** (M + 1), 2 ** (M + 1), (400, dim))
+    for natoms in (3 * 2 ** dim, 1, 0):
+        mu = draw(rng, dim, M, natoms)
+        lv, pts = Levels(mu, g), np.vstack([far, mu.points])
+        assert len(lv.table) - 1 <= sum((2 ** max(lev, 0) + 1) ** dim
+                                        for lev in range(N, M + 1))
+        for level in range(N, M + 1):
+            got = lv.rows(level, pts)
+            assert got.tolist() == oracles.rows(lv, level, pts).tolist()
+            assert (got == -1).any() and ((got >= 0).any() == bool(natoms))
+        level = rng.integers(N, M + 1, len(pts))
+        got = lv.rows(level, pts)
+        assert got.tolist() == oracles.rows(lv, level, pts).tolist()
+        # -1 reads the arrays' ends: an empty slice
+        assert (lv.st[got] == lv.en[got])[got == -1].all()
+        for r in range(len(lv.st) - 1):
+            one = lv.rows(lv.level[r], lv.corner[r])
+            assert np.ndim(one) == 0 and int(one) == r
+        assert int(lv.rows(N, np.array([2 ** (M + 3)] * dim))) == -1
+
+
+def test_a_table_past_the_cap_is_refused(monkeypatch):
+    mu = draw(np.random.default_rng(1), 2, 4, 12)
+    g = std_grid(2, 4)
+    size = len(Levels(mu, g).table) - 1
+    monkeypatch.setattr(levels_mod, "_TABLE", size - 1)
+    with pytest.raises(ValueError, match=f"would hold {size} cells"):
+        Levels(mu, g)
+    monkeypatch.setattr(levels_mod, "_TABLE", size)
+    assert len(Levels(mu, g).table) == size + 1
 
 
 @pytest.mark.parametrize("block", [None, 7])
@@ -116,11 +155,38 @@ def test_dense_hole_is_the_ragged_sum_bit_for_bit(dim, M, N, param, alpha,
     side = 2 ** (M - level)
     for natoms in (3 * 2 ** dim, 0):
         lv = Levels(draw(np.random.default_rng(M), dim, M, natoms), g)
-        s, e = lv.cube_slices(level, lo, aug)
+        r = lv.cube_rows(level, lo, aug)[0]
+        s, e = lv.st[r], lv.en[r]
         got = lv.outside(s, e, lo, side, alpha, kind)
         want = oracles.hole_sum(lv, s, e, lo, side, alpha, kind)
         assert got.tolist() == want.tolist()
         assert (got > 0).any() == bool(natoms)
+
+
+@pytest.mark.parametrize("block", [None, 7])
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+@pytest.mark.parametrize("dim,M,N,param", GRIDS)
+def test_poisson_is_the_sum_row_by_row(dim, M, N, param, alpha, block,
+                                       monkeypatch):
+    # each row's kernel values, holes dropped, added left to right, so
+    # the values are equal whatever the blocks
+    if block:
+        monkeypatch.setattr(levels_mod, "_BLOCK", block)
+    g = make_grid(dim, M, N, param)
+    level, lo, aug = every_cube(g)
+    side = 2 ** (M - level)
+    lv = Levels(draw(np.random.default_rng(M), dim, M, 3 * 2 ** dim), g)
+    r = lv.cube_rows(level, lo, aug)[0]
+    s, e = lv.st[r], lv.en[r]
+    # boxes that hold all, part or none of each cube's atoms
+    holes = (None, (4 * lo, 4 * lo + 2 * side[:, None]),
+             grid_mod.dilate4(lo, side, 2.0), (4 * lo, 4 * lo))
+    for kind in ("standard", "reproducing"):
+        got = lv.poisson(s, e, lo, side, alpha, kind, holes)
+        want = oracles.poisson_rows(lv, s, e, lo, side, alpha, kind, holes)
+        assert got.tolist() == want.tolist()
+        assert (got[0] > got[1]).any() and (got[1] > 0).any()
+        assert not got[2].any() and got[3].tolist() == got[0].tolist()
 
 
 @pytest.mark.parametrize("dim,M,N,param", GRIDS)
@@ -135,8 +201,8 @@ def test_row_moments_are_the_stats_of_each_row(dim, M, N, param):
     assert mass.tolist() == lv.mass.tolist()
     # a grid cube's row, an augmented cube's children, an empty cube's 0
     level, lo, aug = every_cube(g)
-    got = lv.cube_stats(level, lo, aug)
-    want = lv.stats(*lv.cube_slices(level, lo, aug))
+    r, *got = lv.cube_rows(level, lo, aug)
+    want = lv.stats(lv.st[r], lv.en[r])
     assert [x.tolist() for x in got] == [x.tolist() for x in want]
     assert aug.any() and (got[0] == 0).any()
 
@@ -156,6 +222,29 @@ def test_energy_stopping_matches_the_loop(dim, kind, depth):
     assert cor.stopping == want["stopping"] and cor.parent == want["parent"]
     assert oracles.close(cor.criteria, want["criteria"])
     assert oracles.close(cor.energies, want["energies"])
+
+
+@pytest.mark.parametrize("depth", [1, None])
+@pytest.mark.parametrize("dim,kind", [(1, "common_atoms"), (2, "random"),
+                                      (1, "empty_omega")])
+def test_energy_stopping_terms_are_the_per_top_terms(dim, kind, depth,
+                                                     monkeypatch):
+    # the criterion's strong terms, one top at a time as before they
+    # were batched: the same coronas and the same bits
+    sigma, omega = pair(dim, kind, 24)
+    root = std_grid(dim, sigma.resolution).cube(0, (0,) * dim)
+    args = (sigma, omega, root, 1.5, 0.05, 0.0, 0.5, depth)
+    got = energy_stopping(*args)
+
+    def per_top(amb, mom, level, lo, d, alpha, slices, m0):
+        return oracles.strong_terms(amb, mom, level, lo,
+                                    np.zeros(len(lo), bool), int(d), alpha)
+
+    monkeypatch.setattr(levels_mod, "strong_terms", per_top)
+    want = energy_stopping(*args)
+    assert got.stopping == want.stopping and got.parent == want.parent
+    assert got.criteria == want.criteria and got.energies == want.energies
+    assert (len(got.stopping) > 1) == (kind != "empty_omega")
 
 
 # ------------------------------------------------------------ object churn
@@ -384,6 +473,28 @@ def test_a_verify_builds_each_level_table_once(monkeypatch):
     monkeypatch.setattr(Levels, "__init__", counted)
     verify_theorem(RunConfig(dim=1, resolution=8, natoms=200))
     assert 0 < len(calls) <= 3
+
+
+def test_a_verify_batches_the_energy_layer(monkeypatch):
+    # one enumeration of the tops per verify, and one row lookup and one
+    # Poisson call per stage and depth: at (2, 4, 100) a verify made 3
+    # tops, 80 rows and 30 poisson calls when each energy pass built
+    # its own tops and its terms per group
+    calls = {"tops": 0, "rows": 0, "poisson": 0}
+
+    def counted(name, real):
+        def run(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return run
+
+    monkeypatch.setattr(levels_mod, "tops", counted("tops", levels_mod.tops))
+    for name in ("rows", "poisson"):
+        monkeypatch.setattr(Levels, name, counted(name, getattr(Levels,
+                                                                 name)))
+    verify_theorem(RunConfig(dim=2, resolution=4, natoms=100, seed=1))
+    assert calls["tops"] == 1
+    assert 0 < calls["rows"] <= 32 and 0 < calls["poisson"] <= 13
 
 
 def test_a_verify_finds_no_family_atoms_by_cube(monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 
 from twoweight.grid import make_grid
 from twoweight.harness import generate_pair
-from twoweight.measure import Measure, mass
+from twoweight.measure import Measure, at_points_of, common_points, mass
 from twoweight.poisson_a2 import (
     a2_constants,
     enumerate_cubes,
@@ -273,3 +273,27 @@ def test_a2_constants_match_the_restricted_measure_oracle(dim, generator,
             if key != "witnesses":
                 assert val <= got.as_dict()[key] * (1 + 1e-12), key
     assert (got.calA2 > 0.0 and got.calA2_star > 0.0) == bool(sigma.natoms)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_atoms_at_common_points_by_array_lookup(dim):
+    # the mask that a2_constants once built by testing each atom's tuple
+    # against a set intersection
+    m = 4 if dim == 1 else 3
+    found = 0
+    for seed in range(6):
+        sigma, omega = generate_pair("common_atoms", {
+            "dim": dim, "resolution": m, "natoms": 10}, seed)
+        pts = {tuple(p) for p in sigma.points} & {tuple(p)
+                                                  for p in omega.points}
+        assert common_points(sigma, omega) == pts
+        for mu, other in ((sigma, omega), (omega, sigma)):
+            want = [tuple(p) in pts for p in mu.points]
+            assert at_points_of(mu, other).tolist() == want
+            found += sum(want)
+        empty = Measure.from_atoms(dim, m, [])
+        assert at_points_of(sigma, empty).tolist() == [False] * sigma.natoms
+        assert at_points_of(empty, sigma).tolist() == []
+        assert a2_constants(sigma, omega, [std_grid(dim, m)],
+                            0.0).classicalA2_diverges == bool(pts)
+    assert found > 0
